@@ -4,7 +4,7 @@ noise Z.
 
 The computation uses the decomposition I = h(Y) - h(Z).  The output entropy
 h(Y) is an integral of -p(y)*log2 p(y), evaluated with adaptive composite
-Gauss-Legendre quadrature (15-point panels, bisection refinement); h(Z) is
+Gauss-Kronrod quadrature (G7/K15 panels, bisection refinement); h(Z) is
 0.5*log2(2*pi*e*sigma^2) in closed form.  Nothing in this module depends on
 the closed-form bounds it is used to validate.
 
@@ -22,7 +22,35 @@ from .special import SQRT2, TWO_PI_E
 
 _LOG2_E = math.log2(math.e)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(15)
+
+# QUADPACK's QK15 rule (Piessens et al. 1983): the 15-point Kronrod extension
+# of the 7-point Gauss-Legendre rule on [-1, 1].  Abscissae in [0, 1] are
+# listed in decreasing order; every other one (ending at 0) is a Gauss node.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+# The 15 nodes on [-1, 1] in increasing order, their K15 weights, and the G7
+# weights on the same nodes (zero at the 8 Kronrod-only nodes).
+_K15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_K15_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_G7_WEIGHTS = np.zeros(15)
+_G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
+_K15_MINUS_G7 = _K15_WEIGHTS - _G7_WEIGHTS
+#: QUADPACK's round-off level of a panel, in units of half * sum |w_k f_k|.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 #: Bit generator behind numpy's default_rng; period 2^128, seeded explicitly.
 MC_GENERATOR = "numpy-pcg64"
@@ -88,8 +116,7 @@ class DiscreteInput:
             raise ValueError(f"masses must sum to 1, got {masses.sum()!r}")
         self.atoms = atoms
         self.masses = masses
-        with np.errstate(divide="ignore"):
-            self._log_masses = np.where(masses > 0.0, np.log(masses, where=masses > 0.0), -np.inf)
+        self._log_masses = np.log(masses, out=np.full_like(masses, -np.inf), where=masses > 0.0)
 
     @classmethod
     def from_esdu(cls, inp: EsduInput) -> "DiscreteInput":
@@ -109,6 +136,11 @@ class DiscreteInput:
         return DiscreteInput(self.atoms * factor, self.masses.copy())
 
 
+def _check_sigma(sigma: float) -> None:
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+
+
 def mixture_log_pdf(inp: DiscreteInput, sigma: float, y):
     """Natural log of the output density sum_i mass_i * phi(y - atom_i; sigma).
 
@@ -116,8 +148,7 @@ def mixture_log_pdf(inp: DiscreteInput, sigma: float, y):
     |y - atom| up to hundreds of noise widths.  Accepts a scalar or an array;
     the shape of y is preserved.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
+    _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
     z = (y_arr[..., None] - inp.atoms) / sigma
     exponents = -0.5 * z * z + inp._log_masses
@@ -133,56 +164,59 @@ def mixture_log_pdf(inp: DiscreteInput, sigma: float, y):
     return out
 
 
-def _gauss_panels(f, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """15-point Gauss-Legendre estimate of int f on each [lower_i, upper_i]."""
-    half = 0.5 * (upper - lower)
-    nodes = half[:, None] * _GL_NODES + 0.5 * (lower + upper)[:, None]
-    return half * (f(nodes) * _GL_WEIGHTS).sum(axis=1)
-
-
 def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: QuadratureSpec) -> float:
-    """Integrate f over [lo, hi] by adaptive panel bisection.
+    """Integrate f over [lo, hi] by adaptive G7/K15 panel bisection.
 
-    Starts from uniform panels no wider than `resolution` (the smoothing scale
-    of the integrand), then repeatedly bisects every panel whose whole-vs-half
-    discrepancy exceeds its proportional share of the absolute tolerance.
-    Panel bookkeeping is kept in a fixed order so repeated runs reduce in the
-    same sequence and return bit-identical results.
+    Starts from uniform panels no wider than twice `resolution` (the smoothing
+    scale of the integrand).  Each panel costs one 15-node evaluation: the
+    K15 value is accepted once |K15 - G7| is within the panel's proportional
+    share of the absolute tolerance; otherwise the panel is bisected.  A
+    panel whose error is still above its share but already at QUADPACK's
+    round-off level cannot improve, so that ends the loop at once.  Panel
+    bookkeeping is kept in a fixed order so repeated runs reduce in the same
+    sequence and return bit-identical results.
     """
     width = hi - lo
     if width <= 0.0:
         return 0.0
-    edges = np.linspace(lo, hi, max(4, math.ceil(width / resolution)) + 1)
-    panels = np.column_stack([edges[:-1], edges[1:]])
+    edges = np.linspace(lo, hi, max(4, math.ceil(width / (2.0 * resolution))) + 1)
+    lower, upper = edges[:-1], edges[1:]
     settled = 0.0
     estimates: list[float] = []
     for _ in range(spec.max_refinements + 1):
-        lower, upper = panels[:, 0], panels[:, 1]
-        mid = 0.5 * (lower + upper)
-        coarse = _gauss_panels(f, lower, upper)
-        refined = _gauss_panels(f, lower, mid) + _gauss_panels(f, mid, upper)
-        converged = np.abs(coarse - refined) <= spec.absolute_tolerance * (upper - lower) / width
-        settled += refined[converged].sum()
-        estimates.append(settled + refined[~converged].sum())
+        half = 0.5 * (upper - lower)
+        values = f(half[:, None] * _K15_NODES + (lower + half)[:, None])
+        kronrod = half * (values @ _K15_WEIGHTS)
+        error = np.abs(half * (values @ _K15_MINUS_G7))
+        converged = error <= spec.absolute_tolerance * (upper - lower) / width
+        settled += kronrod[converged].sum()
+        estimates.append(float(settled + kronrod[~converged].sum()))
         if converged.all():
             return settled
-        bad = panels[~converged]
-        bad_mid = mid[~converged]
-        panels = np.empty((2 * bad.shape[0], 2))
-        panels[0::2, 0] = bad[:, 0]
-        panels[0::2, 1] = bad_mid
-        panels[1::2, 0] = bad_mid
-        panels[1::2, 1] = bad[:, 1]
-        if panels.shape[0] > 2_000_000:
-            # a tolerance below the roundoff floor would otherwise double the
-            # panel count every round until memory runs out
+        todo = ~converged
+        roundoff = _ROUNDOFF * half[todo] * (np.abs(values[todo]) @ _K15_WEIGHTS)
+        if np.any(error[todo] <= roundoff):
+            raise _convergence_error(
+                f"entropy integral cannot reach absolute tolerance "
+                f"{spec.absolute_tolerance!r}: panel error is at the round-off level",
+                estimates,
+            )
+        mid = lower[todo] + half[todo]
+        lower = np.column_stack([lower[todo], mid]).ravel()
+        upper = np.column_stack([mid, upper[todo]]).ravel()
+        if lower.size > 2_000_000:
+            # backstop on the working set, whatever the tolerance
             break
+    raise _convergence_error(
+        f"entropy integral did not converge within {spec.max_refinements} refinement rounds",
+        estimates,
+    )
+
+
+def _convergence_error(reason: str, estimates: list[float]) -> ConvergenceError:
     previous = estimates[-2] if len(estimates) >= 2 else math.nan
-    raise ConvergenceError(
-        f"entropy integral did not converge within {spec.max_refinements} refinement "
-        f"rounds (last estimates {previous!r} -> {estimates[-1]!r})",
-        previous,
-        estimates[-1],
+    return ConvergenceError(
+        f"{reason} (last estimates {previous!r} -> {estimates[-1]!r})", previous, estimates[-1]
     )
 
 
@@ -209,8 +243,7 @@ def mi_discrete(inp: DiscreteInput, sigma: float, quad: QuadratureSpec | None = 
     The value is not clamped; a deterministic input comes back as a residual
     of quadrature size (|I| <= tolerance) rather than an exact 0.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
+    _check_sigma(sigma)
     quad = quad if quad is not None else QuadratureSpec()
     lo = float(inp.atoms[0]) - quad.support_padding * sigma
     hi = float(inp.atoms[-1]) + quad.support_padding * sigma
@@ -285,8 +318,7 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
     """
     if samples < 10_000:
         raise ValueError("mi_monte_carlo needs at least 10000 samples")
-    if sigma <= 0.0:
-        raise ValueError("sigma must be > 0")
+    _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     idx = rng.choice(inp.atoms.size, size=samples, p=inp.masses)
     ys = inp.atoms[idx] + rng.normal(0.0, sigma, size=samples)

@@ -223,3 +223,11 @@ class TestNumericalFailure:
         code, _, err = run_cli(capsys, ["esdu-rate", "--span", "1", "--levels", "3"] + TS)
         assert code == EXIT_NUMERICAL
         assert "numerical failure" in err
+
+    def test_tolerance_below_roundoff_fails_fast(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["esdu-rate", "--span", "10", "--levels", "21", "--quad-tol", "1e-30"] + TS
+        )
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "round-off" in err

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from esdurate import oracle
 from esdurate.esdu import EsduInput
 from esdurate.oracle import (
+    _G7_WEIGHTS,
+    _K15_NODES,
+    _K15_WEIGHTS,
     ConvergenceError,
     DiscreteInput,
     QuadratureSpec,
@@ -63,6 +67,21 @@ class TestDiscreteInput:
     def test_rejects_invalid(self, atoms, masses):
         with pytest.raises(ValueError):
             DiscreteInput(np.array(atoms), np.array(masses))
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda di, sigma: mixture_log_pdf(di, sigma, 0.0),
+        lambda di, sigma: mi_discrete(di, sigma),
+        lambda di, sigma: mi_monte_carlo(di, sigma, 10_000, 0),
+    ],
+    ids=["mixture_log_pdf", "mi_discrete", "mi_monte_carlo"],
+)
+def test_rejects_nonfinite_or_nonpositive_sigma(call, sigma):
+    with pytest.raises(ValueError, match="sigma"):
+        call(DiscreteInput.from_esdu(EsduInput(1.0, 3)), sigma)
 
 
 class TestMixtureLogPdf:
@@ -185,6 +204,43 @@ class TestMiUniform:
             assert c_lower(ch) - 1e-6 <= rate <= e_cap(ch) + 1e-6
 
 
+class TestKronrodRule:
+    @staticmethod
+    def legendre_moment(d):
+        return 0.0 if d % 2 else 2.0 / (d + 1)
+
+    def test_k15_integrates_degree_22_exactly(self):
+        for d in range(23):
+            assert np.dot(_K15_WEIGHTS, _K15_NODES**d) == pytest.approx(
+                self.legendre_moment(d), abs=1e-14
+            )
+
+    def test_g7_integrates_degree_13_exactly(self):
+        for d in range(14):
+            assert np.dot(_G7_WEIGHTS, _K15_NODES**d) == pytest.approx(
+                self.legendre_moment(d), abs=1e-14
+            )
+
+    def test_g7_is_gauss_legendre(self):
+        nodes, weights = np.polynomial.legendre.leggauss(7)
+        assert np.allclose(_K15_NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(_G7_WEIGHTS[1::2], weights, rtol=0.0, atol=1e-15)
+        assert not _G7_WEIGHTS[0::2].any()
+
+    def test_mi_discrete_cost_is_pinned(self, monkeypatch):
+        nodes = []
+        inner = oracle.mixture_log_pdf
+
+        def counting(inp, sigma, y):
+            nodes.append(np.size(y))
+            return inner(inp, sigma, y)
+
+        monkeypatch.setattr(oracle, "mixture_log_pdf", counting)
+        mi_discrete(DiscreteInput.from_esdu(EsduInput(10.0, 21)), 1.0)
+        # 15 panels of 2 sigma over [-10, 20], all accepted in the first round
+        assert sum(nodes) == 15 * 15
+
+
 class TestAdaptiveIntegral:
     def test_refines_a_spike(self):
         # density much narrower than the resolution hint: must refine, then hit it
@@ -200,6 +256,18 @@ class TestAdaptiveIntegral:
         assert math.isfinite(err.value.last_estimate)
         assert math.isfinite(err.value.previous_estimate)
         assert err.value.last_estimate != err.value.previous_estimate
+
+    def test_fails_fast_below_roundoff_floor(self):
+        panels = []
+
+        def gaussian(y):
+            panels.append(y.shape[0])
+            return np.exp(-0.5 * y * y)
+
+        spec = QuadratureSpec(absolute_tolerance=1e-30)
+        with pytest.raises(ConvergenceError, match="round-off"):
+            _adaptive_integral(gaussian, -10.0, 10.0, 1.0, spec)
+        assert sum(panels) <= 300
 
 
 class TestMonteCarlo:
