@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .esdu import EsduInput, f1, f2, f3, f_lower, g_upper, owb, xi
+from .esdu import EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
     MC_GENERATOR,
     ConvergenceError,
@@ -125,24 +125,31 @@ def emit_region(manifest: dict, reg: RateRegion, fmt: str, stream) -> None:
         stream.write(canonical_json(region_document(manifest, reg)))
 
 
-def _parse_grid(text: str) -> list[float]:
-    """Comma list ("0,5,10") or colon range ("0:20" or "0:20:2"), inclusive."""
+def _parse_grid(text: str, flag: str) -> list[float]:
+    """Comma list ("0,5,10") or colon range ("0:20" or "0:20:2"), inclusive,
+    of finite numbers; errors name `flag`."""
     text = text.strip()
     if not text:
         return []
-    if ":" in text:
-        parts = [float(p) for p in text.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 1.0
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise UsageError(f"bad range {text!r}; expected start:stop[:step]")
-        if step <= 0:
-            raise UsageError("range step must be > 0")
-        count = int(math.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(count, 0))]
-    return [float(p) for p in text.split(",")]
+    parts = text.split(":") if ":" in text else text.split(",")
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise UsageError(f"{flag}: bad grid {text!r}; expected numbers") from None
+    if not all(math.isfinite(v) for v in values):
+        raise UsageError(f"{flag}: grid {text!r} must hold finite numbers")
+    if ":" not in text:
+        return values
+    if len(values) == 2:
+        start, stop, step = values[0], values[1], 1.0
+    elif len(values) == 3:
+        start, stop, step = values
+    else:
+        raise UsageError(f"{flag}: bad range {text!r}; expected start:stop[:step]")
+    if step <= 0:
+        raise UsageError(f"{flag}: range step must be > 0")
+    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    return [start + i * step for i in range(max(count, 0))]
 
 
 def _resolve_peak(args, sigma_ref: float) -> float:
@@ -178,21 +185,22 @@ def _write(args, writer) -> None:
             writer(handle)
 
 
-def _alphabet_size(peak: float, spacing: float) -> int:
-    return max(2, math.ceil(peak / spacing) + 1)
-
-
 # ---------------------------------------------------------------- commands
 
 def cmd_p2p_bounds(args) -> int:
     quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
     sigma = args.sigma
+    for flag, value in (("--sigma", sigma), ("--delta0", args.delta0)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise UsageError(f"{flag} must be finite and > 0, got {value!r}")
     if args.peak is not None and args.peak_db is not None:
         raise UsageError("exactly one of --peak and --peak-db is required")
     if args.peak is not None:
+        peak_flag = "--peak"
         peaks = [(10.0 * math.log10(args.peak / sigma) if args.peak > 0 else -math.inf, args.peak)]
     elif args.peak_db is not None:
-        peaks = [(db, db_to_amplitude_ratio(db) * sigma) for db in _parse_grid(args.peak_db)]
+        peak_flag = "--peak-db"
+        peaks = [(db, db_to_amplitude_ratio(db) * sigma) for db in _parse_grid(args.peak_db, "--peak-db")]
     else:
         raise UsageError("exactly one of --peak and --peak-db is required")
 
@@ -202,7 +210,10 @@ def cmd_p2p_bounds(args) -> int:
     ]
     rows = []
     for db, peak in peaks:
-        levels = _alphabet_size(peak, args.delta0 * sigma)
+        try:
+            levels = alphabet_size(peak, args.delta0 * sigma)
+        except ValueError as exc:
+            raise UsageError(f"{peak_flag} with --delta0 {args.delta0:g}: {exc}") from None
         if peak == 0.0:
             # a zero-peak channel carries nothing; every rate column collapses
             rows.append([db, levels, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, 0.0,
@@ -275,7 +286,7 @@ def _bc_common(args) -> tuple[BcChannel, SweepConfig]:
     peak = _resolve_peak(args, args.sigma1)
     ch = BcChannel(peak, args.sigma1, sigma2)
     quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
-    grid = tuple(_parse_grid(args.delta0_grid))
+    grid = tuple(_parse_grid(args.delta0_grid, "--delta0-grid"))
     cfg = SweepConfig(delta0_grid=grid, rho_steps=args.rho_steps, quadrature=quad)
     return ch, cfg
 
@@ -285,6 +296,11 @@ def cmd_bc_region(args, mode: str) -> int:
     if mode in ("analytic", "exact"):
         if not cfg.delta0_grid:
             print("warning: empty delta0 grid; region degenerates to {(0,0)}", file=sys.stderr)
+        for delta0 in cfg.delta0_grid:
+            try:
+                alphabet_size(ch.peak, delta0 * ch.sigma1)
+            except ValueError as exc:
+                raise UsageError(f"--delta0-grid entry {delta0:g}: {exc}") from None
         reg = sweep_inner(ch, cfg, mode)
     else:
         reg = outer_region(ch, cfg)
@@ -305,9 +321,9 @@ def cmd_bc_region(args, mode: str) -> int:
 def cmd_verify(args) -> int:
     quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
     report = run_verification(
-        _parse_grid(args.peak_db_grid),
-        _parse_grid(args.sigma_ratios),
-        _parse_grid(args.delta0_grid),
+        _parse_grid(args.peak_db_grid, "--peak-db-grid"),
+        _parse_grid(args.sigma_ratios, "--sigma-ratios"),
+        _parse_grid(args.delta0_grid, "--delta0-grid"),
         sandwich_tol=args.sandwich_tol,
         dominance_tol=args.dominance_tol,
         containment_tol=args.containment_tol,

@@ -63,6 +63,31 @@ class EsduInput:
         return [i * step for i in range(self.levels)]
 
 
+#: Largest alphabet alphabet_size hands out: 50 times the K = 2001 of a 30 dB
+#: table at half-sigma spacing, and small enough that one oracle call on it
+#: stays within seconds and a few MB.
+MAX_LEVELS = 100_000
+
+
+def alphabet_size(peak: float, spacing: float) -> int:
+    """Levels K = max(2, ceil(peak/spacing) + 1) of an ESDU input over
+    [0, peak] whose levels are at most `spacing` apart.
+
+    Raises ValueError for a peak that is not finite and >= 0, a spacing that
+    is not finite and > 0, or a K above MAX_LEVELS.
+    """
+    if not (math.isfinite(peak) and peak >= 0.0):
+        raise ValueError(f"peak must be finite and >= 0, got {peak!r}")
+    if not (math.isfinite(spacing) and spacing > 0.0):
+        raise ValueError(f"spacing must be finite and > 0, got {spacing!r}")
+    ratio = peak / spacing
+    if not ratio <= MAX_LEVELS - 1:
+        raise ValueError(
+            f"peak/spacing = {ratio:.6g} needs more than the {MAX_LEVELS} levels allowed"
+        )
+    return max(2, math.ceil(ratio) + 1)
+
+
 def _require_multilevel(inp: EsduInput, op: str) -> None:
     if inp.levels < 2:
         raise ValueError(f"{op} is undefined for a single-level input")

@@ -8,6 +8,12 @@ Gauss-Kronrod quadrature (G7/K15 panels, bisection refinement); h(Z) is
 0.5*log2(2*pi*e*sigma^2) in closed form.  Nothing in this module depends on
 the closed-form bounds it is used to validate.
 
+The mixture density behind h(Y) works in blocks of at most 2^18 (y, atom)
+pairs, 2 MiB per float64 temporary, whatever the number of nodes or samples.
+Calls larger than one block drop, per block, the atoms more than 40 sigma
+from every y in it, but only when the block's kept peak proves each dropped
+term underflows to exactly 0.0; otherwise the block keeps every atom.
+
 A seeded Monte-Carlo estimator provides an independent cross-check of the
 quadrature path.
 """
@@ -51,6 +57,15 @@ _G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 _K15_MINUS_G7 = _K15_WEIGHTS - _G7_WEIGHTS
 #: QUADPACK's round-off level of a panel, in units of half * sum |w_k f_k|.
 _ROUNDOFF = 50.0 * np.finfo(float).eps
+
+#: Entries of one (block x atoms) work array in mixture_log_pdf: 2 MiB per
+#: float64 temporary.
+_BLOCK_ELEMENTS = 1 << 18
+#: Atoms farther than this many noise widths from every y of a block are left
+#: out of its log-sum-exp, once the block's peaks show their terms underflow.
+_WINDOW_SIGMAS = 40.0
+#: exp(x) is 0.0 in float64 for every x below about -745.13.
+_UNDERFLOW_EXPONENT = -746.0
 
 #: Bit generator behind numpy's default_rng; period 2^128, seeded explicitly.
 MC_GENERATOR = "numpy-pcg64"
@@ -127,14 +142,6 @@ class DiscreteInput:
         masses = np.full(inp.levels, 1.0 / inp.levels)
         return cls(atoms, masses)
 
-    def shifted(self, offset: float) -> "DiscreteInput":
-        return DiscreteInput(self.atoms + offset, self.masses.copy())
-
-    def scaled(self, factor: float) -> "DiscreteInput":
-        if factor <= 0.0:
-            raise ValueError("scale factor must be positive")
-        return DiscreteInput(self.atoms * factor, self.masses.copy())
-
 
 def _check_sigma(sigma: float) -> None:
     if not (math.isfinite(sigma) and sigma > 0.0):
@@ -147,21 +154,90 @@ def mixture_log_pdf(inp: DiscreteInput, sigma: float, y):
     Uses log-sum-exp over the per-atom terms, so the result stays finite for
     |y - atom| up to hundreds of noise widths.  Accepts a scalar or an array;
     the shape of y is preserved.
+
+    The work is done in blocks of the flattened y whose (block x atoms) work
+    arrays hold at most _BLOCK_ELEMENTS entries; a block is one row when a
+    single y has more atoms than that in its window.  A call that fits in one
+    block takes every atom at once.  Larger calls keep, per block, only the
+    atoms within _WINDOW_SIGMAS noise widths of the block's values, and only
+    when that is exact: every term left out is below exp(-800 + max log mass)
+    and must sit more than 746 below the block's smallest kept peak, where its
+    exp(term - peak) is 0.0 in float64.  A block that fails this test (values
+    far from every atom, zero masses near them) is redone with every atom.
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
-    z = (y_arr[..., None] - inp.atoms) / sigma
-    exponents = -0.5 * z * z + inp._log_masses
-    peak = np.max(exponents, axis=-1)
-    out = (
-        peak
-        + np.log(np.sum(np.exp(exponents - peak[..., None]), axis=-1))
-        - math.log(sigma)
-        - _LOG_SQRT_2PI
-    )
+    atoms, log_masses = inp.atoms, inp._log_masses
+    if y_arr.size * atoms.size <= _BLOCK_ELEMENTS:
+        exponents = _exponents(y_arr, atoms, log_masses, sigma)
+        out = _log_sum_exp(exponents, np.max(exponents, axis=-1))
+    else:
+        out = _blocked_log_sum_exp(y_arr.ravel(), atoms, log_masses, sigma).reshape(y_arr.shape)
+    out = out - math.log(sigma) - _LOG_SQRT_2PI
     if np.isscalar(y) or np.ndim(y) == 0:
         return float(out)
     return out
+
+
+def _exponents(y: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: float) -> np.ndarray:
+    """The per-atom terms -0.5*((y - atom)/sigma)^2 + log(mass), atoms last."""
+    z = y[..., None] - atoms
+    z /= sigma
+    exponents = -0.5 * z
+    exponents *= z
+    exponents += log_masses
+    return exponents
+
+
+def _log_sum_exp(exponents: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """log(sum(exp(exponents))) over the last axis, given its maximum `peak`;
+    overwrites exponents."""
+    exponents -= peak[..., None]
+    np.exp(exponents, out=exponents)
+    return peak + np.log(np.sum(exponents, axis=-1))
+
+
+def _blocked_log_sum_exp(
+    flat: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: float
+) -> np.ndarray:
+    """_log_sum_exp of the terms of 1-D y, block by block within the budget."""
+    n, k = flat.size, atoms.size
+    out = np.empty(n)
+    reach = _WINDOW_SIGMAS * sigma
+    # no term of an atom outside a block's window exceeds this
+    excluded_top = -0.5 * _WINDOW_SIGMAS**2 + float(np.max(log_masses))
+    full_rows = max(1, _BLOCK_ELEMENTS // k)
+    rows = full_rows
+    start = 0
+    while start < n:
+        stop = min(n, start + rows)
+        first, last = _window(flat[start:stop], atoms, reach)
+        if (stop - start) * (last - first) > _BLOCK_ELEMENTS:
+            # fewer rows never widen the window, so one cut keeps the budget
+            stop = start + _BLOCK_ELEMENTS // (last - first)
+            first, last = _window(flat[start:stop], atoms, reach)
+        if last > first:
+            exponents = _exponents(flat[start:stop], atoms[first:last], log_masses[first:last], sigma)
+            peak = np.max(exponents, axis=-1)
+        if last == first or (last - first < k and not excluded_top - np.min(peak) < _UNDERFLOW_EXPONENT):
+            # a dropped atom might not underflow: redo these rows with every atom
+            stop = min(stop, start + full_rows)
+            exponents = _exponents(flat[start:stop], atoms, log_masses, sigma)
+            peak = np.max(exponents, axis=-1)
+            rows = full_rows
+        else:
+            rows = _BLOCK_ELEMENTS // (last - first)
+        out[start:stop] = _log_sum_exp(exponents, peak)
+        del exponents, peak  # before the next block allocates its own
+        start = stop
+    return out
+
+
+def _window(block: np.ndarray, atoms: np.ndarray, reach: float) -> tuple[int, int]:
+    """Index range of the atoms within `reach` of [min(block), max(block)]."""
+    first = int(np.searchsorted(atoms, np.min(block) - reach, side="left"))
+    last = int(np.searchsorted(atoms, np.max(block) + reach, side="right"))
+    return first, last
 
 
 def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: QuadratureSpec) -> float:

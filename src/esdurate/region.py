@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
-from .esdu import EsduInput, f_lower, g_upper
+from .esdu import EsduInput, alphabet_size, f_lower, g_upper
 from .oracle import ConvergenceError, DiscreteInput, QuadratureSpec, mi_discrete
 from .uniform import P2pChannel, c_upper
 
@@ -145,14 +145,29 @@ def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair:
 
 
 def exact_inner_point(
-    ch: BcChannel, split: SplitConfig, quad: QuadratureSpec | None = None
+    ch: BcChannel,
+    split: SplitConfig,
+    quad: QuadratureSpec | None = None,
+    rates: dict[tuple[EsduInput, float], float] | None = None,
 ) -> RatePair:
-    """Oracle version of analytic_inner_point with exact mutual informations."""
+    """Oracle version of analytic_inner_point with exact mutual informations.
+
+    rates, when given, holds mi_discrete per (input, sigma) and is filled in
+    place, so splits that share a sub-alphabet or a composite alphabet reuse
+    its rate; sweep_inner passes one dictionary per sweep.
+    """
     quad = quad if quad is not None else QuadratureSpec()
-    user1 = DiscreteInput.from_esdu(split.user1_input(ch.peak))
-    composite = DiscreteInput.from_esdu(split.composite_input(ch.peak))
-    r1 = mi_discrete(user1, ch.sigma1, quad)
-    r2 = mi_discrete(composite, ch.sigma2, quad) - mi_discrete(user1, ch.sigma2, quad)
+    rates = rates if rates is not None else {}
+
+    def rate(inp: EsduInput, sigma: float) -> float:
+        key = (inp, sigma)
+        if key not in rates:
+            rates[key] = mi_discrete(DiscreteInput.from_esdu(inp), sigma, quad)
+        return rates[key]
+
+    user1 = split.user1_input(ch.peak)
+    r1 = rate(user1, ch.sigma1)
+    r2 = rate(split.composite_input(ch.peak), ch.sigma2) - rate(user1, ch.sigma2)
     return RatePair(max(0.0, r1), max(0.0, r2))
 
 
@@ -162,16 +177,16 @@ def split_schedule(
     """Enumerate the sweep cells (delta0, k1, k2).
 
     For each spacing target delta0 (in sigma1 units), the composite alphabet
-    size is capped at Kmax = max(2, ceil(A/delta0)+1); k1 runs over 1..Kmax and
-    k2 is the smallest count that brings the composite spacing down to the
-    target, i.e. the smallest k with k1*k - 1 >= A/delta0, floored so that
-    k1*k2 >= 2.
+    size is capped at Kmax = alphabet_size(A, delta0*sigma1); k1 runs over
+    1..Kmax and k2 is the smallest count that brings the composite spacing
+    down to the target, i.e. the smallest k with k1*k - 1 >= A/delta0,
+    floored so that k1*k2 >= 2.
     """
     cells: list[tuple[float, int, int]] = []
     for delta0 in delta0_grid:
         spacing = delta0 * sigma1
+        kmax = alphabet_size(peak, spacing)
         ratio = peak / spacing
-        kmax = max(2, math.ceil(ratio) + 1)
         for k1 in range(1, kmax + 1):
             k2 = max(1, math.ceil((ratio + 1.0) / k1))
             if k1 * k2 < 2:
@@ -187,7 +202,8 @@ def sweep_inner(
 ) -> RateRegion:
     """Inner-bound region: hull of the points of every sweep cell.
 
-    Repeated (k1, k2) splits across spacing targets are computed once; the
+    Repeated (k1, k2) splits across spacing targets are computed once, and in
+    exact mode so is each mutual information that several splits share; the
     vertex provenance records the first cell that produced each vertex.
     """
     if mode not in ("analytic", "exact"):
@@ -198,6 +214,7 @@ def sweep_inner(
     points: list[RatePair] = []
     first_origin: dict[tuple[float, float], SplitOrigin] = {}
     cache: dict[tuple[int, int], RatePair] = {}
+    rates: dict[tuple[EsduInput, float], float] = {}
     for delta0, k1, k2 in split_schedule(ch.peak, cfg.delta0_grid, ch.sigma1):
         key = (k1, k2)
         point = cache.get(key)
@@ -207,7 +224,7 @@ def sweep_inner(
                 point = analytic_inner_point(ch, split)
             else:
                 try:
-                    point = exact_inner_point(ch, split, cfg.quadrature)
+                    point = exact_inner_point(ch, split, cfg.quadrature, rates)
                 except ConvergenceError as exc:
                     raise ConvergenceError(
                         f"split k1={k1}, k2={k2} (delta0={delta0:g}): {exc}",

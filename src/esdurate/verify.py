@@ -23,10 +23,6 @@ class CheckResult:
     passed: bool
 
 
-def _alphabet_size(peak: float, spacing: float) -> int:
-    return max(2, math.ceil(peak / spacing) + 1)
-
-
 def sandwich_checks(
     db_grid,
     delta0_grid,
@@ -49,7 +45,7 @@ def sandwich_checks(
                 CheckResult("sandwich", f"{name} @ {db:g} dB", margin, tolerance, margin >= -tolerance)
             )
         for delta0 in delta0_grid:
-            levels = _alphabet_size(peak, delta0)
+            levels = esdu.alphabet_size(peak, delta0)
             inp = esdu.EsduInput(peak, levels)
             rate = oracle.mi_discrete(oracle.DiscreteInput.from_esdu(inp), 1.0, quad)
             low = esdu.f_lower(inp, 1.0)
@@ -70,7 +66,7 @@ def dominance_checks(db_grid, delta0_grid, tolerance: float = 1e-9) -> list[Chec
     for db in db_grid:
         peak = db_to_amplitude_ratio(db)
         for delta0 in delta0_grid:
-            levels = _alphabet_size(peak, delta0)
+            levels = esdu.alphabet_size(peak, delta0)
             inp = esdu.EsduInput(peak, levels)
             margin = esdu.f_lower(inp, 1.0) - esdu.owb(inp, 1.0)
             results.append(

@@ -71,6 +71,25 @@ class TestP2pBounds:
         code, _, _ = run_cli(capsys, ["p2p-bounds"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--peak-db", "10", "--delta0", "0"], "--delta0"),
+            (["--peak-db", "10", "--delta0", "-1"], "--delta0"),
+            (["--peak-db", "10", "--sigma", "0"], "--sigma"),
+            (["--peak-db", "nan"], "--peak-db"),
+            (["--peak-db", "0:1:nan"], "--peak-db"),
+            (["--peak-db", "0:inf"], "--peak-db"),
+            (["--peak", "-1"], "--peak"),
+            (["--peak-db", "30", "--delta0", "1e-9"], "--delta0"),
+        ],
+    )
+    def test_invalid_input_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, ["p2p-bounds", *argv] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
+
     def test_csv_shape(self, capsys):
         _, out, _ = run_cli(capsys, ["p2p-bounds", "--peak-db", "5"] + TS)
         lines = out.splitlines()
@@ -148,6 +167,13 @@ class TestBcRegion:
         assert "warning" in err
         _, rows = parse_csv(out)
         assert [(float(r["r1"]), float(r["r2"])) for r in rows] == [(0.0, 0.0)]
+
+    def test_oversized_alphabet_names_the_flag(self, capsys):
+        code, _, err = run_cli(
+            capsys, ["bc-inner", "--peak-db", "30", "--sigma2-ratio", "2", "--delta0-grid", "1e-9"] + TS
+        )
+        assert code == EXIT_USAGE
+        assert "--delta0-grid" in err
 
     def test_sigma2_flags_are_exclusive(self, capsys):
         code, _, err = run_cli(

@@ -2,7 +2,19 @@ import math
 
 import pytest
 
-from esdurate.esdu import EsduInput, f1, f2, f3, f_lower, g_prime, g_upper, owb, xi
+from esdurate.esdu import (
+    MAX_LEVELS,
+    EsduInput,
+    alphabet_size,
+    f1,
+    f2,
+    f3,
+    f_lower,
+    g_prime,
+    g_upper,
+    owb,
+    xi,
+)
 from esdurate.oracle import DiscreteInput, mi_discrete
 from esdurate.special import db_to_amplitude_ratio
 
@@ -40,6 +52,28 @@ class TestEsduInput:
     def test_rejects_invalid(self, span, levels):
         with pytest.raises(ValueError):
             EsduInput(span, levels)
+
+
+class TestAlphabetSize:
+    @pytest.mark.parametrize("peak,spacing", [(0.0, 0.5), (0.3, 1.0), (10.0, 0.5), (1000.0, 0.5), (31.6, 3.0)])
+    def test_matches_swept_levels(self, peak, spacing):
+        assert alphabet_size(peak, spacing) == swept_levels(peak, spacing)
+
+    def test_cap(self):
+        assert alphabet_size(MAX_LEVELS - 1.0, 1.0) == MAX_LEVELS
+        with pytest.raises(ValueError, match="levels"):
+            alphabet_size(MAX_LEVELS - 0.5, 1.0)
+        with pytest.raises(ValueError, match="levels"):
+            alphabet_size(1e300, 1e-300)
+
+    @pytest.mark.parametrize(
+        "peak,spacing,name",
+        [(math.nan, 1.0, "peak"), (-1.0, 1.0, "peak"), (math.inf, 1.0, "peak"),
+         (1.0, 0.0, "spacing"), (1.0, -1.0, "spacing"), (1.0, math.nan, "spacing")],
+    )
+    def test_rejects_invalid(self, peak, spacing, name):
+        with pytest.raises(ValueError, match=name):
+            alphabet_size(peak, spacing)
 
 
 class TestErrorProbability:

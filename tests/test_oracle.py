@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
+from scipy.special import logsumexp
 
 from esdurate import oracle
 from esdurate.esdu import EsduInput
@@ -41,6 +45,64 @@ def scipy_mi(atoms, sigma):
     h, _ = scipy_quad(integrand, atoms[0] - 12 * sigma, atoms[-1] + 12 * sigma,
                       epsabs=1e-12, limit=2000)
     return h - noise_entropy(sigma)
+
+
+def shifted(di, offset):
+    return DiscreteInput(di.atoms + offset, di.masses.copy())
+
+
+def scaled(di, factor):
+    return DiscreteInput(di.atoms * factor, di.masses.copy())
+
+
+def reference_log_pdf(di, sigma, y):
+    """Independent mixture log-density: scipy's logsumexp over every atom,
+    a few hundred y at a time."""
+    log_masses = np.full(di.masses.shape, -np.inf)
+    np.log(di.masses, out=log_masses, where=di.masses > 0.0)
+    flat = np.ravel(y)
+    out = np.concatenate([
+        logsumexp(-0.5 * ((rows[:, None] - di.atoms) / sigma) ** 2 + log_masses, axis=-1)
+        for rows in np.array_split(flat, max(1, flat.size // 200))
+    ])
+    return np.reshape(out - math.log(sigma * math.sqrt(2.0 * math.pi)), np.shape(y))
+
+
+@st.composite
+def mixtures(draw):
+    """Inputs with 1 to 3000 atoms: evenly spaced or jittered, uniform,
+    random or partly zero masses."""
+    k = draw(st.integers(1, 3000))
+    spacing = draw(st.floats(0.01, 5.0))
+    steps = np.full(k, spacing)
+    if draw(st.booleans()):
+        steps *= np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.2, 1.8, k)
+    atoms = draw(st.floats(-50.0, 50.0)) + np.cumsum(steps)
+    kind = draw(st.sampled_from(["uniform", "random", "zeros"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = np.ones(k) if kind == "uniform" else rng.uniform(0.0, 1.0, k)
+    if kind == "zeros" and k > 1:
+        weights[rng.random(k) < draw(st.floats(0.1, 0.9))] = 0.0
+        weights[rng.integers(k)] = 1.0
+    return DiscreteInput(atoms, weights / weights.sum())
+
+
+@st.composite
+def density_calls(draw):
+    """(input, sigma, y): y scalar, 1-D or 2-D, sorted or not, reaching up to
+    500 sigma past the outermost atoms."""
+    di = draw(mixtures())
+    sigma = draw(st.floats(0.05, 20.0))
+    reach = draw(st.sampled_from([1.0, 40.0, 500.0])) * sigma
+    lo, hi = di.atoms[0] - reach, di.atoms[-1] + reach
+    shape = draw(st.sampled_from([(), (1,), (37,), (5000,), (400, 15)]))
+    if shape == ():
+        return di, sigma, draw(st.floats(lo, hi))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = rng.uniform(lo, hi, shape)
+    if draw(st.booleans()):
+        y = np.sort(y, axis=None).reshape(shape)
+    return di, sigma, y
 
 
 class TestDiscreteInput:
@@ -125,6 +187,41 @@ class TestMixtureLogPdf:
             mixture_log_pdf(without, 1.0, 0.3), abs=1e-14
         )
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(density_calls())
+    def test_matches_scipy_logsumexp(self, call):
+        di, sigma, y = call
+        got = mixture_log_pdf(di, sigma, y)
+        want = reference_log_pdf(di, sigma, y)
+        if np.ndim(y) == 0:
+            assert isinstance(got, float)
+        else:
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(y)
+        # relative to |value|, or to 1 where the log-density crosses zero
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+
+    def test_far_values_use_every_atom(self):
+        # 500 sigma outside the atoms no window holds an atom: every block
+        # must fall back to the full sum, and stay finite
+        di = DiscreteInput.from_esdu(EsduInput(1000.0, 2001))
+        y = np.concatenate([np.linspace(-600.0, -500.0, 3000), np.linspace(1500.0, 1600.0, 3000)])
+        np.testing.assert_allclose(
+            mixture_log_pdf(di, 1.0, y), reference_log_pdf(di, 1.0, y), rtol=1e-15, atol=0.0
+        )
+
+    def test_working_set_is_bounded(self):
+        # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
+        # panels: a dense (nodes x atoms) array would be 122 MB per temporary
+        di = DiscreteInput.from_esdu(EsduInput(1000.0, 2001))
+        y = np.linspace(-10.0, 1010.0, 510 * 15).reshape(510, 15)
+        tracemalloc.start()
+        try:
+            mixture_log_pdf(di, 1.0, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
 
 class TestMiDiscrete:
     def test_reference_values(self):
@@ -163,13 +260,13 @@ class TestMiDiscrete:
         di = DiscreteInput.from_esdu(EsduInput(3.0, 4))
         base = mi_discrete(di, 1.0)
         for offset in (-7.5, 2.25, 40.0):
-            assert mi_discrete(di.shifted(offset), 1.0) == pytest.approx(base, abs=1e-9)
+            assert mi_discrete(shifted(di, offset), 1.0) == pytest.approx(base, abs=1e-9)
 
     def test_scale_invariance(self):
         di = DiscreteInput.from_esdu(EsduInput(5.0, 6))
         base = mi_discrete(di, 1.0)
         for lam in (0.5, 2.0, 10.0):
-            assert mi_discrete(di.scaled(lam), lam) == pytest.approx(base, abs=1e-8)
+            assert mi_discrete(scaled(di, lam), lam) == pytest.approx(base, abs=1e-8)
 
     def test_degrades_with_noise(self):
         di = DiscreteInput.from_esdu(EsduInput(6.0, 5))

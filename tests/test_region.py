@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from esdurate import region as region_module
+
 from esdurate.esdu import EsduInput, f_lower
 from esdurate.region import (
     BcChannel,
@@ -73,6 +75,10 @@ class TestSchedule:
     def test_k1_range(self):
         cells = split_schedule(PEAK15, [3.0], 1.0)
         assert [k1 for _, k1, _ in cells] == list(range(1, 13))
+
+    def test_alphabet_cap_is_a_value_error(self):
+        with pytest.raises(ValueError, match="levels"):
+            split_schedule(1000.0, [1e-9], 1.0)
 
     def test_spacing_goal_met_minimally(self):
         for delta0 in (0.5, 2.0, 7.0):
@@ -225,6 +231,24 @@ class TestSweep:
         cfg = SweepConfig(delta0_grid=(3.0,))
         region = sweep_inner(CH15, cfg, "exact")
         assert max(v.r1 for v in region.vertices) == pytest.approx(3.09380550736701, abs=1e-6)
+
+    def test_exact_sweep_computes_each_rate_once(self, monkeypatch):
+        cfg = SweepConfig(delta0_grid=(2.0, 3.0))
+        calls = []
+        inner = region_module.mi_discrete
+
+        def counting(inp, sigma, quad):
+            calls.append((tuple(inp.atoms), sigma))
+            return inner(inp, sigma, quad)
+
+        monkeypatch.setattr(region_module, "mi_discrete", counting)
+        region = sweep_inner(CH15, cfg, "exact")
+        assert len(calls) == len(set(calls))
+        # the same vertices as splits evaluated one by one, with nothing shared
+        splits = {(k1, k2) for _, k1, k2 in split_schedule(CH15.peak, cfg.delta0_grid, 1.0)}
+        assert len(calls) < 3 * len(splits)
+        points = [exact_inner_point(CH15, SplitConfig(k1, k2)) for k1, k2 in sorted(splits)]
+        assert region.vertices == frontier_hull(points).vertices
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
