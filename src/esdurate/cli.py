@@ -16,7 +16,7 @@ import sys
 from datetime import datetime, timezone
 
 from . import __version__
-from .esdu import EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
+from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
     MC_GENERATOR,
     ConvergenceError,
@@ -36,6 +36,13 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
 SCHEMA_VERSION = 1
+
+#: Most points a start:stop[:step] grid range expands to: 500 times the 20 of
+#: the default --delta0-grid.
+MAX_GRID_POINTS = 10_000
+#: Most --mc-samples: 10 times the 1e6 of the documented cross-check, about
+#: 80 MB per float64 array of samples.
+MAX_MC_SAMPLES = 10_000_000
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -127,7 +134,7 @@ def emit_region(manifest: dict, reg: RateRegion, fmt: str, stream) -> None:
 
 def _parse_grid(text: str, flag: str) -> list[float]:
     """Comma list ("0,5,10") or colon range ("0:20" or "0:20:2"), inclusive,
-    of finite numbers; errors name `flag`."""
+    of finite numbers, a range of at most MAX_GRID_POINTS; errors name `flag`."""
     text = text.strip()
     if not text:
         return []
@@ -148,41 +155,38 @@ def _parse_grid(text: str, flag: str) -> list[float]:
         raise UsageError(f"{flag}: bad range {text!r}; expected start:stop[:step]")
     if step <= 0:
         raise UsageError(f"{flag}: range step must be > 0")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(max(count, 0))]
+    span = (stop - start) / step + 1e-9  # point count minus one, before flooring
+    if not span < MAX_GRID_POINTS:
+        raise UsageError(f"{flag}: range {text!r} has more than {MAX_GRID_POINTS} points")
+    return [start + i * step for i in range(math.floor(max(span, -1.0)) + 1)]
+
+
+def _one_of(args, first: str, second: str) -> str:
+    """Which of the two flags was given; giving both or neither is an error."""
+    given = [flag for flag in (first, second) if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if len(given) != 1:
+        raise UsageError(f"exactly one of {first} and {second} is required")
+    return given[0]
 
 
 def _resolve_peak(args, sigma_ref: float) -> float:
-    given_linear = args.peak is not None
-    given_db = args.peak_db is not None
-    if given_linear == given_db:
-        raise UsageError("exactly one of --peak and --peak-db is required")
-    if given_linear:
+    if _one_of(args, "--peak", "--peak-db") == "--peak":
         return args.peak
     return db_to_amplitude_ratio(args.peak_db) * sigma_ref
 
 
 def _resolve_sigma2(args) -> float:
-    given_abs = args.sigma2 is not None
-    given_ratio = args.sigma2_ratio is not None
-    if given_abs == given_ratio:
-        raise UsageError("exactly one of --sigma2 and --sigma2-ratio is required")
-    return args.sigma2 if given_abs else args.sigma2_ratio * args.sigma1
-
-
-def _open_out(args):
-    if args.out:
-        return open(args.out, "w", encoding="utf-8", newline="\n")
-    return None
+    if _one_of(args, "--sigma2", "--sigma2-ratio") == "--sigma2":
+        return args.sigma2
+    return args.sigma2_ratio * args.sigma1
 
 
 def _write(args, writer) -> None:
-    handle = _open_out(args)
-    if handle is None:
+    if not args.out:
         writer(sys.stdout)
-    else:
-        with handle:
-            writer(handle)
+        return
+    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+        writer(handle)
 
 
 # ---------------------------------------------------------------- commands
@@ -193,16 +197,11 @@ def cmd_p2p_bounds(args) -> int:
     for flag, value in (("--sigma", sigma), ("--delta0", args.delta0)):
         if not (math.isfinite(value) and value > 0.0):
             raise UsageError(f"{flag} must be finite and > 0, got {value!r}")
-    if args.peak is not None and args.peak_db is not None:
-        raise UsageError("exactly one of --peak and --peak-db is required")
-    if args.peak is not None:
-        peak_flag = "--peak"
+    peak_flag = _one_of(args, "--peak", "--peak-db")
+    if peak_flag == "--peak":
         peaks = [(10.0 * math.log10(args.peak / sigma) if args.peak > 0 else -math.inf, args.peak)]
-    elif args.peak_db is not None:
-        peak_flag = "--peak-db"
-        peaks = [(db, db_to_amplitude_ratio(db) * sigma) for db in _parse_grid(args.peak_db, "--peak-db")]
     else:
-        raise UsageError("exactly one of --peak and --peak-db is required")
+        peaks = [(db, db_to_amplitude_ratio(db) * sigma) for db in _parse_grid(args.peak_db, "--peak-db")]
 
     columns = [
         "A_over_sigma_db", "K", "c_lower", "c_upper", "e_cap",
@@ -242,6 +241,10 @@ def cmd_p2p_bounds(args) -> int:
 
 
 def cmd_esdu_rate(args) -> int:
+    caps = (("--levels", args.levels, MAX_LEVELS), ("--mc-samples", args.mc_samples, MAX_MC_SAMPLES))
+    for flag, value, cap in caps:
+        if value is not None and value > cap:
+            raise UsageError(f"{flag} must be at most {cap}, got {value}")
     quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
     sigma = args.sigma
     inp = EsduInput(args.span, args.levels)
@@ -301,7 +304,10 @@ def cmd_bc_region(args, mode: str) -> int:
                 alphabet_size(ch.peak, delta0 * ch.sigma1)
             except ValueError as exc:
                 raise UsageError(f"--delta0-grid entry {delta0:g}: {exc}") from None
-        reg = sweep_inner(ch, cfg, mode)
+        try:
+            reg = sweep_inner(ch, cfg, mode)
+        except ValueError as exc:  # the sweep's cell cap
+            raise UsageError(f"--delta0-grid: {exc}") from None
     else:
         reg = outer_region(ch, cfg)
     manifest = build_manifest(
@@ -426,10 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"esdurate: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"esdurate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ConvergenceError, ArithmeticError) as exc:

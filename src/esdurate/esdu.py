@@ -20,7 +20,7 @@ dominates it everywhere it is defined.
 import math
 from dataclasses import dataclass
 
-from .special import TWO_PI_E, binary_entropy, q_function
+from .special import TWO_PI_E, _check_sigma, binary_entropy, q_function
 from .uniform import P2pChannel, c_lower, c_upper, e_cap
 
 # constant term of the OWB bound, 0.5*log2(2*pi*e/12)
@@ -91,11 +91,6 @@ def alphabet_size(peak: float, spacing: float) -> int:
 def _require_multilevel(inp: EsduInput, op: str) -> None:
     if inp.levels < 2:
         raise ValueError(f"{op} is undefined for a single-level input")
-
-
-def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
 def xi(inp: EsduInput, sigma: float) -> float:

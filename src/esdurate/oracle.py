@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .esdu import EsduInput
-from .special import SQRT2, TWO_PI_E
+from .special import TWO_PI_E, _check_sigma, q_function
 
 _LOG2_E = math.log2(math.e)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -141,11 +141,6 @@ class DiscreteInput:
         atoms = np.asarray(inp.atoms(), dtype=float)
         masses = np.full(inp.levels, 1.0 / inp.levels)
         return cls(atoms, masses)
-
-
-def _check_sigma(sigma: float) -> None:
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
 def mixture_log_pdf(inp: DiscreteInput, sigma: float, y):
@@ -338,12 +333,7 @@ def uniform_output_pdf(ch, y):
     y_arr = np.asarray(y, dtype=float)
     u = y_arr / s
     v = (y_arr - a) / s
-
-    def tail(x: np.ndarray) -> np.ndarray:
-        flat = np.asarray(x, dtype=float).ravel()
-        out = np.array([0.5 * math.erfc(t / SQRT2) for t in flat])
-        return out.reshape(np.shape(x))
-
+    tail = np.vectorize(q_function, otypes=[float])
     left = y_arr < 0.5 * a
     # below the midpoint: Q(-u) - Q(-v); above: Q(v) - Q(u); both subtract the
     # far (negligible) tail from the near one.
@@ -399,7 +389,7 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
     idx = rng.choice(inp.atoms.size, size=samples, p=inp.masses)
     ys = inp.atoms[idx] + rng.normal(0.0, sigma, size=samples)
 
-    chunk = 100_000  # bounds the (chunk x atoms) work matrix
+    chunk = 100_000  # bounds the per-chunk lp and vals arrays
     total = 0.0
     total_sq = 0.0
     for start in range(0, samples, chunk):

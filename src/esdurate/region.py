@@ -12,13 +12,18 @@ polygons anchored at the origin, listed counter-clockwise from (0, 0).
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from .esdu import EsduInput, alphabet_size, f_lower, g_upper
 from .oracle import ConvergenceError, DiscreteInput, QuadratureSpec, mi_discrete
 from .uniform import P2pChannel, c_upper
 
 DEFAULT_DELTA0_GRID = tuple(0.5 * i for i in range(1, 21))
+#: Most cells split_schedule enumerates: nearly 14 times the 7,221 of the
+#: default grid at 30 dB.
+MAX_SWEEP_CELLS = 100_000
+
+_Rate = Callable[[EsduInput, float], float]
 
 
 @dataclass(frozen=True)
@@ -131,17 +136,9 @@ class SweepConfig:
 
 
 def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair:
-    """Analytic superposition point for one split.
-
-    User 1 gets the lower bound of its sub-alphabet at sigma1; user 2 gets the
-    lower bound of the composite alphabet at sigma2 minus the upper bound of
-    user 1's sub-alphabet at sigma2 (the rate the weak receiver must spend
-    decoding around user 1's signal).  Both components clamp at 0.
-    """
-    user1 = split.user1_input(ch.peak)
-    r1 = f_lower(user1, ch.sigma1)
-    r2 = f_lower(split.composite_input(ch.peak), ch.sigma2) - g_upper(user1, ch.sigma2)
-    return RatePair(max(0.0, r1), max(0.0, r2))
+    """Analytic superposition point for one split: _superposition_point with
+    the closed-form lower bound f_lower and upper bound g_upper."""
+    return _superposition_point(ch, split, f_lower, g_upper)
 
 
 def exact_inner_point(
@@ -165,9 +162,20 @@ def exact_inner_point(
             rates[key] = mi_discrete(DiscreteInput.from_esdu(inp), sigma, quad)
         return rates[key]
 
+    return _superposition_point(ch, split, rate, rate)
+
+
+def _superposition_point(ch: BcChannel, split: SplitConfig, lower: _Rate, upper: _Rate) -> RatePair:
+    """Superposition point of one split from rates of (input, sigma).
+
+    User 1 gets the lower rate of its sub-alphabet at sigma1; user 2 gets the
+    lower rate of the composite alphabet at sigma2 minus the upper rate of
+    user 1's sub-alphabet at sigma2 (the rate the weak receiver must spend
+    decoding around user 1's signal).  Both components clamp at 0.
+    """
     user1 = split.user1_input(ch.peak)
-    r1 = rate(user1, ch.sigma1)
-    r2 = rate(split.composite_input(ch.peak), ch.sigma2) - rate(user1, ch.sigma2)
+    r1 = lower(user1, ch.sigma1)
+    r2 = lower(split.composite_input(ch.peak), ch.sigma2) - upper(user1, ch.sigma2)
     return RatePair(max(0.0, r1), max(0.0, r2))
 
 
@@ -180,13 +188,18 @@ def split_schedule(
     size is capped at Kmax = alphabet_size(A, delta0*sigma1); k1 runs over
     1..Kmax and k2 is the smallest count that brings the composite spacing
     down to the target, i.e. the smallest k with k1*k - 1 >= A/delta0,
-    floored so that k1*k2 >= 2.
+    floored so that k1*k2 >= 2.  Raises ValueError when the cells would
+    number more than MAX_SWEEP_CELLS.
     """
+    kmaxes = [alphabet_size(peak, delta0 * sigma1) for delta0 in delta0_grid]
+    if sum(kmaxes) > MAX_SWEEP_CELLS:
+        raise ValueError(
+            f"peak {peak:g} with this delta0 grid needs {sum(kmaxes)} sweep cells, "
+            f"more than the {MAX_SWEEP_CELLS} allowed"
+        )
     cells: list[tuple[float, int, int]] = []
-    for delta0 in delta0_grid:
-        spacing = delta0 * sigma1
-        kmax = alphabet_size(peak, spacing)
-        ratio = peak / spacing
+    for delta0, kmax in zip(delta0_grid, kmaxes):
+        ratio = peak / (delta0 * sigma1)
         for k1 in range(1, kmax + 1):
             k2 = max(1, math.ceil((ratio + 1.0) / k1))
             if k1 * k2 < 2:
@@ -257,19 +270,16 @@ def outer_region(ch: BcChannel, cfg: SweepConfig | None = None) -> RateRegion:
     steps = cfg.rho_steps
     corners = [outer_corner(ch, i / (steps - 1)) for i in range(steps)]
     hull = frontier_hull(corners)
+    if len(hull.vertices) < 3:
+        return hull
     verts = [(v.r1, v.r2) for v in hull.vertices]
-    if len(verts) >= 3:
-        cap1 = c_upper(P2pChannel(ch.peak, ch.sigma1))
-        cap2 = c_upper(P2pChannel(ch.peak, ch.sigma2))
-        for a, b, c in ((1.0, 0.0, cap1), (0.0, 1.0, cap2), (1.0, 1.0, cap1)):
-            verts = _clip_halfplane(verts, a, b, c)
-        # clipping keeps the polygon convex, so rebuilding the hull is the
-        # safe way to shed duplicate and collinear vertices
-        verts = _monotone_chain(sorted(set(verts)))
-        if (0.0, 0.0) in verts:
-            start = verts.index((0.0, 0.0))
-            verts = verts[start:] + verts[:start]
-    return RateRegion(tuple(RatePair(x, y) for x, y in verts))
+    cap1 = c_upper(P2pChannel(ch.peak, ch.sigma1))
+    cap2 = c_upper(P2pChannel(ch.peak, ch.sigma2))
+    for a, b, c in ((1.0, 0.0, cap1), (0.0, 1.0, cap2), (1.0, 1.0, cap1)):
+        verts = _clip_halfplane(verts, a, b, c)
+    # clipping keeps the polygon convex, so rebuilding the hull is the safe
+    # way to shed duplicate and collinear vertices
+    return _hull_region(verts)
 
 
 def frontier_hull(points: Iterable[RatePair]) -> RateRegion:
@@ -286,26 +296,40 @@ def frontier_hull(points: Iterable[RatePair]) -> RateRegion:
     if len(unique) > 1:
         unique.add((max(x for x, _ in unique), 0.0))
         unique.add((0.0, max(y for _, y in unique)))
-    hull = _monotone_chain(sorted(unique))
-    start = hull.index((0.0, 0.0))
-    ordered = hull[start:] + hull[:start]
-    return RateRegion(tuple(RatePair(x, y) for x, y in ordered))
+    return _hull_region(unique)
+
+
+def region_margin(region: RateRegion, p: RatePair) -> float:
+    """Signed distance of p to the region, >= 0 inside: the smallest signed
+    distance to an edge's line for a polygon, minus the distance to the point
+    or segment of a region with fewer than three vertices."""
+    verts = [(v.r1, v.r2) for v in region.vertices]
+    if len(verts) < 3:
+        return -_segment_distance((p.r1, p.r2), verts[0], verts[-1])
+    worst = math.inf
+    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
+        ex, ey = x2 - x1, y2 - y1
+        norm = math.hypot(ex, ey)
+        if norm == 0.0:
+            continue
+        # signed area over edge length; negative means p is right of the CCW edge
+        worst = min(worst, (ex * (p.r2 - y1) - ey * (p.r1 - x1)) / norm)
+    return worst
 
 
 def region_contains(region: RateRegion, p: RatePair, tol: float = 1e-6) -> bool:
-    """Whether p lies in the region, or within perpendicular distance tol of it."""
-    verts = [(v.r1, v.r2) for v in region.vertices]
-    if len(verts) == 1:
-        return math.hypot(p.r1 - verts[0][0], p.r2 - verts[0][1]) <= tol
-    if len(verts) == 2:
-        return _segment_distance((p.r1, p.r2), verts[0], verts[1]) <= tol
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        ex, ey = x2 - x1, y2 - y1
-        # signed area; negative means p is right of the CCW edge (outside)
-        cross = ex * (p.r2 - y1) - ey * (p.r1 - x1)
-        if cross < -tol * math.hypot(ex, ey):
-            return False
-    return True
+    """Whether p lies in the region, or within distance tol of it."""
+    return region_margin(region, p) >= -tol
+
+
+def _hull_region(points: Iterable[tuple[float, float]]) -> RateRegion:
+    """Convex hull of the points, counter-clockwise from (0, 0) when the
+    origin is a vertex."""
+    hull = _monotone_chain(sorted(set(points)))
+    if (0.0, 0.0) in hull:
+        start = hull.index((0.0, 0.0))
+        hull = hull[start:] + hull[:start]
+    return RateRegion(tuple(RatePair(x, y) for x, y in hull))
 
 
 def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:

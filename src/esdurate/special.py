@@ -22,6 +22,12 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / SQRT2)
 
 
+def _check_sigma(sigma: float) -> None:
+    """Raise ValueError unless the noise width sigma is finite and > 0."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+
+
 def binary_entropy(p: float) -> float:
     """Binary entropy H(p) in bits, with 0*log(0) taken as 0."""
     if not 0.0 <= p <= 1.0:

@@ -7,8 +7,7 @@ harness can substitute a deliberately broken bound and watch the right suite
 fail.
 """
 
-import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 from . import esdu, oracle, region, uniform
 from .special import db_to_amplitude_ratio
@@ -16,11 +15,17 @@ from .special import db_to_amplitude_ratio
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's margin (>= 0 when the checked inequality holds) and its
+    verdict: passed when the margin is at least -tolerance."""
+
     suite: str
     label: str
     margin: float
     tolerance: float
-    passed: bool
+    passed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "passed", self.margin >= -self.tolerance)
 
 
 def sandwich_checks(
@@ -41,9 +46,7 @@ def sandwich_checks(
             ("uniform lower", rate_u - uniform.c_lower(ch)),
             ("uniform upper", uniform.e_cap(ch) - rate_u),
         ):
-            results.append(
-                CheckResult("sandwich", f"{name} @ {db:g} dB", margin, tolerance, margin >= -tolerance)
-            )
+            results.append(CheckResult("sandwich", f"{name} @ {db:g} dB", margin, tolerance))
         for delta0 in delta0_grid:
             levels = esdu.alphabet_size(peak, delta0)
             inp = esdu.EsduInput(peak, levels)
@@ -51,12 +54,8 @@ def sandwich_checks(
             low = esdu.f_lower(inp, 1.0)
             high = esdu.g_upper(inp, 1.0)
             where = f"@ {db:g} dB, delta0={delta0:g}, K={levels}"
-            results.append(
-                CheckResult("sandwich", f"esdu lower {where}", rate - low, tolerance, rate - low >= -tolerance)
-            )
-            results.append(
-                CheckResult("sandwich", f"esdu upper {where}", high - rate, tolerance, high - rate >= -tolerance)
-            )
+            for name, margin in (("esdu lower", rate - low), ("esdu upper", high - rate)):
+                results.append(CheckResult("sandwich", f"{name} {where}", margin, tolerance))
     return results
 
 
@@ -69,15 +68,8 @@ def dominance_checks(db_grid, delta0_grid, tolerance: float = 1e-9) -> list[Chec
             levels = esdu.alphabet_size(peak, delta0)
             inp = esdu.EsduInput(peak, levels)
             margin = esdu.f_lower(inp, 1.0) - esdu.owb(inp, 1.0)
-            results.append(
-                CheckResult(
-                    "dominance",
-                    f"f_lower vs owb @ {db:g} dB, delta0={delta0:g}, K={levels}",
-                    margin,
-                    tolerance,
-                    margin >= -tolerance,
-                )
-            )
+            label = f"f_lower vs owb @ {db:g} dB, delta0={delta0:g}, K={levels}"
+            results.append(CheckResult("dominance", label, margin, tolerance))
     return results
 
 
@@ -97,32 +89,10 @@ def containment_checks(
             cfg = region.SweepConfig(delta0_grid=tuple(delta0_grid), rho_steps=rho_steps)
             inner = region.sweep_inner(ch, cfg, "analytic")
             outer = region.outer_region(ch, cfg)
-            worst = min(_containment_margin(outer, v) for v in inner.vertices)
-            results.append(
-                CheckResult(
-                    "containment",
-                    f"inner in outer @ {db:g} dB, sigma2/sigma1={ratio:g}",
-                    worst,
-                    tolerance,
-                    worst >= -tolerance,
-                )
-            )
+            worst = min(region.region_margin(outer, v) for v in inner.vertices)
+            label = f"inner in outer @ {db:g} dB, sigma2/sigma1={ratio:g}"
+            results.append(CheckResult("containment", label, worst, tolerance))
     return results
-
-
-def _containment_margin(outer: region.RateRegion, p: region.RatePair) -> float:
-    """Smallest signed edge distance of p to the outer polygon (>=0 inside)."""
-    verts = [(v.r1, v.r2) for v in outer.vertices]
-    if len(verts) < 3:
-        return -math.hypot(p.r1, p.r2)
-    worst = math.inf
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        ex, ey = x2 - x1, y2 - y1
-        norm = math.hypot(ex, ey)
-        if norm == 0.0:
-            continue
-        worst = min(worst, (ex * (p.r2 - y1) - ey * (p.r1 - x1)) / norm)
-    return worst
 
 
 def run_verification(

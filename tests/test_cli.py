@@ -9,6 +9,9 @@ from esdurate.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    MAX_GRID_POINTS,
+    UsageError,
+    _parse_grid,
     canonical_json,
     main,
 )
@@ -82,6 +85,7 @@ class TestP2pBounds:
             (["--peak-db", "0:inf"], "--peak-db"),
             (["--peak", "-1"], "--peak"),
             (["--peak-db", "30", "--delta0", "1e-9"], "--delta0"),
+            (["--peak-db", "0:1e9:1e-3"], "--peak-db"),
         ],
     )
     def test_invalid_input_names_the_flag(self, capsys, argv, flag):
@@ -100,6 +104,18 @@ class TestP2pBounds:
         _, rows = parse_csv(out)
         value = rows[0]["mi_exact"]
         assert float(value) == float(f"{float(value):.15g}")
+
+
+class TestGrid:
+    def test_range_length_cap(self):
+        assert len(_parse_grid(f"0:{MAX_GRID_POINTS - 1}", "--x")) == MAX_GRID_POINTS
+        with pytest.raises(UsageError, match="--x"):
+            _parse_grid(f"0:{MAX_GRID_POINTS}", "--x")
+
+    def test_overflowing_ranges(self):
+        with pytest.raises(UsageError, match="--x"):
+            _parse_grid("-1e308:1e308", "--x")
+        assert _parse_grid("1e308:-1e308", "--x") == []
 
 
 class TestEsduRate:
@@ -125,6 +141,19 @@ class TestEsduRate:
         assert row["xi"] == row["owb"] == ""
         assert float(row["f_lower"]) == 0.0
         assert float(row["g_upper"]) == 0.0
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--levels", "100000000"], "--levels"),
+            (["--levels", "21", "--mc-samples", "100000000000"], "--mc-samples"),
+        ],
+    )
+    def test_oversized_input_names_the_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, ["esdu-rate", "--span", "10", *argv] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
 
 
 class TestBcRegion:
@@ -173,6 +202,16 @@ class TestBcRegion:
             capsys, ["bc-inner", "--peak-db", "30", "--sigma2-ratio", "2", "--delta0-grid", "1e-9"] + TS
         )
         assert code == EXIT_USAGE
+        assert "--delta0-grid" in err
+
+    @pytest.mark.parametrize("grid", ["0:1e9:1e-3", "0.02:2:0.02"])
+    def test_oversized_sweep_names_the_flag(self, capsys, grid):
+        # a grid range too long; a grid whose sweep has too many cells
+        code, out, err = run_cli(
+            capsys, ["bc-inner", "--peak-db", "30", "--sigma2-ratio", "2", "--delta0-grid", grid] + TS
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
         assert "--delta0-grid" in err
 
     def test_sigma2_flags_are_exclusive(self, capsys):
@@ -224,6 +263,13 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert "warning" in err
         assert json.loads(out)["data"]["summary"]["total"] == 0
+
+    @pytest.mark.parametrize("flag", ["--peak-db-grid", "--sigma-ratios", "--delta0-grid"])
+    def test_oversized_grid_names_the_flag(self, capsys, flag):
+        code, out, err = run_cli(capsys, ["verify", flag, "0:1e9:1e-3"] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert flag in err
 
 
 class TestParser:

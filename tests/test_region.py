@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from esdurate import region as region_module
@@ -16,6 +20,7 @@ from esdurate.region import (
     outer_corner,
     outer_region,
     region_contains,
+    region_margin,
     split_schedule,
     sweep_inner,
     analytic_inner_point,
@@ -24,6 +29,11 @@ from esdurate.special import db_to_amplitude_ratio
 from esdurate.uniform import P2pChannel, c_upper
 
 from anchors import BC15_DELTA3_SPLIT_POINTS
+
+# rates of 0 or at least 1e-3 keep the margin's edge products out of the
+# subnormal range, where their rounding would swamp a 1e-12 tolerance
+RATE = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+FRACTION = st.floats(0.0, 1.0)
 
 PEAK15 = db_to_amplitude_ratio(15.0)
 CH15 = BcChannel(PEAK15, 1.0, 2.0)
@@ -79,6 +89,12 @@ class TestSchedule:
     def test_alphabet_cap_is_a_value_error(self):
         with pytest.raises(ValueError, match="levels"):
             split_schedule(1000.0, [1e-9], 1.0)
+
+    def test_cell_cap_is_a_value_error(self):
+        # the default grid at 30 dB, the largest sweep in use, stays within the cap
+        assert len(split_schedule(1000.0, SweepConfig().delta0_grid, 1.0)) == 7221
+        with pytest.raises(ValueError, match="sweep cells"):
+            split_schedule(1000.0, [0.02 * i for i in range(1, 101)], 1.0)
 
     def test_spacing_goal_met_minimally(self):
         for delta0 in (0.5, 2.0, 7.0):
@@ -171,8 +187,41 @@ class TestFrontierHull:
             }
             assert mine == theirs
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(RATE, RATE, FRACTION, FRACTION), min_size=1, max_size=30))
+    def test_contains_its_inputs_and_is_a_down_set(self, rows):
+        # each input (x, y) and the point (a*x, b*y) below it lie in the hull
+        region = frontier_hull([RatePair(x, y) for x, y, _, _ in rows])
+        for x, y, a, b in rows:
+            assert region_margin(region, RatePair(x, y)) >= -1e-12
+            assert region_margin(region, RatePair(a * x, b * y)) >= -1e-12
+
 
 class TestRegionContains:
+    POINT = RateRegion((RatePair(0.0, 0.0),))
+    SEGMENT = frontier_hull([RatePair(2, 0)])
+    TRIANGLE = frontier_hull([RatePair(1, 0), RatePair(0, 1)])
+    SQUARE = frontier_hull([RatePair(1, 1)])
+
+    @pytest.mark.parametrize(
+        "region,p,margin",
+        [
+            (POINT, RatePair(0.0, 0.0), 0.0),
+            (POINT, RatePair(0.3, 0.4), -0.5),
+            (SEGMENT, RatePair(1.0, 0.0), 0.0),
+            (SEGMENT, RatePair(1.0, 0.1), -0.1),
+            (SEGMENT, RatePair(3.0, 0.0), -1.0),
+            (TRIANGLE, RatePair(0.25, 0.25), 0.25),
+            (TRIANGLE, RatePair(0.6, 0.6), -0.2 / math.sqrt(2.0)),
+            # outside near a vertex: the farthest edge line, not the distance 0.5 to (1, 1)
+            (SQUARE, RatePair(1.3, 1.4), -0.4),
+        ],
+    )
+    def test_margin(self, region, p, margin):
+        assert region_margin(region, p) == pytest.approx(margin, abs=1e-15)
+        for tol in (0.05, 0.45):
+            assert region_contains(region, p, tol) == (margin >= -tol)
+
     def test_origin_and_outside(self):
         region = frontier_hull([RatePair(1, 0), RatePair(0, 1)])
         assert region_contains(region, RatePair(0, 0))

@@ -1,6 +1,8 @@
+import pytest
+
 import esdurate.esdu
 from esdurate.oracle import QuadratureSpec
-from esdurate.verify import run_verification
+from esdurate.verify import CheckResult, run_verification
 
 FAST_QUAD = QuadratureSpec(absolute_tolerance=1e-8)
 
@@ -36,3 +38,8 @@ def test_margins_are_reported():
     for check in report["checks"]:
         assert check["margin"] >= -check["tolerance"]
         assert check["label"]
+
+
+@pytest.mark.parametrize("margin,passed", [(1e-6, True), (0.0, True), (-1e-6, True), (-1.000001e-6, False)])
+def test_verdict_follows_the_margin(margin, passed):
+    assert CheckResult("suite", "label", margin, 1e-6).passed is passed
