@@ -18,14 +18,12 @@ from datetime import datetime, timezone
 from . import __version__
 from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
-    MC_GENERATOR,
-    ConvergenceError,
-    DiscreteInput,
-    QuadratureSpec,
-    mi_discrete,
-    mi_monte_carlo,
+    MAX_REFINEMENTS, MC_GENERATOR, SUPPORT_PADDING, ConvergenceError, DiscreteInput, QuadratureSpec,
+    mi_discrete, mi_monte_carlo,
 )
-from .region import BcChannel, RateRegion, SweepConfig, outer_region, sweep_inner
+from .region import (
+    BcChannel, RateRegion, SweepConfig, SweepLimitError, outer_region, sweep_alphabet_sizes, sweep_inner,
+)
 from .special import db_to_amplitude_ratio
 from .uniform import P2pChannel, c_lower, c_upper, e_cap
 from .verify import run_verification
@@ -89,8 +87,8 @@ def build_manifest(command: str, parameters: dict, *, quadrature: QuadratureSpec
     if quadrature is not None:
         manifest["quadrature"] = {
             "absolute_tolerance": quadrature.absolute_tolerance,
-            "support_padding": quadrature.support_padding,
-            "max_refinements": quadrature.max_refinements,
+            "support_padding": SUPPORT_PADDING,
+            "max_refinements": MAX_REFINEMENTS,
         }
     if seed is not None:
         manifest["seed"] = seed
@@ -169,10 +167,30 @@ def _one_of(args, first: str, second: str) -> str:
     return given[0]
 
 
+def _peak_from_db(db: float, sigma: float, flag: str) -> float:
+    """The peak amplitude db dB above sigma; a usage error naming `flag` if not finite."""
+    try:
+        peak = db_to_amplitude_ratio(db) * sigma
+    except OverflowError:
+        peak = math.inf
+    if not math.isfinite(peak):
+        raise UsageError(f"{flag} {db:g}: peak amplitude must be finite, got {peak!r}")
+    return peak
+
+
+def _check_sweep(peak: float, delta0_grid, sigma1: float, context: str = "") -> None:
+    """Usage error naming --delta0-grid, after `context`, for a sweep over its caps."""
+    try:
+        sweep_alphabet_sizes(peak, delta0_grid, sigma1)
+    except SweepLimitError as exc:
+        entry = "" if exc.delta0 is None else f" entry {exc.delta0:g}"
+        raise UsageError(f"{context}--delta0-grid{entry}: {exc}") from None
+
+
 def _resolve_peak(args, sigma_ref: float) -> float:
     if _one_of(args, "--peak", "--peak-db") == "--peak":
         return args.peak
-    return db_to_amplitude_ratio(args.peak_db) * sigma_ref
+    return _peak_from_db(args.peak_db, sigma_ref, "--peak-db")
 
 
 def _resolve_sigma2(args) -> float:
@@ -201,7 +219,7 @@ def cmd_p2p_bounds(args) -> int:
     if peak_flag == "--peak":
         peaks = [(10.0 * math.log10(args.peak / sigma) if args.peak > 0 else -math.inf, args.peak)]
     else:
-        peaks = [(db, db_to_amplitude_ratio(db) * sigma) for db in _parse_grid(args.peak_db, "--peak-db")]
+        peaks = [(db, _peak_from_db(db, sigma, "--peak-db")) for db in _parse_grid(args.peak_db, "--peak-db")]
 
     columns = [
         "A_over_sigma_db", "K", "c_lower", "c_upper", "e_cap",
@@ -299,15 +317,8 @@ def cmd_bc_region(args, mode: str) -> int:
     if mode in ("analytic", "exact"):
         if not cfg.delta0_grid:
             print("warning: empty delta0 grid; region degenerates to {(0,0)}", file=sys.stderr)
-        for delta0 in cfg.delta0_grid:
-            try:
-                alphabet_size(ch.peak, delta0 * ch.sigma1)
-            except ValueError as exc:
-                raise UsageError(f"--delta0-grid entry {delta0:g}: {exc}") from None
-        try:
-            reg = sweep_inner(ch, cfg, mode)
-        except ValueError as exc:  # the sweep's cell cap
-            raise UsageError(f"--delta0-grid: {exc}") from None
+        _check_sweep(ch.peak, cfg.delta0_grid, ch.sigma1)
+        reg = sweep_inner(ch, cfg, mode)
     else:
         reg = outer_region(ch, cfg)
     manifest = build_manifest(
@@ -326,15 +337,16 @@ def cmd_bc_region(args, mode: str) -> int:
 
 def cmd_verify(args) -> int:
     quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
+    db_grid = _parse_grid(args.peak_db_grid, "--peak-db-grid")
+    sigma_ratios = _parse_grid(args.sigma_ratios, "--sigma-ratios")
+    delta0_grid = _parse_grid(args.delta0_grid, "--delta0-grid")
+    for db in db_grid:  # every suite sweeps these alphabets at sigma 1
+        peak = _peak_from_db(db, 1.0, "--peak-db-grid")
+        _check_sweep(peak, delta0_grid, 1.0, f"--peak-db-grid entry {db:g} with ")
     report = run_verification(
-        _parse_grid(args.peak_db_grid, "--peak-db-grid"),
-        _parse_grid(args.sigma_ratios, "--sigma-ratios"),
-        _parse_grid(args.delta0_grid, "--delta0-grid"),
-        sandwich_tol=args.sandwich_tol,
-        dominance_tol=args.dominance_tol,
-        containment_tol=args.containment_tol,
-        quad=quad,
-        rho_steps=args.rho_steps,
+        db_grid, sigma_ratios, delta0_grid,
+        sandwich_tol=args.sandwich_tol, dominance_tol=args.dominance_tol,
+        containment_tol=args.containment_tol, quad=quad, rho_steps=args.rho_steps,
     )
     manifest = build_manifest(
         "verify",

@@ -8,11 +8,10 @@ Gauss-Kronrod quadrature (G7/K15 panels, bisection refinement); h(Z) is
 0.5*log2(2*pi*e*sigma^2) in closed form.  Nothing in this module depends on
 the closed-form bounds it is used to validate.
 
-The mixture density behind h(Y) works in blocks of at most 2^18 (y, atom)
-pairs, 2 MiB per float64 temporary, whatever the number of nodes or samples.
-Calls larger than one block drop, per block, the atoms more than 40 sigma
-from every y in it, but only when the block's kept peak proves each dropped
-term underflows to exactly 0.0; otherwise the block keeps every atom.
+The mixture density behind h(Y) works in fixed blocks of at most 2^18
+(y, atom) pairs, 2 MiB per float64 temporary, whatever the number of nodes or
+samples, and leaves out atoms more than 40 sigma from a block only where
+their terms provably underflow to 0.0.
 
 A seeded Monte-Carlo estimator provides an independent cross-check of the
 quadrature path.
@@ -67,6 +66,13 @@ _WINDOW_SIGMAS = 40.0
 #: exp(x) is 0.0 in float64 for every x below about -745.13.
 _UNDERFLOW_EXPONENT = -746.0
 
+#: Noise widths integrated beyond the extreme atoms or input edges: each tail
+#: left out holds under Q(10) = 7.6e-24 of the mass and 1e-20 bits of entropy.
+SUPPORT_PADDING = 10.0
+#: Bisection rounds before the integral gives up: 30 halvings take a 2-sigma
+#: panel below 1e-8 sigma, yet typical calls settle in the first round.
+MAX_REFINEMENTS = 30
+
 #: Bit generator behind numpy's default_rng; period 2^128, seeded explicitly.
 MC_GENERATOR = "numpy-pcg64"
 
@@ -86,24 +92,13 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Controls for the output-entropy integral.
-
-    support_padding is in multiples of sigma beyond the extreme input atoms;
-    the default 10 sigma truncates a tail contribution below 1e-20 bits, so
-    the default 1e-10 absolute tolerance stays meaningful.
-    """
+    """Absolute tolerance, in bits, of the output-entropy integral."""
 
     absolute_tolerance: float = 1e-10
-    support_padding: float = 10.0
-    max_refinements: int = 30
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.absolute_tolerance) and self.absolute_tolerance > 0.0):
             raise ValueError("absolute_tolerance must be finite and > 0")
-        if not (math.isfinite(self.support_padding) and self.support_padding > 0.0):
-            raise ValueError("support_padding must be finite and > 0")
-        if self.max_refinements < 0:
-            raise ValueError("max_refinements must be >= 0")
 
 
 @dataclass(eq=False)
@@ -150,15 +145,14 @@ def mixture_log_pdf(inp: DiscreteInput, sigma: float, y):
     |y - atom| up to hundreds of noise widths.  Accepts a scalar or an array;
     the shape of y is preserved.
 
-    The work is done in blocks of the flattened y whose (block x atoms) work
-    arrays hold at most _BLOCK_ELEMENTS entries; a block is one row when a
-    single y has more atoms than that in its window.  A call that fits in one
-    block takes every atom at once.  Larger calls keep, per block, only the
-    atoms within _WINDOW_SIGMAS noise widths of the block's values, and only
-    when that is exact: every term left out is below exp(-800 + max log mass)
-    and must sit more than 746 below the block's smallest kept peak, where its
-    exp(term - peak) is 0.0 in float64.  A block that fails this test (values
-    far from every atom, zero masses near them) is redone with every atom.
+    A call whose (y x atoms) array fits _BLOCK_ELEMENTS entries takes every
+    atom at once.  Larger calls run over blocks of _BLOCK_ELEMENTS // K rows
+    (at least one) of the flattened y, which fit the budget even with all K
+    atoms, and keep per block only the atoms within _WINDOW_SIGMAS noise
+    widths of its values when that is exact: every term left out is below
+    exp(-800 + max log mass), more than 746 below the block's smallest kept
+    peak, so its exp(term - peak) is 0.0 in float64.  Otherwise (values far
+    from every atom, zero masses near them) the block keeps every atom.
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
@@ -201,30 +195,19 @@ def _blocked_log_sum_exp(
     reach = _WINDOW_SIGMAS * sigma
     # no term of an atom outside a block's window exceeds this
     excluded_top = -0.5 * _WINDOW_SIGMAS**2 + float(np.max(log_masses))
-    full_rows = max(1, _BLOCK_ELEMENTS // k)
-    rows = full_rows
-    start = 0
-    while start < n:
-        stop = min(n, start + rows)
-        first, last = _window(flat[start:stop], atoms, reach)
-        if (stop - start) * (last - first) > _BLOCK_ELEMENTS:
-            # fewer rows never widen the window, so one cut keeps the budget
-            stop = start + _BLOCK_ELEMENTS // (last - first)
-            first, last = _window(flat[start:stop], atoms, reach)
+    rows = max(1, _BLOCK_ELEMENTS // k)  # within the budget even with every atom
+    for start in range(0, n, rows):
+        block = flat[start : start + rows]
+        first, last = _window(block, atoms, reach)
         if last > first:
-            exponents = _exponents(flat[start:stop], atoms[first:last], log_masses[first:last], sigma)
+            exponents = _exponents(block, atoms[first:last], log_masses[first:last], sigma)
             peak = np.max(exponents, axis=-1)
         if last == first or (last - first < k and not excluded_top - np.min(peak) < _UNDERFLOW_EXPONENT):
             # a dropped atom might not underflow: redo these rows with every atom
-            stop = min(stop, start + full_rows)
-            exponents = _exponents(flat[start:stop], atoms, log_masses, sigma)
+            exponents = _exponents(block, atoms, log_masses, sigma)
             peak = np.max(exponents, axis=-1)
-            rows = full_rows
-        else:
-            rows = _BLOCK_ELEMENTS // (last - first)
-        out[start:stop] = _log_sum_exp(exponents, peak)
+        out[start : start + rows] = _log_sum_exp(exponents, peak)
         del exponents, peak  # before the next block allocates its own
-        start = stop
     return out
 
 
@@ -235,7 +218,7 @@ def _window(block: np.ndarray, atoms: np.ndarray, reach: float) -> tuple[int, in
     return first, last
 
 
-def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: QuadratureSpec) -> float:
+def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: QuadratureSpec | None = None) -> float:
     """Integrate f over [lo, hi] by adaptive G7/K15 panel bisection.
 
     Starts from uniform panels no wider than twice `resolution` (the smoothing
@@ -247,21 +230,21 @@ def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: Quadrat
     bookkeeping is kept in a fixed order so repeated runs reduce in the same
     sequence and return bit-identical results.
     """
+    tolerance = (spec if spec is not None else QuadratureSpec()).absolute_tolerance
     width = hi - lo
     if width <= 0.0:
         return 0.0
     edges = np.linspace(lo, hi, max(4, math.ceil(width / (2.0 * resolution))) + 1)
     lower, upper = edges[:-1], edges[1:]
-    settled = 0.0
-    estimates: list[float] = []
-    for _ in range(spec.max_refinements + 1):
+    settled, previous, last = 0.0, math.nan, math.nan
+    for _ in range(MAX_REFINEMENTS + 1):
         half = 0.5 * (upper - lower)
         values = f(half[:, None] * _K15_NODES + (lower + half)[:, None])
         kronrod = half * (values @ _K15_WEIGHTS)
         error = np.abs(half * (values @ _K15_MINUS_G7))
-        converged = error <= spec.absolute_tolerance * (upper - lower) / width
+        converged = error <= tolerance * (upper - lower) / width
         settled += kronrod[converged].sum()
-        estimates.append(float(settled + kronrod[~converged].sum()))
+        previous, last = last, float(settled + kronrod[~converged].sum())
         if converged.all():
             return settled
         todo = ~converged
@@ -269,8 +252,7 @@ def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: Quadrat
         if np.any(error[todo] <= roundoff):
             raise _convergence_error(
                 f"entropy integral cannot reach absolute tolerance "
-                f"{spec.absolute_tolerance!r}: panel error is at the round-off level",
-                estimates,
+                f"{tolerance!r}: panel error is at the round-off level", previous, last
             )
         mid = lower[todo] + half[todo]
         lower = np.column_stack([lower[todo], mid]).ravel()
@@ -279,28 +261,12 @@ def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: Quadrat
             # backstop on the working set, whatever the tolerance
             break
     raise _convergence_error(
-        f"entropy integral did not converge within {spec.max_refinements} refinement rounds",
-        estimates,
+        f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds", previous, last
     )
 
 
-def _convergence_error(reason: str, estimates: list[float]) -> ConvergenceError:
-    previous = estimates[-2] if len(estimates) >= 2 else math.nan
-    return ConvergenceError(
-        f"{reason} (last estimates {previous!r} -> {estimates[-1]!r})", previous, estimates[-1]
-    )
-
-
-def _entropy_bits(log_pdf, lo: float, hi: float, resolution: float, spec: QuadratureSpec) -> float:
-    """Differential entropy in bits of a density given by its natural-log pdf."""
-
-    def integrand(y: np.ndarray) -> np.ndarray:
-        lp = log_pdf(y)
-        p = np.exp(lp)
-        with np.errstate(invalid="ignore"):
-            return np.where(p > 0.0, -p * lp * _LOG2_E, 0.0)
-
-    return _adaptive_integral(integrand, lo, hi, resolution, spec)
+def _convergence_error(reason: str, previous: float, last: float) -> ConvergenceError:
+    return ConvergenceError(f"{reason} (last estimates {previous!r} -> {last!r})", previous, last)
 
 
 def noise_entropy(sigma: float) -> float:
@@ -315,10 +281,16 @@ def mi_discrete(inp: DiscreteInput, sigma: float, quad: QuadratureSpec | None = 
     of quadrature size (|I| <= tolerance) rather than an exact 0.
     """
     _check_sigma(sigma)
-    quad = quad if quad is not None else QuadratureSpec()
-    lo = float(inp.atoms[0]) - quad.support_padding * sigma
-    hi = float(inp.atoms[-1]) + quad.support_padding * sigma
-    h_out = _entropy_bits(lambda y: mixture_log_pdf(inp, sigma, y), lo, hi, sigma, quad)
+    lo = float(inp.atoms[0]) - SUPPORT_PADDING * sigma
+    hi = float(inp.atoms[-1]) + SUPPORT_PADDING * sigma
+
+    def integrand(y: np.ndarray) -> np.ndarray:
+        lp = mixture_log_pdf(inp, sigma, y)
+        p = np.exp(lp)
+        with np.errstate(invalid="ignore"):
+            return np.where(p > 0.0, -p * lp * _LOG2_E, 0.0)
+
+    h_out = _adaptive_integral(integrand, lo, hi, sigma, quad)
     return float(h_out - noise_entropy(sigma))
 
 
@@ -350,10 +322,9 @@ def mi_uniform(ch, quad: QuadratureSpec | None = None) -> float:
     """Mutual information in bits of a continuous-uniform input over [0, peak]."""
     if ch.peak == 0.0:
         return 0.0
-    quad = quad if quad is not None else QuadratureSpec()
     s = ch.sigma
-    lo = -quad.support_padding * s
-    hi = ch.peak + quad.support_padding * s
+    lo = -SUPPORT_PADDING * s
+    hi = ch.peak + SUPPORT_PADDING * s
 
     def integrand(y: np.ndarray) -> np.ndarray:
         p = uniform_output_pdf(ch, y)

@@ -26,6 +26,15 @@ MAX_SWEEP_CELLS = 100_000
 _Rate = Callable[[EsduInput, float], float]
 
 
+class SweepLimitError(ValueError):
+    """A sweep that alphabet_size or the cell cap rejects; delta0 names the
+    spacing target at fault, or is None for too many cells."""
+
+    def __init__(self, message: str, delta0: float | None = None):
+        super().__init__(message)
+        self.delta0 = delta0
+
+
 @dataclass(frozen=True)
 class BcChannel:
     """Broadcast channel: one peak-limited input, two Gaussian noise levels.
@@ -153,7 +162,6 @@ def exact_inner_point(
     place, so splits that share a sub-alphabet or a composite alphabet reuse
     its rate; sweep_inner passes one dictionary per sweep.
     """
-    quad = quad if quad is not None else QuadratureSpec()
     rates = rates if rates is not None else {}
 
     def rate(inp: EsduInput, sigma: float) -> float:
@@ -188,15 +196,9 @@ def split_schedule(
     size is capped at Kmax = alphabet_size(A, delta0*sigma1); k1 runs over
     1..Kmax and k2 is the smallest count that brings the composite spacing
     down to the target, i.e. the smallest k with k1*k - 1 >= A/delta0,
-    floored so that k1*k2 >= 2.  Raises ValueError when the cells would
-    number more than MAX_SWEEP_CELLS.
+    floored so that k1*k2 >= 2 (sweep_alphabet_sizes enforces the caps).
     """
-    kmaxes = [alphabet_size(peak, delta0 * sigma1) for delta0 in delta0_grid]
-    if sum(kmaxes) > MAX_SWEEP_CELLS:
-        raise ValueError(
-            f"peak {peak:g} with this delta0 grid needs {sum(kmaxes)} sweep cells, "
-            f"more than the {MAX_SWEEP_CELLS} allowed"
-        )
+    kmaxes = sweep_alphabet_sizes(peak, delta0_grid, sigma1)
     cells: list[tuple[float, int, int]] = []
     for delta0, kmax in zip(delta0_grid, kmaxes):
         ratio = peak / (delta0 * sigma1)
@@ -206,6 +208,24 @@ def split_schedule(
                 k2 = 2
             cells.append((delta0, k1, k2))
     return cells
+
+
+def sweep_alphabet_sizes(peak: float, delta0_grid: Sequence[float], sigma1: float) -> list[int]:
+    """Kmax = alphabet_size(peak, delta0*sigma1) of each spacing target, its
+    number of sweep cells.  Raises SweepLimitError for the first target whose
+    alphabet_size fails, or for more than MAX_SWEEP_CELLS cells in all."""
+    kmaxes = []
+    for delta0 in delta0_grid:
+        try:
+            kmaxes.append(alphabet_size(peak, delta0 * sigma1))
+        except ValueError as exc:
+            raise SweepLimitError(str(exc), delta0) from None
+    if sum(kmaxes) > MAX_SWEEP_CELLS:
+        raise SweepLimitError(
+            f"peak {peak:g} with this delta0 grid needs {sum(kmaxes)} sweep cells, "
+            f"more than the {MAX_SWEEP_CELLS} allowed"
+        )
+    return kmaxes
 
 
 def sweep_inner(
@@ -300,21 +320,18 @@ def frontier_hull(points: Iterable[RatePair]) -> RateRegion:
 
 
 def region_margin(region: RateRegion, p: RatePair) -> float:
-    """Signed distance of p to the region, >= 0 inside: the smallest signed
-    distance to an edge's line for a polygon, minus the distance to the point
-    or segment of a region with fewer than three vertices."""
+    """Signed distance of p to the region, >= 0 inside: inside a polygon, the
+    distance to the nearest edge line; elsewhere, minus the Euclidean
+    distance to the nearest edge."""
     verts = [(v.r1, v.r2) for v in region.vertices]
-    if len(verts) < 3:
-        return -_segment_distance((p.r1, p.r2), verts[0], verts[-1])
-    worst = math.inf
-    for (x1, y1), (x2, y2) in zip(verts, verts[1:] + verts[:1]):
-        ex, ey = x2 - x1, y2 - y1
-        norm = math.hypot(ex, ey)
-        if norm == 0.0:
-            continue
-        # signed area over edge length; negative means p is right of the CCW edge
-        worst = min(worst, (ex * (p.r2 - y1) - ey * (p.r1 - x1)) / norm)
-    return worst
+    q = (p.r1, p.r2)
+    edges = list(zip(verts, verts[1:] + verts[:1]))
+    # signed distances to the edge lines, < 0 right of a CCW edge (none without an inside)
+    lines = [_cross(a, b, q) / math.dist(a, b) for a, b in edges if a != b] if len(verts) >= 3 else []
+    inside = min(lines, default=-math.inf)
+    if inside >= 0.0:
+        return inside
+    return -min(_segment_distance(q, a, b) for a, b in edges)
 
 
 def region_contains(region: RateRegion, p: RatePair, tol: float = 1e-6) -> bool:

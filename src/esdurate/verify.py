@@ -36,7 +36,6 @@ def sandwich_checks(
 ) -> list[CheckResult]:
     """f_lower <= exact rate <= g_upper for the swept ESDU inputs, plus the
     continuous-uniform sandwich c_lower <= exact rate <= e_cap."""
-    quad = quad if quad is not None else oracle.QuadratureSpec()
     results = []
     for db in db_grid:
         peak = db_to_amplitude_ratio(db)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import esdurate.cli
 import esdurate.esdu
 from esdurate.cli import (
     EXIT_NUMERICAL,
@@ -86,6 +87,8 @@ class TestP2pBounds:
             (["--peak", "-1"], "--peak"),
             (["--peak-db", "30", "--delta0", "1e-9"], "--delta0"),
             (["--peak-db", "0:1e9:1e-3"], "--peak-db"),
+            (["--peak-db", "3100"], "--peak-db"),
+            (["--peak-db", "300", "--sigma", "1e10"], "--peak-db"),
         ],
     )
     def test_invalid_input_names_the_flag(self, capsys, argv, flag):
@@ -173,6 +176,11 @@ class TestBcRegion:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["manifest"]["command"] == "bc-inner"
+        assert doc["manifest"]["quadrature"] == {
+            "absolute_tolerance": 1e-10, "support_padding": 10.0, "max_refinements": 30,
+        }
+        # the bytes too: an int and a float
+        assert '"max_refinements": 30,' in out and '"support_padding": 10.0\n' in out
         vertices = doc["data"]["vertices"]
         origins = [v["origin"] for v in vertices if v["origin"] is not None]
         assert {(o["k1"], o["k2"]) for o in origins} >= {(2, 6), (5, 3), (12, 1)}
@@ -213,6 +221,13 @@ class TestBcRegion:
         assert code == EXIT_USAGE
         assert out == ""
         assert "--delta0-grid" in err
+
+    @pytest.mark.parametrize("command", ["bc-inner", "bc-outer"])
+    def test_overflowing_peak_names_the_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, [command, "--peak-db", "3100", "--sigma2-ratio", "2"] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--peak-db 3100" in err
 
     def test_sigma2_flags_are_exclusive(self, capsys):
         code, _, err = run_cli(
@@ -270,6 +285,22 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # 60 dB at the default spacing 0.5 needs 2,000,001 levels
+            (["--peak-db-grid", "0,60"], "--peak-db-grid entry 60 with --delta0-grid entry 0.5:"),
+            (["--delta0-grid", "1,1e-9"], "--peak-db-grid entry 0 with --delta0-grid entry 1e-09:"),
+            (["--peak-db-grid", "0,3100"], "--peak-db-grid 3100:"),
+        ],
+    )
+    def test_rejects_grids_before_any_check_runs(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(esdurate.cli, "run_verification", lambda *a, **k: pytest.fail("checks ran"))
+        code, out, err = run_cli(capsys, ["verify", *argv] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
 
 class TestParser:

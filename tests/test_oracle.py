@@ -209,6 +209,36 @@ class TestMixtureLogPdf:
             mixture_log_pdf(di, 1.0, y), reference_log_pdf(di, 1.0, y), rtol=1e-15, atol=0.0
         )
 
+    @pytest.mark.parametrize("case", ["sorted", "unsorted", "far"])
+    def test_blocks_have_fixed_rows_within_budget(self, monkeypatch, case):
+        # K = 2001 nodes of a 30 dB table, Monte-Carlo-like scattered samples,
+        # and values 500 sigma out, where every block falls back to all atoms
+        di = DiscreteInput.from_esdu(EsduInput(1000.0, 2001))
+        y = {
+            "sorted": np.linspace(-10.0, 1010.0, 7650),
+            "unsorted": np.random.default_rng(0).uniform(-10.0, 1010.0, 7650),
+            "far": np.linspace(1500.0, 1600.0, 3000),
+        }[case]
+        shapes, windows = [], []
+        exponents, window = oracle._exponents, oracle._window
+
+        def recording_exponents(*args):
+            out = exponents(*args)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(oracle, "_exponents", recording_exponents)
+        monkeypatch.setattr(oracle, "_window", lambda *args: windows.append(1) or window(*args))
+        got = mixture_log_pdf(di, 1.0, y)
+        rows = oracle._BLOCK_ELEMENTS // 2001
+        blocks = math.ceil(y.size / rows)
+        assert len(windows) == blocks  # one window per block
+        assert all(r * k <= oracle._BLOCK_ELEMENTS for r, k in shapes)
+        assert {r for r, _ in shapes} == {rows, y.size - (blocks - 1) * rows}
+        if case != "sorted":
+            assert all(k == 2001 for _, k in shapes)
+        np.testing.assert_allclose(got, reference_log_pdf(di, 1.0, y), rtol=1e-15, atol=1e-15)
+
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
         # panels: a dense (nodes x atoms) array would be 122 MB per temporary
@@ -342,13 +372,14 @@ class TestAdaptiveIntegral:
     def test_refines_a_spike(self):
         # density much narrower than the resolution hint: must refine, then hit it
         spike = lambda y: np.exp(-0.5 * (y / 0.02) ** 2) / (0.02 * math.sqrt(2 * math.pi))
-        spec = QuadratureSpec(absolute_tolerance=1e-12, max_refinements=30)
+        spec = QuadratureSpec(absolute_tolerance=1e-12)
         assert _adaptive_integral(spike, -1.0, 1.0, 1.0, spec) == pytest.approx(1.0, abs=1e-9)
 
-    def test_convergence_error_carries_estimates(self):
+    def test_convergence_error_carries_estimates(self, monkeypatch):
         spike = lambda y: np.exp(-0.5 * (y / 0.02) ** 2) / (0.02 * math.sqrt(2 * math.pi))
-        spec = QuadratureSpec(absolute_tolerance=1e-12, max_refinements=1)
-        with pytest.raises(ConvergenceError) as err:
+        spec = QuadratureSpec(absolute_tolerance=1e-12)
+        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 1)
+        with pytest.raises(ConvergenceError, match="within 1 refinement rounds") as err:
             _adaptive_integral(spike, -1.0, 1.0, 1.0, spec)
         assert math.isfinite(err.value.last_estimate)
         assert math.isfinite(err.value.previous_estimate)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
@@ -202,6 +202,8 @@ class TestRegionContains:
     SEGMENT = frontier_hull([RatePair(2, 0)])
     TRIANGLE = frontier_hull([RatePair(1, 0), RatePair(0, 1)])
     SQUARE = frontier_hull([RatePair(1, 1)])
+    # a 5.7 degree vertex at (1, 0)
+    ACUTE = frontier_hull([RatePair(1, 0), RatePair(0, 0.1)])
 
     @pytest.mark.parametrize(
         "region,p,margin",
@@ -213,14 +215,43 @@ class TestRegionContains:
             (SEGMENT, RatePair(3.0, 0.0), -1.0),
             (TRIANGLE, RatePair(0.25, 0.25), 0.25),
             (TRIANGLE, RatePair(0.6, 0.6), -0.2 / math.sqrt(2.0)),
-            # outside near a vertex: the farthest edge line, not the distance 0.5 to (1, 1)
-            (SQUARE, RatePair(1.3, 1.4), -0.4),
+            # outside near a vertex: 0.5 from (1, 1), though only 0.4 past
+            # the farthest edge line
+            (SQUARE, RatePair(1.3, 1.4), -0.5),
+            # 1 past an acute vertex, though only 0.0995 past the farthest edge line
+            (ACUTE, RatePair(2.0, 0.0), -1.0),
+            (ACUTE, RatePair(0.5, 0.02), 0.02),
         ],
     )
     def test_margin(self, region, p, margin):
         assert region_margin(region, p) == pytest.approx(margin, abs=1e-15)
         for tol in (0.05, 0.45):
             assert region_contains(region, p, tol) == (margin >= -tol)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(RATE, RATE), min_size=1, max_size=12),
+        st.floats(0.0, 12.0),
+        st.floats(0.0, 12.0),
+    )
+    def test_outside_margin_is_minus_the_distance(self, rows, x, y):
+        region = frontier_hull([RatePair(a, b) for a, b in rows])
+        verts = np.array([(v.r1, v.r2) for v in region.vertices])
+        p = np.array([x, y])
+        if len(verts) >= 3:
+            hull = ConvexHull(verts)
+            assume(np.max(hull.equations[:, :2] @ p + hull.equations[:, 2]) > 1e-9)
+        # brute force: the nearest of the vertices and of the feet of the
+        # perpendiculars that land inside their edges
+        candidates = list(verts)
+        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+            d = b - a
+            if d @ d > 0.0:
+                t = (p - a) @ d / (d @ d)
+                if 0.0 <= t <= 1.0:
+                    candidates.append(a + t * d)
+        distance = min(math.hypot(*(p - c)) for c in candidates)
+        assert region_margin(region, RatePair(x, y)) == pytest.approx(-distance, rel=1e-12, abs=1e-12)
 
     def test_origin_and_outside(self):
         region = frontier_hull([RatePair(1, 0), RatePair(0, 1)])
