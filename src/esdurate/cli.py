@@ -19,7 +19,7 @@ from . import __version__
 from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
     MAX_REFINEMENTS, MC_GENERATOR, SUPPORT_PADDING, ConvergenceError, DiscreteInput, QuadratureSpec,
-    mi_discrete, mi_monte_carlo,
+    _padded_support, mi_discrete, mi_monte_carlo,
 )
 from .region import (
     BcChannel, RateRegion, SweepConfig, SweepLimitError, outer_region, sweep_alphabet_sizes, sweep_inner,
@@ -187,6 +187,19 @@ def _check_sweep(peak: float, delta0_grid, sigma1: float, context: str = "") -> 
         raise UsageError(f"{context}--delta0-grid{entry}: {exc}") from None
 
 
+def _check_span(span: float, sigma: float, flags: str) -> None:
+    """Usage error naming `flags` for an input wider than the oracle integrates."""
+    try:
+        _padded_support(0.0, span, sigma)
+    except ValueError as exc:
+        raise UsageError(f"{flags}: {exc}") from None
+
+
+def _check_rho_steps(rho_steps: int) -> None:
+    if rho_steps < 2:
+        raise UsageError(f"--rho-steps must be >= 2, got {rho_steps}")
+
+
 def _resolve_peak(args, sigma_ref: float) -> float:
     if _one_of(args, "--peak", "--peak-db") == "--peak":
         return args.peak
@@ -231,6 +244,7 @@ def cmd_p2p_bounds(args) -> int:
             levels = alphabet_size(peak, args.delta0 * sigma)
         except ValueError as exc:
             raise UsageError(f"{peak_flag} with --delta0 {args.delta0:g}: {exc}") from None
+        _check_span(peak, sigma, f"{peak_flag} with --sigma {sigma:g}")
         if peak == 0.0:
             # a zero-peak channel carries nothing; every rate column collapses
             rows.append([db, levels, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, 0.0,
@@ -265,7 +279,10 @@ def cmd_esdu_rate(args) -> int:
             raise UsageError(f"{flag} must be at most {cap}, got {value}")
     quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
     sigma = args.sigma
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise UsageError(f"--sigma must be finite and > 0, got {sigma!r}")
     inp = EsduInput(args.span, args.levels)
+    _check_span(inp.span, sigma, f"--span {inp.span:g} with --sigma {sigma:g}")
     degenerate = inp.levels < 2 or inp.span == 0.0
     mi = mi_discrete(DiscreteInput.from_esdu(inp), sigma, quad)
     columns = ["span", "levels", "sigma", "xi", "f1", "f2", "f3", "f_lower", "owb",
@@ -303,6 +320,7 @@ def cmd_esdu_rate(args) -> int:
 
 
 def _bc_common(args) -> tuple[BcChannel, SweepConfig]:
+    _check_rho_steps(args.rho_steps)
     sigma2 = _resolve_sigma2(args)
     peak = _resolve_peak(args, args.sigma1)
     ch = BcChannel(peak, args.sigma1, sigma2)
@@ -318,6 +336,8 @@ def cmd_bc_region(args, mode: str) -> int:
         if not cfg.delta0_grid:
             print("warning: empty delta0 grid; region degenerates to {(0,0)}", file=sys.stderr)
         _check_sweep(ch.peak, cfg.delta0_grid, ch.sigma1)
+        if mode == "exact":
+            _check_span(ch.peak, ch.sigma1, f"{_one_of(args, '--peak', '--peak-db')} with --sigma1 {ch.sigma1:g}")
         reg = sweep_inner(ch, cfg, mode)
     else:
         reg = outer_region(ch, cfg)
@@ -340,9 +360,14 @@ def cmd_verify(args) -> int:
     db_grid = _parse_grid(args.peak_db_grid, "--peak-db-grid")
     sigma_ratios = _parse_grid(args.sigma_ratios, "--sigma-ratios")
     delta0_grid = _parse_grid(args.delta0_grid, "--delta0-grid")
+    _check_rho_steps(args.rho_steps)
+    for ratio in sigma_ratios:  # the containment suite's sigma2 at sigma1 = 1
+        if not ratio >= 1.0:
+            raise UsageError(f"--sigma-ratios entry {ratio:g}: sigma2/sigma1 must be >= 1")
     for db in db_grid:  # every suite sweeps these alphabets at sigma 1
         peak = _peak_from_db(db, 1.0, "--peak-db-grid")
         _check_sweep(peak, delta0_grid, 1.0, f"--peak-db-grid entry {db:g} with ")
+        _check_span(peak, 1.0, f"--peak-db-grid entry {db:g}")
     report = run_verification(
         db_grid, sigma_ratios, delta0_grid,
         sandwich_tol=args.sandwich_tol, dominance_tol=args.dominance_tol,

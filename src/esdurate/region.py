@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Sequence
 
+import numpy as np
+
 from .esdu import EsduInput, alphabet_size, f_lower, g_upper
 from .oracle import ConvergenceError, DiscreteInput, QuadratureSpec, mi_discrete
+from .special import every, is_integer
 from .uniform import P2pChannel, c_upper
 
 DEFAULT_DELTA0_GRID = tuple(0.5 * i for i in range(1, 21))
@@ -59,16 +62,20 @@ class BcChannel:
 
 @dataclass(frozen=True)
 class SplitConfig:
-    """Level split (k1, k2) of a composite alphabet of k1*k2 >= 2 levels."""
+    """Level split (k1, k2) of a composite alphabet of k1*k2 >= 2 levels.
+
+    k1 and k2 may be integer arrays of one shape: a batch of splits, whose
+    sub-alphabets are batches of EsduInput (see esdurate.esdu).
+    """
 
     k1: int
     k2: int
 
     def __post_init__(self) -> None:
         for name, value in (("k1", self.k1), ("k2", self.k2)):
-            if not (isinstance(value, int) and value >= 1):
+            if not (is_integer(value) and every(value >= 1)):
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.k1 * self.k2 < 2:
+        if not every(self.total_levels >= 2):
             raise ValueError("the composite alphabet needs k1*k2 >= 2 levels")
 
     @property
@@ -144,9 +151,10 @@ class SweepConfig:
             raise ValueError("rho_steps must be >= 2")
 
 
-def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair:
-    """Analytic superposition point for one split: _superposition_point with
-    the closed-form lower bound f_lower and upper bound g_upper."""
+def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair | list[RatePair]:
+    """Analytic superposition point of one split, or the points of a batch
+    of splits in batch order: _superposition_point with the closed-form lower
+    bound f_lower and upper bound g_upper, each called once for the batch."""
     return _superposition_point(ch, split, f_lower, g_upper)
 
 
@@ -155,12 +163,14 @@ def exact_inner_point(
     split: SplitConfig,
     quad: QuadratureSpec | None = None,
     rates: dict[tuple[EsduInput, float], float] | None = None,
-) -> RatePair:
+) -> RatePair | list[RatePair]:
     """Oracle version of analytic_inner_point with exact mutual informations.
 
-    rates, when given, holds mi_discrete per (input, sigma) and is filled in
-    place, so splits that share a sub-alphabet or a composite alphabet reuse
-    its rate; sweep_inner passes one dictionary per sweep.
+    A batch is evaluated split by split, in batch order.  rates, when given,
+    holds mi_discrete per (input, sigma) and is filled in place, so splits
+    that share a sub-alphabet or a composite alphabet reuse its rate;
+    sweep_inner passes one dictionary per sweep.  A ConvergenceError carries
+    the split it was raised for as its `split` attribute.
     """
     rates = rates if rates is not None else {}
 
@@ -170,11 +180,23 @@ def exact_inner_point(
             rates[key] = mi_discrete(DiscreteInput.from_esdu(inp), sigma, quad)
         return rates[key]
 
-    return _superposition_point(ch, split, rate, rate)
+    def point(one: SplitConfig) -> RatePair:
+        try:
+            return _superposition_point(ch, one, rate, rate)
+        except ConvergenceError as exc:
+            exc.split = one
+            raise
+
+    if np.ndim(split.total_levels) == 0:
+        return point(split)
+    return [point(SplitConfig(k1, k2)) for k1, k2 in zip(split.k1.tolist(), split.k2.tolist())]
 
 
-def _superposition_point(ch: BcChannel, split: SplitConfig, lower: _Rate, upper: _Rate) -> RatePair:
-    """Superposition point of one split from rates of (input, sigma).
+def _superposition_point(
+    ch: BcChannel, split: SplitConfig, lower: _Rate, upper: _Rate
+) -> RatePair | list[RatePair]:
+    """Superposition point of one split, or the points of a batch, from rates
+    of (input, sigma).
 
     User 1 gets the lower rate of its sub-alphabet at sigma1; user 2 gets the
     lower rate of the composite alphabet at sigma2 minus the upper rate of
@@ -184,7 +206,16 @@ def _superposition_point(ch: BcChannel, split: SplitConfig, lower: _Rate, upper:
     user1 = split.user1_input(ch.peak)
     r1 = lower(user1, ch.sigma1)
     r2 = lower(split.composite_input(ch.peak), ch.sigma2) - upper(user1, ch.sigma2)
-    return RatePair(max(0.0, r1), max(0.0, r2))
+    return _rate_pairs(r1, r2)
+
+
+def _rate_pairs(r1, r2) -> RatePair | list[RatePair]:
+    """RatePair(max(0, r1), max(0, r2)), or the list of them, in order, for
+    arrays of rates."""
+    if np.ndim(r1) == 0 and np.ndim(r2) == 0:
+        return RatePair(max(0.0, float(r1)), max(0.0, float(r2)))
+    r1, r2 = np.broadcast_arrays(r1, r2)
+    return [RatePair(max(0.0, a), max(0.0, b)) for a, b in zip(r1.ravel().tolist(), r2.ravel().tolist())]
 
 
 def split_schedule(
@@ -235,52 +266,60 @@ def sweep_inner(
 ) -> RateRegion:
     """Inner-bound region: hull of the points of every sweep cell.
 
-    Repeated (k1, k2) splits across spacing targets are computed once, and in
-    exact mode so is each mutual information that several splits share; the
-    vertex provenance records the first cell that produced each vertex.
+    The distinct (k1, k2) splits of the schedule, in the order they first
+    appear, go as one SplitConfig batch to analytic_inner_point or
+    exact_inner_point, so each split is computed once, by one call per sweep;
+    in exact mode so is each mutual information that several splits share.
+    The vertex provenance records the first cell that produced each vertex.
     """
     if mode not in ("analytic", "exact"):
         raise ValueError(f"mode must be 'analytic' or 'exact', got {mode!r}")
     cfg = cfg if cfg is not None else SweepConfig()
     if ch.peak == 0.0:
         return frontier_hull([])
-    points: list[RatePair] = []
-    first_origin: dict[tuple[float, float], SplitOrigin] = {}
-    cache: dict[tuple[int, int], RatePair] = {}
-    rates: dict[tuple[EsduInput, float], float] = {}
+    first_delta0: dict[tuple[int, int], float] = {}
     for delta0, k1, k2 in split_schedule(ch.peak, cfg.delta0_grid, ch.sigma1):
-        key = (k1, k2)
-        point = cache.get(key)
-        if point is None:
-            split = SplitConfig(k1, k2)
-            if mode == "analytic":
-                point = analytic_inner_point(ch, split)
-            else:
-                try:
-                    point = exact_inner_point(ch, split, cfg.quadrature, rates)
-                except ConvergenceError as exc:
-                    raise ConvergenceError(
-                        f"split k1={k1}, k2={k2} (delta0={delta0:g}): {exc}",
-                        exc.previous_estimate,
-                        exc.last_estimate,
-                    ) from exc
-            cache[key] = point
-        points.append(point)
-        first_origin.setdefault((point.r1, point.r2), SplitOrigin(delta0, k1, k2))
-    hull = frontier_hull(points)
-    origins = tuple(first_origin.get((v.r1, v.r2)) for v in hull.vertices)
-    return RateRegion(hull.vertices, origins)
+        first_delta0.setdefault((k1, k2), delta0)
+    point_of: dict[tuple[int, int], RatePair] = {}
+    if first_delta0:
+        splits = np.array(list(first_delta0), dtype=np.int64)
+        batch = SplitConfig(splits[:, 0], splits[:, 1])
+        if mode == "analytic":
+            points = analytic_inner_point(ch, batch)
+        else:
+            try:
+                points = exact_inner_point(ch, batch, cfg.quadrature, {})
+            except ConvergenceError as exc:
+                k1, k2 = exc.split.k1, exc.split.k2
+                raise ConvergenceError(
+                    f"split k1={k1}, k2={k2} (delta0={first_delta0[(k1, k2)]:g}): {exc}",
+                    exc.previous_estimate,
+                    exc.last_estimate,
+                ) from exc
+        point_of = dict(zip(first_delta0, points))
+    # splits in schedule order, so the first split with a point has its first cell
+    first_split: dict[tuple[float, float], tuple[int, int]] = {}
+    for split, point in point_of.items():
+        first_split.setdefault((point.r1, point.r2), split)
+    hull = frontier_hull(point_of.values())
+    origins = []
+    for v in hull.vertices:
+        split = first_split.get((v.r1, v.r2))
+        origins.append(None if split is None else SplitOrigin(first_delta0[split], *split))
+    return RateRegion(hull.vertices, tuple(origins))
 
 
-def outer_corner(ch: BcChannel, rho: float) -> RatePair:
-    """Corner of the outer-bound rectangle at auxiliary parameter rho."""
-    if not 0.0 <= rho <= 1.0:
+@np.errstate(over="raise")
+def outer_corner(ch: BcChannel, rho: float) -> RatePair | list[RatePair]:
+    """Corner of the outer-bound rectangle at auxiliary parameter rho, or the
+    corners, in order, at an array of rho values."""
+    if not every((rho >= 0.0) & (rho <= 1.0)):
         raise ValueError("rho must lie in [0, 1]")
     scaled = c_upper(P2pChannel(rho * ch.peak, ch.sigma2))
     noise_gain = (ch.sigma2 / ch.sigma1) ** 2
-    r1 = 0.5 * math.log2(1.0 + noise_gain * (2.0 ** (2.0 * scaled) - 1.0))
+    r1 = 0.5 * np.log2(1.0 + noise_gain * (np.power(2.0, 2.0 * scaled) - 1.0))
     r2 = c_upper(P2pChannel(ch.peak, ch.sigma2)) - scaled
-    return RatePair(max(0.0, r1), max(0.0, r2))
+    return _rate_pairs(r1, r2)
 
 
 def outer_region(ch: BcChannel, cfg: SweepConfig | None = None) -> RateRegion:
@@ -288,7 +327,7 @@ def outer_region(ch: BcChannel, cfg: SweepConfig | None = None) -> RateRegion:
     per-user capacity caps and the strong receiver's sum-rate cap."""
     cfg = cfg if cfg is not None else SweepConfig()
     steps = cfg.rho_steps
-    corners = [outer_corner(ch, i / (steps - 1)) for i in range(steps)]
+    corners = outer_corner(ch, np.arange(steps) / (steps - 1))
     hull = frontier_hull(corners)
     if len(hull.vertices) < 3:
         return hull

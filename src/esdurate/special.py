@@ -1,10 +1,17 @@
-"""Scalar building blocks shared by every rate formula.
+"""Building blocks shared by every rate formula.
 
 All rates and entropies in this package are in bits; natural logarithms only
 appear inside exponent conversions and are noted where they do.
+
+binary_entropy and _check_sigma work elementwise on numpy arrays as well as
+on scalars; as_result turns a zero-dimensional result back into a float.
+q_function takes one float; callers that need it elementwise wrap it in
+np.vectorize rather than evaluate the tail a second way.
 """
 
 import math
+
+import numpy as np
 
 SQRT2 = math.sqrt(2.0)
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -22,19 +29,38 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / SQRT2)
 
 
-def _check_sigma(sigma: float) -> None:
-    """Raise ValueError unless the noise width sigma is finite and > 0."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
+def as_result(value):
+    """A Python float for a scalar (zero-dimensional) value, else the array."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def every(ok) -> bool:
+    """Whether a condition holds everywhere: a Python bool as it is, an array
+    of them reduced.  Conditions built from comparisons and & or | on Python
+    scalars stay Python bools, so checks of scalar inputs cost no numpy call."""
+    return ok if type(ok) is bool else bool(ok.all())
+
+
+def is_integer(value) -> bool:
+    """Whether value is a Python int or a numpy array of integers."""
+    return isinstance(value, int) or (isinstance(value, np.ndarray) and value.dtype.kind in "iu")
+
+
+def _check_sigma(sigma) -> None:
+    """Raise ValueError unless every noise width sigma is finite and > 0."""
+    if not every((sigma > 0.0) & (sigma < math.inf)):
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
 
 
-def binary_entropy(p: float) -> float:
-    """Binary entropy H(p) in bits, with 0*log(0) taken as 0."""
-    if not 0.0 <= p <= 1.0:
+def binary_entropy(p):
+    """Binary entropy H(p) in bits, elementwise, with 0*log(0) taken as 0."""
+    if not every((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"binary_entropy requires p in [0, 1], got {p!r}")
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    p_arr = np.asarray(p, dtype=float)
+    edge = (p_arr == 0.0) | (p_arr == 1.0)
+    inner = np.where(edge, 0.5, p_arr)  # keeps log2(0) out of the arithmetic
+    h = -inner * np.log2(inner) - (1.0 - inner) * np.log2(1.0 - inner)
+    return as_result(np.where(edge, 0.0, h))
 
 
 def db_to_amplitude_ratio(db: float) -> float:

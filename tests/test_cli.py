@@ -89,6 +89,8 @@ class TestP2pBounds:
             (["--peak-db", "0:1e9:1e-3"], "--peak-db"),
             (["--peak-db", "3100"], "--peak-db"),
             (["--peak-db", "300", "--sigma", "1e10"], "--peak-db"),
+            # K = 10,001 levels, but 1e6 noise widths wide
+            (["--peak-db", "60", "--delta0", "100"], "--peak-db"),
         ],
     )
     def test_invalid_input_names_the_flag(self, capsys, argv, flag):
@@ -157,6 +159,21 @@ class TestEsduRate:
         assert code == EXIT_USAGE
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--span", "1e308"], "--span 1e+308 with --sigma 1: span/sigma = 1e+308 is more than the 100000"),
+            (["--span", "10", "--sigma", "1e-300"], "--span 10 with --sigma 1e-300: span/sigma = 1e+301"),
+            (["--span", "10", "--sigma", "0"], "--sigma must be finite and > 0, got 0.0"),
+        ],
+    )
+    def test_too_wide_input_fails_before_the_oracle(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(esdurate.cli, "mi_discrete", lambda *a, **k: pytest.fail("oracle ran"))
+        code, out, err = run_cli(capsys, ["esdu-rate", "--levels", "3", *argv] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
 
 class TestBcRegion:
@@ -229,6 +246,29 @@ class TestBcRegion:
         assert out == ""
         assert "--peak-db 3100" in err
 
+    @pytest.mark.parametrize("command", ["bc-inner", "bc-outer"])
+    def test_rho_steps_below_two_names_the_flag(self, capsys, command):
+        code, out, err = run_cli(capsys, [command, "--peak-db", "10", "--sigma2-ratio", "2", "--rho-steps", "1"] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--rho-steps must be >= 2, got 1" in err
+
+    @pytest.mark.parametrize("command", ["bc-inner", "bc-outer"])
+    def test_peak_too_large_for_float64_is_a_numerical_failure(self, capsys, command):
+        argv = [command, "--peak", "1e200", "--sigma2-ratio", "2", "--delta0-grid", "1e200"]
+        code, out, err = run_cli(capsys, argv + TS)
+        assert code == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure: overflow" in err
+
+    def test_exact_sweep_too_wide_names_the_flag(self, capsys, monkeypatch):
+        monkeypatch.setattr(esdurate.cli, "sweep_inner", lambda *a, **k: pytest.fail("sweep ran"))
+        argv = ["bc-inner", "--mode", "exact", "--peak-db", "60", "--sigma2-ratio", "2", "--delta0-grid", "100"]
+        code, out, err = run_cli(capsys, argv + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--peak-db with --sigma1 1: span/sigma = 1e+06" in err
+
     def test_sigma2_flags_are_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys, ["bc-inner", "--peak-db", "15", "--sigma2", "2", "--sigma2-ratio", "2"]
@@ -293,6 +333,9 @@ class TestVerifyCommand:
             (["--peak-db-grid", "0,60"], "--peak-db-grid entry 60 with --delta0-grid entry 0.5:"),
             (["--delta0-grid", "1,1e-9"], "--peak-db-grid entry 0 with --delta0-grid entry 1e-09:"),
             (["--peak-db-grid", "0,3100"], "--peak-db-grid 3100:"),
+            (["--sigma-ratios", "2,0.5"], "--sigma-ratios entry 0.5: sigma2/sigma1 must be >= 1"),
+            (["--rho-steps", "1"], "--rho-steps must be >= 2, got 1"),
+            (["--peak-db-grid", "0,60", "--delta0-grid", "100"], "--peak-db-grid entry 60: span/sigma = 1e+06"),
         ],
     )
     def test_rejects_grids_before_any_check_runs(self, capsys, monkeypatch, argv, message):

@@ -19,17 +19,9 @@ from esdurate.oracle import DiscreteInput, mi_discrete
 from esdurate.special import db_to_amplitude_ratio
 
 from anchors import F_LOWER_HALF_SIGMA_DB, G_UPPER_HALF_SIGMA_DB
+from scalar_reference import brute_f3
 
 SPAN5 = 4.0 * 10.0 ** 1.5 / 14.0  # user-1 span of the (k1=5, k2=3) split at 15 dB
-
-
-def brute_f3(span: float, levels: int, sigma: float) -> float:
-    """Defining double sum over all level pairs, no shortcuts."""
-    total = 0.0
-    for i in range(levels):
-        for j in range(levels):
-            total += math.exp(-((i - j) ** 2) * span * span / (4.0 * (levels - 1) ** 2 * sigma * sigma))
-    return -math.log2(math.sqrt(0.5 * math.e) / levels**2 * total)
 
 
 def swept_levels(peak: float, delta0: float) -> int:

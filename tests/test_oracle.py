@@ -146,6 +146,21 @@ def test_rejects_nonfinite_or_nonpositive_sigma(call, sigma):
         call(DiscreteInput.from_esdu(EsduInput(1.0, 3)), sigma)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: mi_discrete(DiscreteInput.from_esdu(EsduInput(1e308, 3)), 1.0),
+        lambda: mi_discrete(DiscreteInput.from_esdu(EsduInput(10.0, 3)), 1e-300),
+        lambda: mi_uniform(P2pChannel(oracle.MAX_SPAN_SIGMAS * 1.01, 1.0)),
+    ],
+    ids=["wide-span", "narrow-sigma", "uniform"],
+)
+def test_rejects_inputs_wider_than_the_cap_before_integrating(call, monkeypatch):
+    monkeypatch.setattr(oracle, "_adaptive_integral", lambda *a, **k: pytest.fail("integral started"))
+    with pytest.raises(ValueError, match=r"span/sigma = .* is more than the 100000 the oracle integrates"):
+        call()
+
+
 class TestMixtureLogPdf:
     def test_single_atom_mode(self):
         di = DiscreteInput(np.array([0.0]), np.array([1.0]))

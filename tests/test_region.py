@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,14 @@ from scipy.spatial import ConvexHull
 from esdurate import region as region_module
 
 from esdurate.esdu import EsduInput, f_lower
+from esdurate.oracle import ConvergenceError
 from esdurate.region import (
+    DEFAULT_DELTA0_GRID,
     BcChannel,
     RatePair,
     RateRegion,
     SplitConfig,
+    SplitOrigin,
     SweepConfig,
     exact_inner_point,
     frontier_hull,
@@ -333,6 +337,56 @@ class TestSweep:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             sweep_inner(CH15, SweepConfig(delta0_grid=(3.0,)), "fast")
+
+    @pytest.mark.parametrize("db,ratio", [(15.0, 2.0), (15.0, 10.0), (30.0, 2.0), (30.0, 10.0)])
+    def test_analytic_sweep_matches_split_by_split(self, db, ratio):
+        ch = BcChannel(db_to_amplitude_ratio(db), 1.0, ratio)
+        points, first_origin = [], {}
+        point_of = {}
+        for delta0, k1, k2 in split_schedule(ch.peak, DEFAULT_DELTA0_GRID, 1.0):
+            if (k1, k2) not in point_of:
+                point_of[(k1, k2)] = analytic_inner_point(ch, SplitConfig(k1, k2))
+            point = point_of[(k1, k2)]
+            points.append(point)
+            first_origin.setdefault((point.r1, point.r2), SplitOrigin(delta0, k1, k2))
+        hull = frontier_hull(points)
+        region = sweep_inner(ch)
+        assert region.vertices == hull.vertices
+        assert region.origins == tuple(first_origin.get((v.r1, v.r2)) for v in hull.vertices)
+
+    def test_batch_of_splits_gives_each_split_point_in_order(self):
+        k1, k2 = np.array([3, 1, 12, 2, 3]), np.array([4, 12, 1, 6, 4])
+        batch = SplitConfig(k1, k2)
+        for point_fn in (analytic_inner_point, exact_inner_point):
+            points = point_fn(CH15, batch)
+            assert points == [point_fn(CH15, SplitConfig(a, b)) for a, b in zip(k1.tolist(), k2.tolist())]
+
+    def test_exact_sweep_names_the_split_that_fails(self, monkeypatch):
+        inner = region_module.mi_discrete
+
+        def failing(inp, sigma, quad):
+            if inp.atoms.size == 5 and sigma == 1.0:
+                raise ConvergenceError("did not settle", 0.1, 0.2)
+            return inner(inp, sigma, quad)
+
+        monkeypatch.setattr(region_module, "mi_discrete", failing)
+        with pytest.raises(ConvergenceError, match=r"^split k1=5, k2=3 \(delta0=3\): did not settle") as err:
+            sweep_inner(CH15, SweepConfig(delta0_grid=(3.0, 2.0)), "exact")
+        assert (err.value.previous_estimate, err.value.last_estimate) == (0.1, 0.2)
+
+    def test_analytic_sweep_memory(self):
+        # 7,221 cells and 4,842 splits at 30 dB; an N x d matrix of the f3
+        # terms alone would be 4,842 x 487 float64 values, 19 MB
+        ch = BcChannel(db_to_amplitude_ratio(30.0), 1.0, 10.0)
+        assert len(split_schedule(ch.peak, DEFAULT_DELTA0_GRID, 1.0)) == 7221
+        sweep_inner(ch)
+        tracemalloc.start()
+        try:
+            sweep_inner(ch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestOuterRegion:
