@@ -206,10 +206,22 @@ def _resolve_peak(args, sigma_ref: float) -> float:
     return _peak_from_db(args.peak_db, sigma_ref, "--peak-db")
 
 
-def _resolve_sigma2(args) -> float:
+def _resolve_sigmas(args) -> tuple[float, float]:
+    """(sigma1, sigma2) from the flags; a usage error naming the flag at fault
+    unless sigma1 is finite and > 0 and sigma1 <= sigma2 < inf."""
+    sigma1 = args.sigma1
+    if not (math.isfinite(sigma1) and sigma1 > 0.0):
+        raise UsageError(f"--sigma1 must be finite and > 0, got {sigma1!r}")
     if _one_of(args, "--sigma2", "--sigma2-ratio") == "--sigma2":
-        return args.sigma2
-    return args.sigma2_ratio * args.sigma1
+        if not (sigma1 <= args.sigma2 < math.inf):
+            raise UsageError(f"--sigma2 must be finite and >= --sigma1 {sigma1:g}, got {args.sigma2!r}")
+        return sigma1, args.sigma2
+    ratio = args.sigma2_ratio
+    if not (1.0 <= ratio < math.inf and ratio * sigma1 < math.inf):
+        raise UsageError(
+            f"--sigma2-ratio must be >= 1 and give a finite sigma2 with --sigma1 {sigma1:g}, got {ratio!r}"
+        )
+    return sigma1, ratio * sigma1
 
 
 def _write(args, writer) -> None:
@@ -321,9 +333,9 @@ def cmd_esdu_rate(args) -> int:
 
 def _bc_common(args) -> tuple[BcChannel, SweepConfig]:
     _check_rho_steps(args.rho_steps)
-    sigma2 = _resolve_sigma2(args)
-    peak = _resolve_peak(args, args.sigma1)
-    ch = BcChannel(peak, args.sigma1, sigma2)
+    sigma1, sigma2 = _resolve_sigmas(args)
+    peak = _resolve_peak(args, sigma1)
+    ch = BcChannel(peak, sigma1, sigma2)
     quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
     grid = tuple(_parse_grid(args.delta0_grid, "--delta0-grid"))
     cfg = SweepConfig(delta0_grid=grid, rho_steps=args.rho_steps, quadrature=quad)
@@ -332,15 +344,18 @@ def _bc_common(args) -> tuple[BcChannel, SweepConfig]:
 
 def cmd_bc_region(args, mode: str) -> int:
     ch, cfg = _bc_common(args)
+    peak_flag = f"{_one_of(args, '--peak', '--peak-db')} with --sigma1 {ch.sigma1:g}"
     if mode in ("analytic", "exact"):
         if not cfg.delta0_grid:
             print("warning: empty delta0 grid; region degenerates to {(0,0)}", file=sys.stderr)
         _check_sweep(ch.peak, cfg.delta0_grid, ch.sigma1)
         if mode == "exact":
-            _check_span(ch.peak, ch.sigma1, f"{_one_of(args, '--peak', '--peak-db')} with --sigma1 {ch.sigma1:g}")
-        reg = sweep_inner(ch, cfg, mode)
-    else:
-        reg = outer_region(ch, cfg)
+            _check_span(ch.peak, ch.sigma1, peak_flag)
+    try:
+        reg = outer_region(ch, cfg) if mode == "outer" else sweep_inner(ch, cfg, mode)
+    except FloatingPointError as exc:
+        # the closed-form bounds square ratios of the peak to the noise widths
+        raise UsageError(f"{peak_flag}: peak {ch.peak:g} overflows float64 in the bound arithmetic ({exc})") from None
     manifest = build_manifest(
         "bc-inner" if mode in ("analytic", "exact") else "bc-outer",
         {

@@ -8,10 +8,18 @@ Gauss-Kronrod quadrature (G7/K15 panels, bisection refinement); h(Z) is
 0.5*log2(2*pi*e*sigma^2) in closed form.  Nothing in this module depends on
 the closed-form bounds it is used to validate.
 
-The mixture density behind h(Y) works in fixed blocks of at most 2^18
-(y, atom) pairs, 2 MiB per float64 temporary, whatever the number of nodes or
-samples, and leaves out atoms more than 40 sigma from a block only where
-their terms provably underflow to 0.0.
+mi_discrete takes one noise width or a 1-D array of them: the rates of one
+input at several widths, integrated in lockstep, one density call per round.
+An input that is its own mirror image (masses equal to their reverse, atom
+sums atoms[i] + atoms[-1-i] all equal in float64) has an output density
+symmetric about its midpoint, so its entropy integral runs over the lower
+half at half the tolerance and is doubled.
+
+The mixture density behind h(Y) works in fixed blocks of at most 2^16
+(y, atom) pairs, 512 KiB per float64 temporary, whatever the number of nodes
+or samples, and leaves out atoms more than 40 sigma from a block only where
+their terms provably underflow to 0.0.  The value at each y depends on that
+y and its sigma alone, never on the other values of the call.
 
 A seeded Monte-Carlo estimator provides an independent cross-check of the
 quadrature path.
@@ -23,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .esdu import EsduInput
-from .special import TWO_PI_E, _check_sigma, q_function
+from .special import TWO_PI_E, _check_sigma, as_result, every, q_function
 
 _LOG2_E = math.log2(math.e)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -57,9 +65,13 @@ _K15_MINUS_G7 = _K15_WEIGHTS - _G7_WEIGHTS
 #: QUADPACK's round-off level of a panel, in units of half * sum |w_k f_k|.
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
-#: Entries of one (block x atoms) work array in mixture_log_pdf: 2 MiB per
+#: Entries of one (block x atoms) work array in mixture_log_pdf: 512 KiB per
 #: float64 temporary.
-_BLOCK_ELEMENTS = 1 << 18
+_BLOCK_ELEMENTS = 1 << 16
+#: Atoms are summed in chunks of this many, counted from the first atom: a
+#: block's window takes whole chunks, and the chunk totals add left to right,
+#: so leaving out chunks whose terms are all 0.0 changes no bit of a sum.
+_CHUNK_ATOMS = 64
 #: Atoms farther than this many noise widths from every y of a block are left
 #: out of its log-sum-exp, once the block's peaks show their terms underflow.
 _WINDOW_SIGMAS = 40.0
@@ -77,6 +89,9 @@ MAX_SPAN_SIGMAS = 1e5
 #: Bisection rounds before the integral gives up: 30 halvings take a 2-sigma
 #: panel below 1e-8 sigma, yet typical calls settle in the first round.
 MAX_REFINEMENTS = 30
+#: Backstop on the working set of one integral call: a round holds at most
+#: this many panels (15 nodes each), and an element that needs more fails.
+_MAX_PANELS = 2_000_000
 
 #: Bit generator behind numpy's default_rng; period 2^128, seeded explicitly.
 MC_GENERATOR = "numpy-pcg64"
@@ -86,13 +101,17 @@ class ConvergenceError(RuntimeError):
     """Quadrature refinement did not settle within the allowed rounds.
 
     Carries the last two global estimates so callers can judge how far apart
-    the refinement loop still was.
+    the refinement loop still was, and, from a batch of integrals, the index
+    of the element that failed.
     """
 
-    def __init__(self, message: str, previous_estimate: float, last_estimate: float):
+    def __init__(
+        self, message: str, previous_estimate: float, last_estimate: float, index: int | None = None
+    ):
         super().__init__(message)
         self.previous_estimate = previous_estimate
         self.last_estimate = last_estimate
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -135,7 +154,8 @@ class DiscreteInput:
 
     @classmethod
     def from_esdu(cls, inp: EsduInput) -> "DiscreteInput":
-        """Convert an ESDU input; a zero span collapses to one atom at 0."""
+        """Convert an ESDU input; a zero span collapses to one atom at 0.  The
+        atoms are EsduInput.atoms(), mirror-exact."""
         if inp.span == 0.0:
             return cls(np.array([0.0]), np.array([1.0]))
         atoms = np.asarray(inp.atoms(), dtype=float)
@@ -143,39 +163,41 @@ class DiscreteInput:
         return cls(atoms, masses)
 
 
-def mixture_log_pdf(inp: DiscreteInput, sigma: float, y):
+def mixture_log_pdf(inp: DiscreteInput, sigma, y):
     """Natural log of the output density sum_i mass_i * phi(y - atom_i; sigma).
 
     Uses log-sum-exp over the per-atom terms, so the result stays finite for
     |y - atom| up to hundreds of noise widths.  Accepts a scalar or an array;
-    the shape of y is preserved.
+    the shape of y is preserved.  sigma is one noise width or an array of
+    them that broadcasts against y, a width per value.
 
-    A call whose (y x atoms) array fits _BLOCK_ELEMENTS entries takes every
-    atom at once.  Larger calls run over blocks of _BLOCK_ELEMENTS // K rows
-    (at least one) of the flattened y, which fit the budget even with all K
-    atoms, and keep per block only the atoms within _WINDOW_SIGMAS noise
-    widths of its values when that is exact: every term left out is below
-    exp(-800 + max log mass), more than 746 below the block's smallest kept
-    peak, so its exp(term - peak) is 0.0 in float64.  Otherwise (values far
-    from every atom, zero masses near them) the block keeps every atom.
+    The flattened values run in blocks of _BLOCK_ELEMENTS // K rows (at least
+    one), which fit the budget even with all K atoms.  A block keeps only the
+    atoms within _WINDOW_SIGMAS times its largest sigma of its values,
+    widened to whole chunks of _CHUNK_ATOMS, when that is exact: every term left out
+    is below exp(-800 + max log mass), more than 746 below the block's
+    smallest kept peak, so its exp(term - peak) is 0.0 in float64.  Otherwise
+    (values far from every atom, zero masses near them) the block keeps every
+    atom.  Since the sum adds chunk totals left to right, the chunks left out
+    would only have added 0.0: the value at each y is the same whatever
+    block, window or call it falls in.
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
-    atoms, log_masses = inp.atoms, inp._log_masses
-    if y_arr.size * atoms.size <= _BLOCK_ELEMENTS:
-        exponents = _exponents(y_arr, atoms, log_masses, sigma)
-        out = _log_sum_exp(exponents, np.max(exponents, axis=-1))
-    else:
-        out = _blocked_log_sum_exp(y_arr.ravel(), atoms, log_masses, sigma).reshape(y_arr.shape)
-    out = out - math.log(sigma) - _LOG_SQRT_2PI
+    scale = np.asarray(sigma, dtype=float)
+    if scale.ndim:
+        scale = np.broadcast_to(scale, y_arr.shape).ravel()
+    out = _blocked_log_sum_exp(y_arr.ravel(), scale, inp.atoms, inp._log_masses)
+    out = (out - np.log(scale) - _LOG_SQRT_2PI).reshape(y_arr.shape)
     if np.isscalar(y) or np.ndim(y) == 0:
         return float(out)
     return out
 
 
-def _exponents(y: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: float) -> np.ndarray:
-    """The per-atom terms -0.5*((y - atom)/sigma)^2 + log(mass), atoms last."""
-    z = y[..., None] - atoms
+def _exponents(y: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The per-atom terms -0.5*((y - atom)/sigma)^2 + log(mass) of 1-D y,
+    atoms last; sigma is a column, one width for every y or one per y."""
+    z = y[:, None] - atoms
     z /= sigma
     exponents = -0.5 * z
     exponents *= z
@@ -183,35 +205,45 @@ def _exponents(y: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: 
     return exponents
 
 
-def _log_sum_exp(exponents: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """log(sum(exp(exponents))) over the last axis, given its maximum `peak`;
-    overwrites exponents."""
-    exponents -= peak[..., None]
+def _log_sum_exp(exponents: np.ndarray, peak: np.ndarray, chunk: int) -> np.ndarray:
+    """log(sum(exp(exponents))) over the last axis, given its maximum `peak`:
+    chunks of `chunk` columns from the first (the last may be shorter), their
+    totals added left to right.  Overwrites exponents."""
+    exponents -= peak[:, None]
     np.exp(exponents, out=exponents)
-    return peak + np.log(np.sum(exponents, axis=-1))
+    rows, width = exponents.shape
+    whole = width - width % chunk
+    totals = exponents[:, :whole].reshape(rows, -1, chunk).sum(axis=-1)
+    if whole < width:
+        totals = np.column_stack([totals, exponents[:, whole:].sum(axis=-1)])
+    return peak + np.log(np.cumsum(totals, axis=-1)[:, -1])
 
 
 def _blocked_log_sum_exp(
-    flat: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: float
+    flat: np.ndarray, scale: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray
 ) -> np.ndarray:
-    """_log_sum_exp of the terms of 1-D y, block by block within the budget."""
+    """_log_sum_exp of the terms of 1-D y with widths `scale`, one or one per
+    value, block by block within the budget."""
     n, k = flat.size, atoms.size
+    widths = scale.reshape(-1, 1)
+    chunk = min(_CHUNK_ATOMS, k)
     out = np.empty(n)
-    reach = _WINDOW_SIGMAS * sigma
     # no term of an atom outside a block's window exceeds this
     excluded_top = -0.5 * _WINDOW_SIGMAS**2 + float(np.max(log_masses))
     rows = max(1, _BLOCK_ELEMENTS // k)  # within the budget even with every atom
     for start in range(0, n, rows):
         block = flat[start : start + rows]
-        first, last = _window(block, atoms, reach)
+        sigma = widths if widths.size == 1 else widths[start : start + rows]
+        first, last = _window(block, atoms, _WINDOW_SIGMAS * np.max(sigma))
         if last > first:
+            first, last = first - first % chunk, min(k, last + -last % chunk)
             exponents = _exponents(block, atoms[first:last], log_masses[first:last], sigma)
             peak = np.max(exponents, axis=-1)
         if last == first or (last - first < k and not excluded_top - np.min(peak) < _UNDERFLOW_EXPONENT):
             # a dropped atom might not underflow: redo these rows with every atom
             exponents = _exponents(block, atoms, log_masses, sigma)
             peak = np.max(exponents, axis=-1)
-        out[start : start + rows] = _log_sum_exp(exponents, peak)
+        out[start : start + rows] = _log_sum_exp(exponents, peak, chunk)
         del exponents, peak  # before the next block allocates its own
     return out
 
@@ -224,90 +256,157 @@ def _window(block: np.ndarray, atoms: np.ndarray, reach: float) -> tuple[int, in
 
 
 def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: QuadratureSpec | None = None) -> float:
-    """Integrate f over [lo, hi] by adaptive G7/K15 panel bisection.
-
-    Starts from uniform panels no wider than twice `resolution` (the smoothing
-    scale of the integrand).  Each panel costs one 15-node evaluation: the
-    K15 value is accepted once |K15 - G7| is within the panel's proportional
-    share of the absolute tolerance; otherwise the panel is bisected.  A
-    panel whose error is still above its share but already at QUADPACK's
-    round-off level cannot improve, so that ends the loop at once.  Panel
-    bookkeeping is kept in a fixed order so repeated runs reduce in the same
-    sequence and return bit-identical results.
-    """
+    """Integrate f over [lo, hi]: _adaptive_integrals for one element, f
+    taking the nodes alone."""
     tolerance = (spec if spec is not None else QuadratureSpec()).absolute_tolerance
-    width = hi - lo
-    if width <= 0.0:
-        return 0.0
-    edges = np.linspace(lo, hi, max(4, math.ceil(width / (2.0 * resolution))) + 1)
-    lower, upper = edges[:-1], edges[1:]
-    settled, previous, last = 0.0, math.nan, math.nan
-    for _ in range(MAX_REFINEMENTS + 1):
-        half = 0.5 * (upper - lower)
-        values = f(half[:, None] * _K15_NODES + (lower + half)[:, None])
-        kronrod = half * (values @ _K15_WEIGHTS)
-        error = np.abs(half * (values @ _K15_MINUS_G7))
-        converged = error <= tolerance * (upper - lower) / width
-        settled += kronrod[converged].sum()
-        previous, last = last, float(settled + kronrod[~converged].sum())
-        if converged.all():
-            return settled
-        todo = ~converged
-        roundoff = _ROUNDOFF * half[todo] * (np.abs(values[todo]) @ _K15_WEIGHTS)
-        if np.any(error[todo] <= roundoff):
-            raise _convergence_error(
-                f"entropy integral cannot reach absolute tolerance "
-                f"{tolerance!r}: panel error is at the round-off level", previous, last
-            )
-        mid = lower[todo] + half[todo]
-        lower = np.column_stack([lower[todo], mid]).ravel()
-        upper = np.column_stack([mid, upper[todo]]).ravel()
-        if lower.size > 2_000_000:
-            # backstop on the working set, whatever the tolerance
-            break
-    raise _convergence_error(
-        f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds", previous, last
+    values = _adaptive_integrals(
+        lambda y, _: f(y), np.array([lo]), np.array([hi]), np.array([resolution]), tolerance
     )
+    return float(values[0])
 
 
-def _convergence_error(reason: str, previous: float, last: float) -> ConvergenceError:
-    return ConvergenceError(f"{reason} (last estimates {previous!r} -> {last!r})", previous, last)
+def _adaptive_integrals(
+    f, lo: np.ndarray, hi: np.ndarray, resolution: np.ndarray, tolerance: float, copies: int = 1
+) -> np.ndarray:
+    """copies times the integral of f over each [lo[j], hi[j]], by adaptive
+    G7/K15 panel bisection, every element j in lockstep.
+
+    f(y, which) takes the nodes of a round, a row of 15 per panel, and the
+    element of each row.  Element j starts from uniform panels no wider than
+    twice resolution[j] (the smoothing scale of its integrand).  Each panel
+    costs one 15-node evaluation: the K15 value is accepted once |K15 - G7|
+    is within the panel's proportional share of tolerance / copies;
+    otherwise the panel is bisected.  A panel whose error is still above its
+    share but already at QUADPACK's round-off level cannot improve, so that
+    ends its element at once.
+
+    Each element keeps its own panels, estimates and refinement count, and
+    adds its panels in a fixed order, so its result or error is what it
+    would be alone, and repeated runs are bit-identical.  A round takes the
+    panels of the first elements that fit _MAX_PANELS together; the others
+    wait.  Raises ConvergenceError for the first element, in order, that
+    fails, with its index.
+    """
+    width = hi - lo
+    count = np.where(width > 0.0, np.maximum(4, np.ceil(width / (2.0 * resolution))), 0).astype(np.int64)
+    # np.linspace(lo, hi, count + 1) of every element, end to end
+    owner = np.repeat(np.arange(lo.size), count)
+    index = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    step = width[owner] / count[owner]
+    lower = index * step + lo[owner]
+    upper = np.where(index + 1 == count[owner], hi[owner], (index + 1) * step + lo[owner])
+    share = tolerance / copies / np.where(width > 0.0, width, 1.0)
+    settled = np.zeros(lo.size)
+    previous, last = np.full(lo.size, math.nan), np.full(lo.size, math.nan)
+    rounds = np.zeros(lo.size, dtype=np.int64)
+    failure = None
+    while owner.size:
+        size = owner.size
+        if size > _MAX_PANELS:
+            # owner is sorted: the panels of the first elements that fit together
+            held = np.cumsum(np.bincount(owner))
+            fit = int(np.searchsorted(held, _MAX_PANELS, side="right"))
+            size = max(int(held[fit - 1]) if fit else 0, int(np.searchsorted(owner, owner[0], side="right")))
+        low, up, which = lower[:size], upper[:size], owner[:size]
+        half = 0.5 * (up - low)
+        values = f(half[:, None] * _K15_NODES + (low + half)[:, None], which)
+        # row sums, not a matrix product, so a row's bits do not depend on the rows beside it
+        kronrod = half * (values * _K15_WEIGHTS).sum(axis=1)
+        error = np.abs(half * (values * _K15_MINUS_G7).sum(axis=1))
+        converged = error <= share[which] * (up - low)
+        settled += np.bincount(which, np.where(converged, kronrod, 0.0), lo.size)
+        if converged.all():  # every element of the round is done
+            lower, upper, owner = lower[size:], upper[size:], owner[size:]
+            continue
+        stepped = np.unique(which)
+        unsettled = np.bincount(which, np.where(converged, 0.0, kronrod), lo.size)
+        previous[stepped], last[stepped] = last[stepped], copies * (settled[stepped] + unsettled[stepped])
+        rounds[stepped] += 1
+        todo = ~converged
+        roundoff = _ROUNDOFF * half[todo] * (np.abs(values[todo]) * _K15_WEIGHTS).sum(axis=1)
+        stuck = np.unique(which[todo][error[todo] <= roundoff])
+        mid = low[todo] + half[todo]
+        lower = np.concatenate([np.column_stack([low[todo], mid]).ravel(), lower[size:]])
+        upper = np.concatenate([np.column_stack([mid, up[todo]]).ravel(), upper[size:]])
+        owner = np.concatenate([np.repeat(which[todo], 2), owner[size:]])
+        open_panels = np.bincount(owner, minlength=lo.size)
+        exhausted = stepped[(open_panels[stepped] > 0) & (
+            (rounds[stepped] > MAX_REFINEMENTS) | (open_panels[stepped] > _MAX_PANELS)
+        )]
+        failing = np.union1d(stuck, exhausted)
+        if failing.size:  # elements after an earlier failure are gone
+            j = int(failing[0])
+            reason = (
+                f"entropy integral cannot reach absolute tolerance {tolerance!r}: "
+                "panel error is at the round-off level"
+                if j in stuck else f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds"
+            )
+            failure = _convergence_error(reason, float(previous[j]), float(last[j]), j)
+        if failure is not None:
+            # later elements cannot be the first to fail
+            keep = owner < failure.index
+            lower, upper, owner = lower[keep], upper[keep], owner[keep]
+    if failure is not None:
+        raise failure
+    return copies * settled
 
 
-def _padded_support(first: float, last: float, sigma: float) -> tuple[float, float]:
+def _convergence_error(reason: str, previous: float, last: float, index: int | None = None) -> ConvergenceError:
+    return ConvergenceError(f"{reason} (last estimates {previous!r} -> {last!r})", previous, last, index)
+
+
+def _padded_support(first: float, last: float, sigma):
     """Integration range of the output of an input on [first, last]:
-    SUPPORT_PADDING noise widths beyond each end.  Raises ValueError, before
-    any node is built, for an input wider than MAX_SPAN_SIGMAS noise widths."""
+    SUPPORT_PADDING noise widths beyond each end, elementwise in sigma.
+    Raises ValueError, before any node is built, for an input wider than
+    MAX_SPAN_SIGMAS noise widths."""
     widths = (last - first) / sigma
-    if not widths <= MAX_SPAN_SIGMAS:
+    if not every(widths <= MAX_SPAN_SIGMAS):
         raise ValueError(
-            f"span/sigma = {widths:.6g} is more than the {MAX_SPAN_SIGMAS:g} the oracle integrates"
+            f"span/sigma = {float(np.max(widths)):.6g} is more than the {MAX_SPAN_SIGMAS:g} the oracle integrates"
         )
     return first - SUPPORT_PADDING * sigma, last + SUPPORT_PADDING * sigma
 
 
-def noise_entropy(sigma: float) -> float:
-    """Differential entropy of N(0, sigma^2) in bits."""
-    return 0.5 * math.log2(TWO_PI_E * sigma * sigma)
+def noise_entropy(sigma):
+    """Differential entropy of N(0, sigma^2) in bits, elementwise."""
+    return as_result(0.5 * np.log2(TWO_PI_E * np.square(sigma)))
 
 
-def mi_discrete(inp: DiscreteInput, sigma: float, quad: QuadratureSpec | None = None) -> float:
+def mi_discrete(inp: DiscreteInput, sigma, quad: QuadratureSpec | None = None):
     """Mutual information I(X; X+Z) in bits for finite-support X, Z ~ N(0, sigma^2).
+
+    sigma is one noise width, giving a float, or a 1-D array of them, giving
+    the array of rates: the integrals run in lockstep (see
+    _adaptive_integrals), each element bit-identical to a call with its
+    sigma alone.  A ConvergenceError names the first failing element as its
+    `index`.  A mirror-symmetric input (see the module docstring) integrates
+    its lower half at half the tolerance and doubles it.
 
     The value is not clamped; a deterministic input comes back as a residual
     of quadrature size (|I| <= tolerance) rather than an exact 0.
     """
     _check_sigma(sigma)
-    lo, hi = _padded_support(float(inp.atoms[0]), float(inp.atoms[-1]), sigma)
+    sigmas = np.asarray(sigma, dtype=float)
+    if sigmas.ndim > 1:
+        raise ValueError(f"sigma must be a number or a 1-D array, got shape {sigmas.shape}")
+    sigmas = sigmas.reshape(-1)
+    atoms, masses = inp.atoms, inp.masses
+    lo, hi = _padded_support(float(atoms[0]), float(atoms[-1]), sigmas)
+    mirrored = np.array_equal(masses, masses[::-1]) and bool(np.all(atoms + atoms[::-1] == atoms[0] + atoms[-1]))
+    if mirrored:
+        hi = np.full(sigmas.size, 0.5 * (atoms[0] + atoms[-1]))
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        lp = mixture_log_pdf(inp, sigma, y)
+    def integrand(y: np.ndarray, which: np.ndarray) -> np.ndarray:
+        lp = mixture_log_pdf(inp, sigmas[which, None], y)
         p = np.exp(lp)
         with np.errstate(invalid="ignore"):
             return np.where(p > 0.0, -p * lp * _LOG2_E, 0.0)
 
-    h_out = _adaptive_integral(integrand, lo, hi, sigma, quad)
-    return float(h_out - noise_entropy(sigma))
+    tolerance = (quad if quad is not None else QuadratureSpec()).absolute_tolerance
+    h_out = _adaptive_integrals(integrand, lo, hi, sigmas, tolerance, 2 if mirrored else 1)
+    rates = h_out - noise_entropy(sigmas)
+    return float(rates[0]) if np.ndim(sigma) == 0 else rates
 
 
 def uniform_output_pdf(ch, y):
@@ -372,8 +471,9 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
         raise ValueError("mi_monte_carlo needs at least 10000 samples")
     _check_sigma(sigma)
     rng = np.random.default_rng(seed)
-    idx = rng.choice(inp.atoms.size, size=samples, p=inp.masses)
-    ys = inp.atoms[idx] + rng.normal(0.0, sigma, size=samples)
+    # noise added in place: two arrays of the sample size live at once, not four
+    ys = inp.atoms[rng.choice(inp.atoms.size, size=samples, p=inp.masses)]
+    ys += rng.normal(0.0, sigma, size=samples)
 
     chunk = 100_000  # bounds the per-chunk lp and vals arrays
     total = 0.0

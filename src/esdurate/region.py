@@ -162,34 +162,68 @@ def exact_inner_point(
     ch: BcChannel,
     split: SplitConfig,
     quad: QuadratureSpec | None = None,
-    rates: dict[tuple[EsduInput, float], float] | None = None,
+    rates: dict[tuple[int, float], float] | None = None,
 ) -> RatePair | list[RatePair]:
-    """Oracle version of analytic_inner_point with exact mutual informations.
+    """Oracle version of analytic_inner_point with exact mutual informations,
+    for one split or a batch of splits: _superposition_point, run once to
+    list the rates each split needs and once to read them.
 
-    A batch is evaluated split by split, in batch order.  rates, when given,
-    holds mi_discrete per (input, sigma) and is filled in place, so splits
-    that share a sub-alphabet or a composite alphabet reuse its rate;
-    sweep_inner passes one dictionary per sweep.  A ConvergenceError carries
-    the split it was raised for as its `split` attribute.
+    Each rate is taken from a normalized input: K levels over span S at
+    sigma have the rate of EsduInput(K - 1, K), whose atoms are the integers
+    0..K-1, at sigma*(K - 1)/S (a one-level or zero-span input is one atom
+    at its own sigma).  The rates still missing go to mi_discrete as one
+    sigma array per alphabet size K, in the order the splits first need
+    them.  rates, when given, holds mi_discrete per (K, normalized sigma) and
+    is filled in place, so splits that share a rate reuse it; sweep_inner
+    passes one dictionary per sweep.  A ConvergenceError carries, as its
+    `split` attribute, the first split of the batch that needs a failing
+    rate: the split a split-by-split evaluation would have failed on.
     """
     rates = rates if rates is not None else {}
+    needs: list[list[tuple[int, float]]] = []  # keys of each rate of each split
 
-    def rate(inp: EsduInput, sigma: float) -> float:
-        key = (inp, sigma)
+    def need(inp: EsduInput, sigma: float) -> float:
+        needs.append(_rate_keys(inp, sigma))
+        return 0.0
+
+    _superposition_point(ch, split, need, need)
+    first_need: dict[tuple[int, float], int] = {}
+    for position, key in enumerate(key for row in zip(*needs) for key in row):  # split by split
         if key not in rates:
-            rates[key] = mi_discrete(DiscreteInput.from_esdu(inp), sigma, quad)
-        return rates[key]
-
-    def point(one: SplitConfig) -> RatePair:
+            first_need.setdefault(key, position)
+    groups: dict[int, list[float]] = {}
+    for k, sigma in first_need:
+        groups.setdefault(k, []).append(sigma)
+    failures = []
+    for k, group in groups.items():
+        inp = DiscreteInput.from_esdu(EsduInput(float(k - 1), k))
         try:
-            return _superposition_point(ch, one, rate, rate)
+            values = mi_discrete(inp, np.array(group), quad)
         except ConvergenceError as exc:
-            exc.split = one
-            raise
+            failures.append((first_need[(k, group[exc.index])], exc))
+            continue
+        rates.update(((k, sigma), value) for sigma, value in zip(group, values.tolist()))
+    if failures:
+        position, exc = min(failures, key=lambda failure: failure[0])
+        row = position // len(needs)
+        exc.split = SplitConfig(*(int(np.ravel(v)[row]) for v in (split.k1, split.k2)))
+        raise exc
 
-    if np.ndim(split.total_levels) == 0:
-        return point(split)
-    return [point(SplitConfig(k1, k2)) for k1, k2 in zip(split.k1.tolist(), split.k2.tolist())]
+    def rate(inp: EsduInput, sigma: float):
+        values = [rates[key] for key in _rate_keys(inp, sigma)]
+        return values[0] if np.ndim(inp.levels) == 0 else np.array(values)
+
+    return _superposition_point(ch, split, rate, rate)
+
+
+def _rate_keys(inp: EsduInput, sigma: float) -> list[tuple[int, float]]:
+    """(K, sigma*(K - 1)/S) of each input of a batch, in order, or of one
+    input: the key of its rate in exact_inner_point; (1, sigma) for one level
+    or a zero span."""
+    levels, span = np.broadcast_arrays(inp.levels, inp.span)
+    live = (levels > 1) & (span > 0.0)
+    scaled = np.where(live, sigma * (levels - 1) / np.where(live, span, 1.0), sigma)
+    return list(zip(np.where(live, levels, 1).ravel().tolist(), scaled.ravel().tolist()))
 
 
 def _superposition_point(

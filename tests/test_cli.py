@@ -254,12 +254,37 @@ class TestBcRegion:
         assert "--rho-steps must be >= 2, got 1" in err
 
     @pytest.mark.parametrize("command", ["bc-inner", "bc-outer"])
-    def test_peak_too_large_for_float64_is_a_numerical_failure(self, capsys, command):
-        argv = [command, "--peak", "1e200", "--sigma2-ratio", "2", "--delta0-grid", "1e200"]
+    @pytest.mark.parametrize("peak", [["--peak", "1e200"], ["--peak-db", "2000"]], ids=["peak", "peak-db"])
+    def test_peak_too_large_for_float64_names_the_flag(self, capsys, command, peak):
+        argv = [command, *peak, "--sigma2-ratio", "2", "--delta0-grid", "1e200"]
         code, out, err = run_cli(capsys, argv + TS)
-        assert code == EXIT_NUMERICAL
+        assert code == EXIT_USAGE
         assert out == ""
-        assert "numerical failure: overflow" in err
+        assert f"{peak[0]} with --sigma1 1: peak 1e+200 overflows float64" in err
+        assert "(overflow encountered in multiply)" in err
+
+    RATIO_RULE = "--sigma2-ratio must be >= 1 and give a finite sigma2"
+
+    @pytest.mark.parametrize("command", ["bc-inner", "bc-outer"])
+    @pytest.mark.parametrize(
+        "sigmas,message",
+        [
+            (["--sigma2-ratio", "0.5"], f"{RATIO_RULE} with --sigma1 1, got 0.5"),
+            (["--sigma2-ratio", "nan"], f"{RATIO_RULE} with --sigma1 1, got nan"),
+            (["--sigma1", "1e300", "--sigma2-ratio", "1e10"], f"{RATIO_RULE} with --sigma1 1e+300, got 10000000000.0"),
+            (["--sigma1", "2", "--sigma2", "1"], "--sigma2 must be finite and >= --sigma1 2, got 1.0"),
+            (["--sigma2", "inf"], "--sigma2 must be finite and >= --sigma1 1, got inf"),
+            (["--sigma1", "0", "--sigma2-ratio", "2"], "--sigma1 must be finite and > 0, got 0.0"),
+            (["--sigma1", "-1", "--sigma2", "1"], "--sigma1 must be finite and > 0, got -1.0"),
+        ],
+    )
+    def test_invalid_sigma_names_the_flag(self, capsys, monkeypatch, command, sigmas, message):
+        for name in ("sweep_inner", "outer_region"):
+            monkeypatch.setattr(esdurate.cli, name, lambda *a, **k: pytest.fail("region computed"))
+        code, out, err = run_cli(capsys, [command, "--peak-db", "10", *sigmas] + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
 
     def test_exact_sweep_too_wide_names_the_flag(self, capsys, monkeypatch):
         monkeypatch.setattr(esdurate.cli, "sweep_inner", lambda *a, **k: pytest.fail("sweep ran"))

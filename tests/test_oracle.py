@@ -3,13 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 from scipy.special import logsumexp
 
 from esdurate import oracle
-from esdurate.esdu import EsduInput
+from esdurate.esdu import MAX_LEVELS, EsduInput
 from esdurate.oracle import (
     _G7_WEIGHTS,
     _K15_NODES,
@@ -18,6 +18,7 @@ from esdurate.oracle import (
     DiscreteInput,
     QuadratureSpec,
     _adaptive_integral,
+    _adaptive_integrals,
     mi_discrete,
     mi_monte_carlo,
     mi_uniform,
@@ -105,6 +106,38 @@ def density_calls(draw):
     return di, sigma, y
 
 
+@st.composite
+def rate_inputs(draw):
+    """Inputs for whole rate integrals: 1 to 40 atoms spread over up to 40,
+    evenly spaced with equal masses (mirror images of themselves) or jittered
+    with random masses."""
+    k = draw(st.integers(1, 40))
+    span = draw(st.floats(0.0, 40.0)) if k > 1 else 0.0
+    if draw(st.booleans()):
+        return DiscreteInput.from_esdu(EsduInput(span, k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    atoms = np.unique(rng.uniform(-span / 2, span / 2, k)) if span > 0.0 else np.zeros(1)
+    weights = rng.uniform(0.1, 1.0, atoms.size)
+    return DiscreteInput(atoms, weights / weights.sum())
+
+
+def entropy_integrand(di, sigma):
+    """-p log2 p of the output density, for _adaptive_integral."""
+    def integrand(y):
+        lp = mixture_log_pdf(di, sigma, y)
+        p = np.exp(lp)
+        return np.where(p > 0.0, -p * lp * math.log2(math.e), 0.0)
+    return integrand
+
+
+def spikes(widths):
+    """Unit-mass Gaussians of the given widths, one per element."""
+    widths = np.asarray(widths)
+    return lambda y, which: np.exp(-0.5 * (y / widths[which, None]) ** 2) / (
+        widths[which, None] * math.sqrt(2 * math.pi)
+    )
+
+
 class TestDiscreteInput:
     def test_from_esdu(self):
         di = DiscreteInput.from_esdu(EsduInput(1.0, 3))
@@ -115,6 +148,21 @@ class TestDiscreteInput:
         di = DiscreteInput.from_esdu(EsduInput(0.0, 4))
         assert di.atoms.tolist() == [0.0]
         assert di.masses.tolist() == [1.0]
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.floats(1e-6, 1e6), st.integers(2, MAX_LEVELS))
+    @example(1000.0, MAX_LEVELS)
+    @example(0.1, 3)
+    def test_from_esdu_atoms_are_mirror_exact(self, span, levels):
+        atoms = DiscreteInput.from_esdu(EsduInput(span, levels)).atoms
+        assert atoms.size == levels
+        assert (atoms[0], atoms[-1]) == (0.0, span)
+        assert np.all(atoms + atoms[::-1] == atoms[0] + atoms[-1])
+        assert np.all(np.diff(atoms) > 0.0)
+        # within a few ulps of span of i*span/(K-1)
+        np.testing.assert_allclose(
+            atoms, np.arange(levels) * (span / (levels - 1)), rtol=0.0, atol=4 * np.spacing(span)
+        )
 
     @pytest.mark.parametrize(
         "atoms,masses",
@@ -215,6 +263,19 @@ class TestMixtureLogPdf:
         # relative to |value|, or to 1 where the log-density crosses zero
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(density_calls(), st.integers(0, 2**32 - 1))
+    def test_value_at_each_y_depends_on_that_y_alone(self, call, seed):
+        # whatever block, window or sigma its neighbours bring, bit for bit
+        di, sigma, y = call
+        flat = np.ravel(y)
+        rng = np.random.default_rng(seed)
+        sigmas = sigma * rng.choice([0.5, 1.0, 3.0], flat.size)
+        together = mixture_log_pdf(di, sigmas, flat)
+        assert np.array_equal(mixture_log_pdf(di, sigma, y), mixture_log_pdf(di, np.full(np.shape(y), sigma), y))
+        for i in rng.choice(flat.size, min(flat.size, 12), replace=False).tolist():
+            assert together[i] == mixture_log_pdf(di, sigmas[i], flat[i])
+
     def test_far_values_use_every_atom(self):
         # 500 sigma outside the atoms no window holds an atom: every block
         # must fall back to the full sum, and stay finite
@@ -234,12 +295,14 @@ class TestMixtureLogPdf:
             "unsorted": np.random.default_rng(0).uniform(-10.0, 1010.0, 7650),
             "far": np.linspace(1500.0, 1600.0, 3000),
         }[case]
-        shapes, windows = [], []
+        shapes, spans, windows = [], [], []
         exponents, window = oracle._exponents, oracle._window
 
         def recording_exponents(*args):
             out = exponents(*args)
             shapes.append(out.shape)
+            first = int(np.searchsorted(di.atoms, args[1][0]))
+            spans.append((first, first + args[1].size))
             return out
 
         monkeypatch.setattr(oracle, "_exponents", recording_exponents)
@@ -250,7 +313,10 @@ class TestMixtureLogPdf:
         assert len(windows) == blocks  # one window per block
         assert all(r * k <= oracle._BLOCK_ELEMENTS for r, k in shapes)
         assert {r for r, _ in shapes} == {rows, y.size - (blocks - 1) * rows}
-        if case != "sorted":
+        # windows are whole chunks of atoms counted from the first
+        chunk = oracle._CHUNK_ATOMS
+        assert all(first % chunk == 0 and (last % chunk == 0 or last == 2001) for first, last in spans)
+        if case == "far":
             assert all(k == 2001 for _, k in shapes)
         np.testing.assert_allclose(got, reference_log_pdf(di, 1.0, y), rtol=1e-15, atol=1e-15)
 
@@ -330,6 +396,85 @@ class TestMiDiscrete:
         assert mi_discrete(di, 1.0) == mi_discrete(di, 1.0)
 
 
+class TestSigmaBatch:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        rate_inputs(),
+        st.lists(st.one_of(st.sampled_from([0.5, 1.0, 3.0]), st.floats(0.2, 8.0)), min_size=1, max_size=6),
+    )
+    @example(DiscreteInput(np.array([2.0]), np.array([1.0])), [1.0, 0.5, 1.0, 1.0])
+    @example(DiscreteInput.from_esdu(EsduInput(10.0, 21)), [0.2, 0.2, 8.0])
+    def test_element_equals_its_one_sigma_call(self, di, sigmas):
+        batch = mi_discrete(di, np.array(sigmas))
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(sigmas),)
+        for value, sigma in zip(batch.tolist(), sigmas):
+            alone = mi_discrete(di, sigma)
+            assert isinstance(alone, float)
+            assert value == alone
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.floats(0.0, 40.0), st.integers(1, 40), st.floats(0.3, 5.0))
+    def test_half_support_agrees_with_the_full_integral(self, span, levels, sigma):
+        di = DiscreteInput.from_esdu(EsduInput(span if levels > 1 else 0.0, levels))
+        lo, hi = di.atoms[0] - 10.0 * sigma, di.atoms[-1] + 10.0 * sigma
+        full = _adaptive_integral(entropy_integrand(di, sigma), lo, hi, sigma) - noise_entropy(sigma)
+        assert mi_discrete(di, sigma) == pytest.approx(full, abs=QuadratureSpec().absolute_tolerance)
+
+    def test_asymmetric_input_integrates_its_full_support(self, monkeypatch):
+        nodes = []
+        inner = oracle.mixture_log_pdf
+        monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: nodes.append(np.size(y)) or inner(inp, s, y))
+        di = DiscreteInput(np.array([0.0, 1.0, 3.0]), np.full(3, 1 / 3))
+        mi_discrete(di, 1.0)
+        assert nodes[0] == 12 * 15  # 12 panels over [-10, 13]
+
+    def test_rejects_a_sigma_array_of_more_than_one_dimension(self):
+        with pytest.raises(ValueError, match="1-D"):
+            mi_discrete(DiscreteInput.from_esdu(EsduInput(1.0, 3)), np.ones((2, 2)))
+
+    def test_fails_at_its_first_failing_element(self, monkeypatch):
+        # with no refinement, 0.3 and 0.2 fail; 1.0 and 2.0 settle in one round
+        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        di = DiscreteInput.from_esdu(EsduInput(10.0, 21))
+        assert mi_discrete(di, np.array([1.0, 2.0])).tolist() == [mi_discrete(di, 1.0), mi_discrete(di, 2.0)]
+        with pytest.raises(ConvergenceError) as batch:
+            mi_discrete(di, np.array([1.0, 0.3, 2.0, 0.2]))
+        with pytest.raises(ConvergenceError) as alone:
+            mi_discrete(di, 0.3)
+        assert batch.value.index == 1
+        assert str(batch.value) == str(alone.value)
+        assert math.isnan(batch.value.previous_estimate) and math.isnan(alone.value.previous_estimate)
+        assert batch.value.last_estimate == alone.value.last_estimate
+
+    def test_budget_splits_a_batch_without_changing_any_element(self, monkeypatch):
+        di = DiscreteInput.from_esdu(EsduInput(30.0, 31))
+        sigmas = np.array([0.5, 1.0, 2.0, 0.7])  # 20, 13, 9 and 16 first-round panels
+        want = mi_discrete(di, sigmas)
+        rounds = []
+        inner = oracle.mixture_log_pdf
+        monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: rounds.append(len(y)) or inner(inp, s, y))
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 40)
+        assert mi_discrete(di, sigmas).tolist() == want.tolist()
+        # rounds of at most 40 panels: the first two elements, then what is left
+        assert rounds[0] == 33 and max(rounds) <= 40
+
+    def test_element_over_the_backstop_fails_as_it_would_alone(self, monkeypatch):
+        # the 0.02-wide spike needs more than 8 panels; the wide ones do not
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 8)
+
+        def integrate(widths):
+            n = len(widths)
+            return _adaptive_integrals(spikes(widths), np.full(n, -1.0), np.full(n, 1.0), np.ones(n), 1e-12)
+
+        assert integrate([1.0, 1.0]).tolist() == integrate([1.0]).tolist() * 2
+        with pytest.raises(ConvergenceError, match="did not converge") as batch:
+            integrate([1.0, 0.02, 1.0])
+        with pytest.raises(ConvergenceError) as alone:
+            integrate([0.02])
+        assert (batch.value.index, alone.value.index) == (1, 0)
+        assert str(batch.value) == str(alone.value)
+
+
 class TestMiUniform:
     def test_zero_peak(self):
         assert mi_uniform(P2pChannel(0.0, 1.0)) == 0.0
@@ -379,8 +524,9 @@ class TestKronrodRule:
 
         monkeypatch.setattr(oracle, "mixture_log_pdf", counting)
         mi_discrete(DiscreteInput.from_esdu(EsduInput(10.0, 21)), 1.0)
-        # 15 panels of 2 sigma over [-10, 20], all accepted in the first round
-        assert sum(nodes) == 15 * 15
+        # the input is its own mirror image: 8 panels of 1.875 sigma over the
+        # lower half [-10, 5], all accepted in the first round
+        assert sum(nodes) == 8 * 15
 
 
 class TestAdaptiveIntegral:

@@ -10,7 +10,7 @@ from scipy.spatial import ConvexHull
 from esdurate import region as region_module
 
 from esdurate.esdu import EsduInput, f_lower
-from esdurate.oracle import ConvergenceError
+from esdurate.oracle import ConvergenceError, DiscreteInput, mi_discrete
 from esdurate.region import (
     DEFAULT_DELTA0_GRID,
     BcChannel,
@@ -139,6 +139,57 @@ class TestInnerPoints:
         assert silent1.r1 <= 1e-10  # quadrature residual of a one-atom input
         silent2 = exact_inner_point(CH15, SplitConfig(5, 1))
         assert silent2.r2 == 0.0  # identical integrals cancel exactly
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.floats(0.5, 60.0), st.integers(2, 40), st.floats(0.3, 4.0))
+    def test_normalized_rate_matches_the_direct_rate(self, peak, levels, sigma):
+        # with k2 = 1, r1 is the rate of EsduInput(peak, levels) at sigma1,
+        # taken from EsduInput(levels - 1, levels) at sigma*(levels - 1)/peak
+        point = exact_inner_point(BcChannel(peak, sigma, sigma), SplitConfig(levels, 1))
+        direct = mi_discrete(DiscreteInput.from_esdu(EsduInput(peak, levels)), sigma)
+        assert point.r1 == pytest.approx(direct, abs=1e-12)
+        # the composite is user 1's alphabet again, its span perhaps an ulp off
+        assert point.r2 == pytest.approx(0.0, abs=1e-12)
+
+    def test_rates_go_to_the_oracle_per_alphabet_size(self, monkeypatch):
+        calls = []
+        inner = region_module.mi_discrete
+
+        def recording(inp, sigma, quad):
+            calls.append((inp.atoms.tolist(), sigma.tolist()))
+            return inner(inp, sigma, quad)
+
+        monkeypatch.setattr(region_module, "mi_discrete", recording)
+        rates = {}
+        exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])), None, rates)
+        # K = 3 (splits 0 and 2, at sigma1 then sigma2), K = 12 (one composite
+        # rate shared by splits 0 and 1), K = 2, K = 15; atoms 0..K-1
+        assert [(len(atoms), len(sigmas)) for atoms, sigmas in calls] == [(3, 4), (12, 1), (2, 2), (15, 1)]
+        assert all(atoms == list(range(len(atoms))) for atoms, _ in calls)
+        assert calls[0][1] == [CH15.sigma1 * 2 / (2 * CH15.peak / 11), 2 * 2 / (2 * CH15.peak / 11),
+                               CH15.sigma1 * 2 / (2 * CH15.peak / 14), 2 * 2 / (2 * CH15.peak / 14)]
+        assert len(rates) == 8
+        exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])), None, rates)
+        assert len(calls) == 4  # every rate reused
+
+    def test_batch_names_the_first_split_that_needs_a_failing_rate(self, monkeypatch):
+        inner = region_module.mi_discrete
+
+        def failing(inp, sigma, quad):
+            # K = 3 fails at its third rate (split 2 at sigma1); K = 2 at its
+            # first (split 1 at sigma1), though K = 3 goes to the oracle first
+            bad = {3: 2, 2: 0}.get(inp.atoms.size)
+            if bad is not None:
+                raise ConvergenceError(f"K={inp.atoms.size} did not settle", 0.1, 0.2, index=bad)
+            return inner(inp, sigma, quad)
+
+        monkeypatch.setattr(region_module, "mi_discrete", failing)
+        with pytest.raises(ConvergenceError, match="^K=2 did not settle") as err:
+            exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])))
+        assert (err.value.split.k1, err.value.split.k2) == (2, 6)
+        with pytest.raises(ConvergenceError, match="^K=3 did not settle") as err:
+            exact_inner_point(CH15, SplitConfig(np.array([3, 3]), np.array([4, 5])))
+        assert (err.value.split.k1, err.value.split.k2) == (3, 5)
 
     def test_analytic_dominated_by_exact(self):
         for k1, k2 in [(2, 6), (5, 3), (12, 1), (1, 12), (3, 4)]:
@@ -322,7 +373,7 @@ class TestSweep:
         inner = region_module.mi_discrete
 
         def counting(inp, sigma, quad):
-            calls.append((tuple(inp.atoms), sigma))
+            calls.extend((tuple(inp.atoms), s) for s in sigma.tolist())
             return inner(inp, sigma, quad)
 
         monkeypatch.setattr(region_module, "mi_discrete", counting)
@@ -363,16 +414,34 @@ class TestSweep:
 
     def test_exact_sweep_names_the_split_that_fails(self, monkeypatch):
         inner = region_module.mi_discrete
+        # the rates of user 1's 5-level alphabets at sigma1, normalized to
+        # atoms 0..4: splits (5, 3) at delta0 = 3 and (5, 1) at delta0 = 2
+        at_sigma1 = {4.0 / SplitConfig(5, k2).user1_input(CH15.peak).span for k2 in (3, 1)}
 
         def failing(inp, sigma, quad):
-            if inp.atoms.size == 5 and sigma == 1.0:
-                raise ConvergenceError("did not settle", 0.1, 0.2)
+            bad = [i for i, s in enumerate(sigma.tolist()) if inp.atoms.size == 5 and s in at_sigma1]
+            if bad:
+                raise ConvergenceError("did not settle", 0.1, 0.2, index=bad[0])
             return inner(inp, sigma, quad)
 
         monkeypatch.setattr(region_module, "mi_discrete", failing)
         with pytest.raises(ConvergenceError, match=r"^split k1=5, k2=3 \(delta0=3\): did not settle") as err:
             sweep_inner(CH15, SweepConfig(delta0_grid=(3.0, 2.0)), "exact")
         assert (err.value.previous_estimate, err.value.last_estimate) == (0.1, 0.2)
+
+    def test_exact_sweep_memory(self):
+        # the largest bc-exact channel: 539 cells, 389 density calls of at
+        # most 64,350 (node, atom) pairs; traced peak 1.3 MB (1.8 MB one
+        # rate at a time)
+        ch = BcChannel(db_to_amplitude_ratio(18.5), 1.0, 10.0)
+        sweep_inner(ch, mode="exact")
+        tracemalloc.start()
+        try:
+            sweep_inner(ch, mode="exact")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6
 
     def test_analytic_sweep_memory(self):
         # 7,221 cells and 4,842 splits at 30 dB; an N x d matrix of the f3
