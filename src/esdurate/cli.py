@@ -18,11 +18,12 @@ from datetime import datetime, timezone
 from . import __version__
 from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
-    MAX_REFINEMENTS, MC_GENERATOR, SUPPORT_PADDING, ConvergenceError, DiscreteInput, QuadratureSpec,
-    _padded_support, mi_discrete, mi_monte_carlo,
+    MAX_REFINEMENTS, MC_GENERATOR, MIN_MC_SAMPLES, SUPPORT_PADDING, ConvergenceError, DiscreteInput,
+    QuadratureSpec, _padded_support, mi_discrete, mi_monte_carlo,
 )
 from .region import (
-    BcChannel, RateRegion, SweepConfig, SweepLimitError, outer_region, sweep_alphabet_sizes, sweep_inner,
+    MAX_RHO_STEPS, BcChannel, RateRegion, SweepConfig, SweepLimitError, outer_region, sweep_alphabet_sizes,
+    sweep_inner,
 )
 from .special import db_to_amplitude_ratio
 from .uniform import P2pChannel, c_lower, c_upper, e_cap
@@ -198,10 +199,22 @@ def _check_span(span: float, sigma: float, flags: str) -> None:
 def _check_rho_steps(rho_steps: int) -> None:
     if rho_steps < 2:
         raise UsageError(f"--rho-steps must be >= 2, got {rho_steps}")
+    if rho_steps > MAX_RHO_STEPS:
+        raise UsageError(f"--rho-steps must be at most {MAX_RHO_STEPS}, got {rho_steps}")
+
+
+def _quadrature(args) -> QuadratureSpec:
+    """The oracle tolerance of --quad-tol; a usage error naming it if invalid."""
+    try:
+        return QuadratureSpec(absolute_tolerance=args.quad_tol)
+    except ValueError as exc:
+        raise UsageError(f"--quad-tol {args.quad_tol!r}: {exc}") from None
 
 
 def _resolve_peak(args, sigma_ref: float) -> float:
     if _one_of(args, "--peak", "--peak-db") == "--peak":
+        if not (math.isfinite(args.peak) and args.peak >= 0.0):
+            raise UsageError(f"--peak must be finite and >= 0, got {args.peak!r}")
         return args.peak
     return _peak_from_db(args.peak_db, sigma_ref, "--peak-db")
 
@@ -235,7 +248,7 @@ def _write(args, writer) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_p2p_bounds(args) -> int:
-    quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
+    quad = _quadrature(args)
     sigma = args.sigma
     for flag, value in (("--sigma", sigma), ("--delta0", args.delta0)):
         if not (math.isfinite(value) and value > 0.0):
@@ -264,7 +277,7 @@ def cmd_p2p_bounds(args) -> int:
             continue
         ch = P2pChannel(peak, sigma)
         inp = EsduInput(peak, levels)
-        mi = mi_discrete(DiscreteInput.from_esdu(inp), sigma, quad)
+        mi = mi_discrete(inp, sigma, quad)
         rows.append([
             db, levels, c_lower(ch), c_upper(ch), e_cap(ch),
             f1(inp, sigma), f2(inp, sigma), f3(inp, sigma), f_lower(inp, sigma),
@@ -285,18 +298,24 @@ def cmd_p2p_bounds(args) -> int:
 
 
 def cmd_esdu_rate(args) -> int:
-    caps = (("--levels", args.levels, MAX_LEVELS), ("--mc-samples", args.mc_samples, MAX_MC_SAMPLES))
-    for flag, value, cap in caps:
-        if value is not None and value > cap:
-            raise UsageError(f"{flag} must be at most {cap}, got {value}")
-    quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
+    if args.levels > MAX_LEVELS:
+        raise UsageError(f"--levels must be at most {MAX_LEVELS}, got {args.levels}")
+    if args.mc_samples is not None:
+        if not MIN_MC_SAMPLES <= args.mc_samples <= MAX_MC_SAMPLES:
+            raise UsageError(f"--mc-samples must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}], got {args.mc_samples}")
+        if args.seed < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    quad = _quadrature(args)
     sigma = args.sigma
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise UsageError(f"--sigma must be finite and > 0, got {sigma!r}")
-    inp = EsduInput(args.span, args.levels)
+    try:
+        inp = EsduInput(args.span, args.levels)
+    except ValueError as exc:
+        raise UsageError(f"--span {args.span:g} with --levels {args.levels}: {exc}") from None
     _check_span(inp.span, sigma, f"--span {inp.span:g} with --sigma {sigma:g}")
     degenerate = inp.levels < 2 or inp.span == 0.0
-    mi = mi_discrete(DiscreteInput.from_esdu(inp), sigma, quad)
+    mi = mi_discrete(inp, sigma, quad)
     columns = ["span", "levels", "sigma", "xi", "f1", "f2", "f3", "f_lower", "owb",
                "g_upper", "mi_exact"]
     row = [
@@ -336,7 +355,7 @@ def _bc_common(args) -> tuple[BcChannel, SweepConfig]:
     sigma1, sigma2 = _resolve_sigmas(args)
     peak = _resolve_peak(args, sigma1)
     ch = BcChannel(peak, sigma1, sigma2)
-    quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
+    quad = _quadrature(args)
     grid = tuple(_parse_grid(args.delta0_grid, "--delta0-grid"))
     cfg = SweepConfig(delta0_grid=grid, rho_steps=args.rho_steps, quadrature=quad)
     return ch, cfg
@@ -371,7 +390,11 @@ def cmd_bc_region(args, mode: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    quad = QuadratureSpec(absolute_tolerance=args.quad_tol)
+    quad = _quadrature(args)
+    for flag in ("--sandwich-tol", "--dominance-tol", "--containment-tol"):
+        tolerance = getattr(args, flag[2:].replace("-", "_"))
+        if not (math.isfinite(tolerance) and tolerance >= 0.0):
+            raise UsageError(f"{flag} must be finite and >= 0, got {tolerance!r}")
     db_grid = _parse_grid(args.peak_db_grid, "--peak-db-grid")
     sigma_ratios = _parse_grid(args.sigma_ratios, "--sigma-ratios")
     delta0_grid = _parse_grid(args.delta0_grid, "--delta0-grid")

@@ -82,20 +82,11 @@ class EsduInput:
         return self.span / (self.levels - 1)
 
     def atoms(self) -> list[float]:
-        """Positions of the levels, ascending and mirror-exact: atoms[i] +
-        atoms[-1-i] == span in float64 for every i.
-
-        The lower half is i*step rounded to a multiple of the spacing of
-        floats at span, so span minus it is exact; the upper half is that
-        difference, and an odd K's middle level is span/2.
-        """
+        """Positions of the levels, ascending."""
         if self.levels == 1:
             return [0.0]
         step = self.span / (self.levels - 1)
-        unit = np.spacing(self.span)
-        lower = np.round(np.arange(self.levels // 2) * step / unit) * unit
-        middle = [0.5 * self.span] if self.levels % 2 else []
-        return np.concatenate([lower, middle, self.span - lower[::-1]]).tolist()
+        return [i * step for i in range(self.levels)]
 
 
 #: Largest alphabet alphabet_size hands out: 50 times the K = 2001 of a 30 dB

@@ -10,10 +10,12 @@ the closed-form bounds it is used to validate.
 
 mi_discrete takes one noise width or a 1-D array of them: the rates of one
 input at several widths, integrated in lockstep, one density call per round.
-An input that is its own mirror image (masses equal to their reverse, atom
-sums atoms[i] + atoms[-1-i] all equal in float64) has an output density
-symmetric about its midpoint, so its entropy integral runs over the lower
-half at half the tolerance and is doubled.
+It is also the one path to the exact rate of an EsduInput (or a batch),
+taken from its alphabet rescaled to the integers 0..K-1.  An input that is
+its own mirror image (masses equal to their reverse, atom sums atoms[i] +
+atoms[-1-i] all equal in float64) has an output density symmetric about its
+midpoint, so its entropy integral runs over the lower half at half the
+tolerance and is doubled.
 
 The mixture density behind h(Y) works in fixed blocks of at most 2^16
 (y, atom) pairs, 512 KiB per float64 temporary, whatever the number of nodes
@@ -86,6 +88,10 @@ SUPPORT_PADDING = 10.0
 #: panels (750,150 nodes, 6 MB per float64 node array); at the default
 #: tolerance an input this wide already stops at the round-off level.
 MAX_SPAN_SIGMAS = 1e5
+#: Narrowest ESDU input, in noise widths, that mi_discrete scales to the
+#: integers: a narrower one, of rate under 0.5*log2(1 + 1e-16/4) < 2e-17
+#: bits, is one atom, and no scaled noise width nears float64 overflow.
+MIN_SPAN_SIGMAS = 1e-8
 #: Bisection rounds before the integral gives up: 30 halvings take a 2-sigma
 #: panel below 1e-8 sigma, yet typical calls settle in the first round.
 MAX_REFINEMENTS = 30
@@ -95,6 +101,8 @@ _MAX_PANELS = 2_000_000
 
 #: Bit generator behind numpy's default_rng; period 2^128, seeded explicitly.
 MC_GENERATOR = "numpy-pcg64"
+#: Fewest samples mi_monte_carlo averages.
+MIN_MC_SAMPLES = 10_000
 
 
 class ConvergenceError(RuntimeError):
@@ -154,8 +162,7 @@ class DiscreteInput:
 
     @classmethod
     def from_esdu(cls, inp: EsduInput) -> "DiscreteInput":
-        """Convert an ESDU input; a zero span collapses to one atom at 0.  The
-        atoms are EsduInput.atoms(), mirror-exact."""
+        """Convert an ESDU input; a zero span collapses to one atom at 0."""
         if inp.span == 0.0:
             return cls(np.array([0.0]), np.array([1.0]))
         atoms = np.asarray(inp.atoms(), dtype=float)
@@ -373,26 +380,63 @@ def noise_entropy(sigma):
     return as_result(0.5 * np.log2(TWO_PI_E * np.square(sigma)))
 
 
-def mi_discrete(inp: DiscreteInput, sigma, quad: QuadratureSpec | None = None):
+def mi_discrete(inp: DiscreteInput | EsduInput, sigma, quad: QuadratureSpec | None = None):
     """Mutual information I(X; X+Z) in bits for finite-support X, Z ~ N(0, sigma^2).
 
-    sigma is one noise width, giving a float, or a 1-D array of them, giving
-    the array of rates: the integrals run in lockstep (see
-    _adaptive_integrals), each element bit-identical to a call with its
-    sigma alone.  A ConvergenceError names the first failing element as its
-    `index`.  A mirror-symmetric input (see the module docstring) integrates
-    its lower half at half the tolerance and doubles it.
+    A DiscreteInput takes one noise width, giving a float, or a 1-D array of
+    them, integrated in lockstep (see _adaptive_integrals), each element
+    bit-identical to its call alone; a mirror-symmetric input (see the module
+    docstring) integrates its lower half at half the tolerance, doubled.  An
+    EsduInput or batch broadcasts against sigma: K levels over span S have
+    the rate of the integers 0..K-1 at sigma*(K - 1)/S (one level, or a span
+    under MIN_SPAN_SIGMAS, is one atom at sigma), one lockstep call per K
+    integrating each distinct scaled sigma once, in order of first need.
 
-    The value is not clamped; a deterministic input comes back as a residual
-    of quadrature size (|I| <= tolerance) rather than an exact 0.
+    sigma and the span cap are checked on the caller's values.  A
+    ConvergenceError names the first failing element, in flat order, as its
+    `index`.  The value is not clamped; a deterministic input comes back as a
+    residual of quadrature size (|I| <= tolerance) rather than an exact 0.
     """
     _check_sigma(sigma)
+    tolerance = (quad if quad is not None else QuadratureSpec()).absolute_tolerance
+    if isinstance(inp, EsduInput):
+        return _mi_esdu(inp, sigma, tolerance)
     sigmas = np.asarray(sigma, dtype=float)
     if sigmas.ndim > 1:
         raise ValueError(f"sigma must be a number or a 1-D array, got shape {sigmas.shape}")
-    sigmas = sigmas.reshape(-1)
+    _padded_support(inp.atoms[0], inp.atoms[-1], sigmas)  # the span cap
+    rates = _mi_lockstep(inp, sigmas.reshape(-1), tolerance)
+    return float(rates[0]) if np.ndim(sigma) == 0 else rates
+
+
+def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
+    """mi_discrete of an ESDU input or batch."""
+    span, levels, sigmas = np.broadcast_arrays(inp.span, inp.levels, np.asarray(sigma, dtype=float))
+    _padded_support(0.0, span, sigmas)  # the span cap
+    live = (levels > 1) & (span > MIN_SPAN_SIGMAS * sigmas)
+    scaled = np.where(live, sigmas * (levels - 1) / np.where(live, span, 1.0), sigmas)
+    keys = list(zip(np.where(live, levels, 1).ravel().tolist(), scaled.ravel().tolist()))
+    groups: dict[int, list[float]] = {}
+    for k, s in dict.fromkeys(keys):  # the distinct keys, in order of first need
+        groups.setdefault(k, []).append(s)
+    rates, failures = {}, []
+    for k, group in groups.items():
+        integers = DiscreteInput(np.arange(k, dtype=float), np.full(k, 1.0 / k))
+        try:
+            rates.update(zip([(k, s) for s in group], _mi_lockstep(integers, np.array(group), tolerance).tolist()))
+        except ConvergenceError as exc:
+            exc.index = keys.index((k, group[exc.index]))
+            failures.append(exc)
+    if failures:
+        raise min(failures, key=lambda exc: exc.index)
+    return as_result(np.array([rates[key] for key in keys]).reshape(span.shape))
+
+
+def _mi_lockstep(inp: DiscreteInput, sigmas: np.ndarray, tolerance: float) -> np.ndarray:
+    """The rates of one input at a 1-D array of noise widths, integrated in
+    lockstep; the span cap is the caller's to check."""
     atoms, masses = inp.atoms, inp.masses
-    lo, hi = _padded_support(float(atoms[0]), float(atoms[-1]), sigmas)
+    lo, hi = atoms[0] - SUPPORT_PADDING * sigmas, atoms[-1] + SUPPORT_PADDING * sigmas
     mirrored = np.array_equal(masses, masses[::-1]) and bool(np.all(atoms + atoms[::-1] == atoms[0] + atoms[-1]))
     if mirrored:
         hi = np.full(sigmas.size, 0.5 * (atoms[0] + atoms[-1]))
@@ -403,10 +447,8 @@ def mi_discrete(inp: DiscreteInput, sigma, quad: QuadratureSpec | None = None):
         with np.errstate(invalid="ignore"):
             return np.where(p > 0.0, -p * lp * _LOG2_E, 0.0)
 
-    tolerance = (quad if quad is not None else QuadratureSpec()).absolute_tolerance
     h_out = _adaptive_integrals(integrand, lo, hi, sigmas, tolerance, 2 if mirrored else 1)
-    rates = h_out - noise_entropy(sigmas)
-    return float(rates[0]) if np.ndim(sigma) == 0 else rates
+    return h_out - noise_entropy(sigmas)
 
 
 def uniform_output_pdf(ch, y):
@@ -465,10 +507,10 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
 
     Averages -log2 p(X_i + Z_i) over seeded draws and subtracts the noise
     entropy.  The per-sample values also yield the standard error of the
-    estimator.  Requires at least 1e4 samples.
+    estimator.  Requires at least MIN_MC_SAMPLES samples.
     """
-    if samples < 10_000:
-        raise ValueError("mi_monte_carlo needs at least 10000 samples")
+    if samples < MIN_MC_SAMPLES:
+        raise ValueError(f"mi_monte_carlo needs at least {MIN_MC_SAMPLES} samples")
     _check_sigma(sigma)
     rng = np.random.default_rng(seed)
     # noise added in place: two arrays of the sample size live at once, not four

@@ -12,12 +12,12 @@ polygons anchored at the origin, listed counter-clockwise from (0, 0).
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
 from .esdu import EsduInput, alphabet_size, f_lower, g_upper
-from .oracle import ConvergenceError, DiscreteInput, QuadratureSpec, mi_discrete
+from .oracle import ConvergenceError, QuadratureSpec, mi_discrete
 from .special import every, is_integer
 from .uniform import P2pChannel, c_upper
 
@@ -25,8 +25,9 @@ DEFAULT_DELTA0_GRID = tuple(0.5 * i for i in range(1, 21))
 #: Most cells split_schedule enumerates: nearly 14 times the 7,221 of the
 #: default grid at 30 dB.
 MAX_SWEEP_CELLS = 100_000
-
-_Rate = Callable[[EsduInput, float], float]
+#: Most auxiliary-parameter steps of the outer bound: about 500 times the
+#: default of 201; its corners and hull take a few MB.
+MAX_RHO_STEPS = 100_000
 
 
 class SweepLimitError(ValueError):
@@ -147,100 +148,42 @@ class SweepConfig:
         if any(not (math.isfinite(d) and d > 0.0) for d in grid):
             raise ValueError("delta0_grid entries must be finite and > 0")
         object.__setattr__(self, "delta0_grid", grid)
-        if self.rho_steps < 2:
-            raise ValueError("rho_steps must be >= 2")
+        if not 2 <= self.rho_steps <= MAX_RHO_STEPS:
+            raise ValueError(f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {self.rho_steps!r}")
 
 
 def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair | list[RatePair]:
     """Analytic superposition point of one split, or the points of a batch
-    of splits in batch order: _superposition_point with the closed-form lower
-    bound f_lower and upper bound g_upper, each called once for the batch."""
-    return _superposition_point(ch, split, f_lower, g_upper)
+    of splits in batch order, each bound called once for the batch.
+
+    User 1 gets the lower bound f_lower of its sub-alphabet at sigma1; user 2
+    gets f_lower of the composite alphabet at sigma2 minus the upper bound
+    g_upper of user 1's sub-alphabet at sigma2 (the rate the weak receiver
+    must spend decoding around user 1's signal).  Both components clamp at 0.
+    """
+    user1 = split.user1_input(ch.peak)
+    r1 = f_lower(user1, ch.sigma1)
+    r2 = f_lower(split.composite_input(ch.peak), ch.sigma2) - g_upper(user1, ch.sigma2)
+    return _rate_pairs(r1, r2)
 
 
 def exact_inner_point(
-    ch: BcChannel,
-    split: SplitConfig,
-    quad: QuadratureSpec | None = None,
-    rates: dict[tuple[int, float], float] | None = None,
+    ch: BcChannel, split: SplitConfig, quad: QuadratureSpec | None = None
 ) -> RatePair | list[RatePair]:
-    """Oracle version of analytic_inner_point with exact mutual informations,
-    for one split or a batch of splits: _superposition_point, run once to
-    list the rates each split needs and once to read them.
-
-    Each rate is taken from a normalized input: K levels over span S at
-    sigma have the rate of EsduInput(K - 1, K), whose atoms are the integers
-    0..K-1, at sigma*(K - 1)/S (a one-level or zero-span input is one atom
-    at its own sigma).  The rates still missing go to mi_discrete as one
-    sigma array per alphabet size K, in the order the splits first need
-    them.  rates, when given, holds mi_discrete per (K, normalized sigma) and
-    is filled in place, so splits that share a rate reuse it; sweep_inner
-    passes one dictionary per sweep.  A ConvergenceError carries, as its
-    `split` attribute, the first split of the batch that needs a failing
-    rate: the split a split-by-split evaluation would have failed on.
+    """Oracle version of analytic_inner_point, the exact rate in place of
+    both bounds, for one split or a batch: one mi_discrete call on the three
+    rates of each split in turn, so a shared rate is integrated once.  A
+    ConvergenceError's `index` is the first split that needs a failing rate.
     """
-    rates = rates if rates is not None else {}
-    needs: list[list[tuple[int, float]]] = []  # keys of each rate of each split
-
-    def need(inp: EsduInput, sigma: float) -> float:
-        needs.append(_rate_keys(inp, sigma))
-        return 0.0
-
-    _superposition_point(ch, split, need, need)
-    first_need: dict[tuple[int, float], int] = {}
-    for position, key in enumerate(key for row in zip(*needs) for key in row):  # split by split
-        if key not in rates:
-            first_need.setdefault(key, position)
-    groups: dict[int, list[float]] = {}
-    for k, sigma in first_need:
-        groups.setdefault(k, []).append(sigma)
-    failures = []
-    for k, group in groups.items():
-        inp = DiscreteInput.from_esdu(EsduInput(float(k - 1), k))
-        try:
-            values = mi_discrete(inp, np.array(group), quad)
-        except ConvergenceError as exc:
-            failures.append((first_need[(k, group[exc.index])], exc))
-            continue
-        rates.update(((k, sigma), value) for sigma, value in zip(group, values.tolist()))
-    if failures:
-        position, exc = min(failures, key=lambda failure: failure[0])
-        row = position // len(needs)
-        exc.split = SplitConfig(*(int(np.ravel(v)[row]) for v in (split.k1, split.k2)))
-        raise exc
-
-    def rate(inp: EsduInput, sigma: float):
-        values = [rates[key] for key in _rate_keys(inp, sigma)]
-        return values[0] if np.ndim(inp.levels) == 0 else np.array(values)
-
-    return _superposition_point(ch, split, rate, rate)
-
-
-def _rate_keys(inp: EsduInput, sigma: float) -> list[tuple[int, float]]:
-    """(K, sigma*(K - 1)/S) of each input of a batch, in order, or of one
-    input: the key of its rate in exact_inner_point; (1, sigma) for one level
-    or a zero span."""
-    levels, span = np.broadcast_arrays(inp.levels, inp.span)
-    live = (levels > 1) & (span > 0.0)
-    scaled = np.where(live, sigma * (levels - 1) / np.where(live, span, 1.0), sigma)
-    return list(zip(np.where(live, levels, 1).ravel().tolist(), scaled.ravel().tolist()))
-
-
-def _superposition_point(
-    ch: BcChannel, split: SplitConfig, lower: _Rate, upper: _Rate
-) -> RatePair | list[RatePair]:
-    """Superposition point of one split, or the points of a batch, from rates
-    of (input, sigma).
-
-    User 1 gets the lower rate of its sub-alphabet at sigma1; user 2 gets the
-    lower rate of the composite alphabet at sigma2 minus the upper rate of
-    user 1's sub-alphabet at sigma2 (the rate the weak receiver must spend
-    decoding around user 1's signal).  Both components clamp at 0.
-    """
-    user1 = split.user1_input(ch.peak)
-    r1 = lower(user1, ch.sigma1)
-    r2 = lower(split.composite_input(ch.peak), ch.sigma2) - upper(user1, ch.sigma2)
-    return _rate_pairs(r1, r2)
+    user1, composite = split.user1_input(ch.peak), split.composite_input(ch.peak)
+    span = np.stack(np.broadcast_arrays(user1.span, composite.span, user1.span), axis=-1)
+    levels = np.stack(np.broadcast_arrays(user1.levels, composite.levels, user1.levels), axis=-1)
+    try:
+        rates = mi_discrete(EsduInput(span, levels), np.array([ch.sigma1, ch.sigma2, ch.sigma2]), quad)
+    except ConvergenceError as exc:
+        exc.index //= 3
+        raise
+    return _rate_pairs(rates[..., 0], rates[..., 1] - rates[..., 2])
 
 
 def _rate_pairs(r1, r2) -> RatePair | list[RatePair]:
@@ -322,9 +265,9 @@ def sweep_inner(
             points = analytic_inner_point(ch, batch)
         else:
             try:
-                points = exact_inner_point(ch, batch, cfg.quadrature, {})
+                points = exact_inner_point(ch, batch, cfg.quadrature)
             except ConvergenceError as exc:
-                k1, k2 = exc.split.k1, exc.split.k2
+                k1, k2 = (int(k[exc.index]) for k in (batch.k1, batch.k2))
                 raise ConvergenceError(
                     f"split k1={k1}, k2={k2} (delta0={first_delta0[(k1, k2)]:g}): {exc}",
                     exc.previous_estimate,

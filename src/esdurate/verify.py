@@ -49,7 +49,7 @@ def sandwich_checks(
         for delta0 in delta0_grid:
             levels = esdu.alphabet_size(peak, delta0)
             inp = esdu.EsduInput(peak, levels)
-            rate = oracle.mi_discrete(oracle.DiscreteInput.from_esdu(inp), 1.0, quad)
+            rate = oracle.mi_discrete(inp, 1.0, quad)
             low = esdu.f_lower(inp, 1.0)
             high = esdu.g_upper(inp, 1.0)
             where = f"@ {db:g} dB, delta0={delta0:g}, K={levels}"

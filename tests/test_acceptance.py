@@ -72,8 +72,8 @@ def test_criterion_2_esdu_bound_anchors():
 
 def test_criterion_3_exact_rate_anchors():
     start = time.monotonic()
-    e1 = abs(mi_discrete(DiscreteInput.from_esdu(EsduInput(1.0, 3)), 1.0, QUAD) - 0.111166693415685)
-    e2 = abs(mi_discrete(DiscreteInput.from_esdu(EsduInput(10.0, 21)), 1.0, QUAD) - 1.59082183063296)
+    e1 = abs(mi_discrete(EsduInput(1.0, 3), 1.0, QUAD) - 0.111166693415685)
+    e2 = abs(mi_discrete(EsduInput(10.0, 21), 1.0, QUAD) - 1.59082183063296)
     elapsed = time.monotonic() - start
     report(
         "criterion 3: exact-rate oracle anchors within 1e-4",
@@ -88,7 +88,7 @@ def test_criterion_4_sandwich_full_grid():
     for db in range(21):
         for delta0 in (0.5, 1.0, 3.0, 6.0):
             inp = swept_input(db, delta0)
-            rate = mi_discrete(DiscreteInput.from_esdu(inp), 1.0, QUAD)
+            rate = mi_discrete(inp, 1.0, QUAD)
             worst = min(worst, rate - f_lower(inp, 1.0), g_upper(inp, 1.0) - rate)
     elapsed = time.monotonic() - start
     report(
@@ -173,9 +173,9 @@ def test_criterion_8_monte_carlo_cross_validation():
     grid = [(db, levels) for db in (0.0, 7.0, 13.0, 20.0) for levels in (2, 5, 21)]
     worst_ratio = 0.0
     for i, (db, levels) in enumerate(grid):
-        di = DiscreteInput.from_esdu(EsduInput(db_to_amplitude_ratio(db), levels))
-        exact = mi_discrete(di, 1.0, QUAD)
-        est = mi_monte_carlo(di, 1.0, 1_000_000, seed=1000 + i)
+        inp = EsduInput(db_to_amplitude_ratio(db), levels)
+        exact = mi_discrete(inp, 1.0, QUAD)
+        est = mi_monte_carlo(DiscreteInput.from_esdu(inp), 1.0, 1_000_000, seed=1000 + i)
         worst_ratio = max(worst_ratio, abs(est.value - exact) / est.standard_error)
     elapsed = time.monotonic() - start
     report(

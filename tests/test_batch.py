@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from esdurate.esdu import EsduInput, f1, f2, f3, f_lower, g_prime, g_upper, owb, xi
-from esdurate.oracle import DiscreteInput, mi_discrete
+from esdurate.oracle import mi_discrete
 from esdurate.uniform import P2pChannel, c_lower, c_upper, e_cap
 
 #: (span, levels, sigma) of one input; span/sigma stays within 2,000.
@@ -124,7 +124,7 @@ SMALL = st.tuples(st.floats(0.05, 30.0), st.integers(2, 12), st.floats(0.5, 2.0)
 def test_bounds_sandwich_the_exact_rate(element):
     span, levels, sigma = element
     inp = EsduInput(span, levels)
-    rate = mi_discrete(DiscreteInput.from_esdu(inp), sigma)
+    rate = mi_discrete(inp, sigma)
     # the quadrature is good to its 1e-10 absolute tolerance
     assert f_lower(inp, sigma) <= rate + 1e-9
     assert rate <= g_upper(inp, sigma) + 1e-9

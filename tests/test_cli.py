@@ -5,6 +5,7 @@ import pytest
 
 import esdurate.cli
 import esdurate.esdu
+from esdurate.region import BcChannel, SplitConfig, exact_inner_point
 from esdurate.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -369,6 +370,69 @@ class TestVerifyCommand:
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
+
+
+BASE_ARGV = {
+    "p2p-bounds": ["--peak-db", "5"],
+    "esdu-rate": ["--span", "2", "--levels", "3"],
+    "bc-inner": ["--peak-db", "10", "--sigma2-ratio", "2"],
+    "bc-outer": ["--peak-db", "10", "--sigma2-ratio", "2"],
+    "verify": [],
+}
+QUAD_TOL_RULE = "absolute_tolerance must be finite and > 0"
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["esdu-rate", "--span", "3", "--levels", "0"],
+             "--span 3 with --levels 0: levels must be an integer >= 1"),
+            (["esdu-rate", "--span", "-1", "--levels", "3"],
+             "--span -1 with --levels 3: span must be finite and >= 0"),
+            (["esdu-rate", "--span", "nan", "--levels", "3"],
+             "--span nan with --levels 3: span must be finite and >= 0"),
+            (["esdu-rate", "--span", "2", "--levels", "1"],
+             "--span 2 with --levels 1: a single-level input has no extent"),
+            (["esdu-rate", "--span", "2", "--levels", "3", "--mc-samples", "9999"],
+             "--mc-samples must be in [10000, 10000000], got 9999"),
+            (["esdu-rate", "--span", "2", "--levels", "3", "--mc-samples", "-5"],
+             "--mc-samples must be in [10000, 10000000], got -5"),
+            (["esdu-rate", "--span", "2", "--levels", "3", "--mc-samples", "10000", "--seed", "-1"],
+             "--seed must be >= 0, got -1"),
+            *[([command, *BASE_ARGV[command], "--quad-tol", tol], f"--quad-tol {value}: {QUAD_TOL_RULE}")
+              for command in BASE_ARGV for tol, value in (("0", "0.0"), ("nan", "nan"))],
+            *[([command, "--peak", peak, "--sigma2-ratio", "2"], f"--peak must be finite and >= 0, got {value}")
+              for command in ("bc-inner", "bc-outer") for peak, value in (("-1", "-1.0"), ("nan", "nan"))],
+            (["verify", "--sandwich-tol", "nan"], "--sandwich-tol must be finite and >= 0, got nan"),
+            (["verify", "--sandwich-tol=-1e-6"], "--sandwich-tol must be finite and >= 0, got -1e-06"),
+            (["verify", "--dominance-tol", "inf"], "--dominance-tol must be finite and >= 0, got inf"),
+            (["verify", "--containment-tol", "-1"], "--containment-tol must be finite and >= 0, got -1.0"),
+            (["verify", "--containment-tol", "nan"], "--containment-tol must be finite and >= 0, got nan"),
+            *[([command, *BASE_ARGV[command], "--rho-steps", steps],
+               f"--rho-steps must be at most 100000, got {steps}")
+              for command in ("bc-inner", "bc-outer", "verify") for steps in ("100001", "100000000")],
+        ],
+    )
+    def test_names_the_flag_before_any_work(self, capsys, monkeypatch, argv, message):
+        for name in ("mi_discrete", "mi_monte_carlo", "sweep_inner", "outer_region", "run_verification"):
+            monkeypatch.setattr(esdurate.cli, name, lambda *a, **k: pytest.fail(f"{name} ran"))
+        code, out, err = run_cli(capsys, argv + TS)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("span,levels,sigma", [("10", "21", "1"), ("3.7", "8", "0.3"), ("0", "5", "1")])
+    def test_esdu_rate_is_the_exact_sweep_rate(self, capsys, span, levels, sigma):
+        # one path for the exact rate of an ESDU input: with k2 = 1, r1 of a
+        # split is the rate of user 1's alphabet at sigma1
+        code, out, _ = run_cli(capsys, ["esdu-rate", "--span", span, "--levels", levels, "--sigma", sigma,
+                                        "--format", "json"] + TS)
+        assert code == EXIT_OK
+        doc = json.loads(out)["data"]
+        mi = doc["rows"][0][doc["columns"].index("mi_exact")]
+        ch = BcChannel(float(span), float(sigma), float(sigma))
+        assert mi == exact_inner_point(ch, SplitConfig(int(levels), 1)).r1
 
 
 class TestParser:

@@ -15,7 +15,7 @@ from esdurate.esdu import (
     owb,
     xi,
 )
-from esdurate.oracle import DiscreteInput, mi_discrete
+from esdurate.oracle import mi_discrete
 from esdurate.special import db_to_amplitude_ratio
 
 from anchors import F_LOWER_HALF_SIGMA_DB, G_UPPER_HALF_SIGMA_DB
@@ -200,7 +200,7 @@ class TestBoundRelations:
             peak = db_to_amplitude_ratio(db)
             for levels in (2, 3, 5, 8, 13, 21):
                 inp = EsduInput(peak, levels)
-                rate = mi_discrete(DiscreteInput.from_esdu(inp), 1.0)
+                rate = mi_discrete(inp, 1.0)
                 assert f_lower(inp, 1.0) <= rate + 1e-6
                 assert rate <= g_upper(inp, 1.0) + 1e-6
 

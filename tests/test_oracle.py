@@ -9,7 +9,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.special import logsumexp
 
 from esdurate import oracle
-from esdurate.esdu import MAX_LEVELS, EsduInput
+from esdurate.esdu import EsduInput
 from esdurate.oracle import (
     _G7_WEIGHTS,
     _K15_NODES,
@@ -149,21 +149,6 @@ class TestDiscreteInput:
         assert di.atoms.tolist() == [0.0]
         assert di.masses.tolist() == [1.0]
 
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    @given(st.floats(1e-6, 1e6), st.integers(2, MAX_LEVELS))
-    @example(1000.0, MAX_LEVELS)
-    @example(0.1, 3)
-    def test_from_esdu_atoms_are_mirror_exact(self, span, levels):
-        atoms = DiscreteInput.from_esdu(EsduInput(span, levels)).atoms
-        assert atoms.size == levels
-        assert (atoms[0], atoms[-1]) == (0.0, span)
-        assert np.all(atoms + atoms[::-1] == atoms[0] + atoms[-1])
-        assert np.all(np.diff(atoms) > 0.0)
-        # within a few ulps of span of i*span/(K-1)
-        np.testing.assert_allclose(
-            atoms, np.arange(levels) * (span / (levels - 1)), rtol=0.0, atol=4 * np.spacing(span)
-        )
-
     @pytest.mark.parametrize(
         "atoms,masses",
         [
@@ -185,9 +170,10 @@ class TestDiscreteInput:
     [
         lambda di, sigma: mixture_log_pdf(di, sigma, 0.0),
         lambda di, sigma: mi_discrete(di, sigma),
+        lambda di, sigma: mi_discrete(EsduInput(1.0, 3), sigma),
         lambda di, sigma: mi_monte_carlo(di, sigma, 10_000, 0),
     ],
-    ids=["mixture_log_pdf", "mi_discrete", "mi_monte_carlo"],
+    ids=["mixture_log_pdf", "mi_discrete", "mi_discrete-esdu", "mi_monte_carlo"],
 )
 def test_rejects_nonfinite_or_nonpositive_sigma(call, sigma):
     with pytest.raises(ValueError, match="sigma"):
@@ -199,14 +185,94 @@ def test_rejects_nonfinite_or_nonpositive_sigma(call, sigma):
     [
         lambda: mi_discrete(DiscreteInput.from_esdu(EsduInput(1e308, 3)), 1.0),
         lambda: mi_discrete(DiscreteInput.from_esdu(EsduInput(10.0, 3)), 1e-300),
+        lambda: mi_discrete(EsduInput(1e308, 3), 1.0),
+        lambda: mi_discrete(EsduInput(np.array([1.0, 10.0]), 3), np.array([1.0, 1e-300])),
         lambda: mi_uniform(P2pChannel(oracle.MAX_SPAN_SIGMAS * 1.01, 1.0)),
     ],
-    ids=["wide-span", "narrow-sigma", "uniform"],
+    ids=["wide-span", "narrow-sigma", "esdu-wide-span", "esdu-narrow-sigma", "uniform"],
 )
 def test_rejects_inputs_wider_than_the_cap_before_integrating(call, monkeypatch):
     monkeypatch.setattr(oracle, "_adaptive_integral", lambda *a, **k: pytest.fail("integral started"))
     with pytest.raises(ValueError, match=r"span/sigma = .* is more than the 100000 the oracle integrates"):
         call()
+
+
+@st.composite
+def esdu_batches(draw):
+    """Up to 6 (span, levels, sigma) elements: one-level and zero-span
+    inputs, and repeats, among them."""
+    elements = draw(st.lists(
+        st.tuples(st.floats(0.0, 30.0), st.integers(1, 30), st.sampled_from([0.3, 1.0, 2.5]) | st.floats(0.2, 5.0)),
+        min_size=1, max_size=4,
+    ))
+    elements += draw(st.lists(st.sampled_from(elements), max_size=2))
+    return [(span if levels > 1 else 0.0, levels, sigma) for span, levels, sigma in elements]
+
+
+class TestEsduInputs:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(esdu_batches())
+    @example([(10.0, 21, 1.0), (0.0, 1, 1.0), (0.0, 5, 1.0), (5.0, 11, 0.5), (10.0, 21, 1.0)])
+    @example([(2.2250738585072014e-308, 3, 2.5), (5e-177, 2, 0.3), (1e-8, 2, 1.0)])
+    def test_element_equals_its_scalar_call(self, elements):
+        span, levels, sigma = (np.array(column) for column in zip(*elements))
+        batch = mi_discrete(EsduInput(span, levels), sigma)
+        assert isinstance(batch, np.ndarray) and batch.shape == (len(elements),)
+        for value, (s, k, g) in zip(batch.tolist(), elements):
+            alone = mi_discrete(EsduInput(s, k), g)
+            assert isinstance(alone, float)
+            assert value == alone
+
+    def test_batch_broadcasts_against_sigma(self):
+        inp = EsduInput(np.array([10.0, 5.0, 0.0]), np.array([21, 11, 1]))
+        sigmas = np.array([[1.0], [2.0]])
+        rates = mi_discrete(inp, sigmas)
+        assert rates.shape == (2, 3)
+        for (i, j), value in np.ndenumerate(rates):
+            one = EsduInput(float(inp.span[j]), int(inp.levels[j]))
+            assert value == mi_discrete(one, float(sigmas[i, 0]))
+        assert mi_discrete(EsduInput(10.0, 21), np.array([1.0, 2.0])).tolist() == rates[:, 0].tolist()
+
+    def test_rate_is_that_of_the_integer_alphabet(self):
+        # K levels over span S at sigma: the integers 0..K-1 at sigma*(K-1)/S
+        integers = DiscreteInput(np.arange(8.0), np.full(8, 1 / 8))
+        assert mi_discrete(EsduInput(3.5, 8), 0.7) == mi_discrete(integers, 0.7 * 7 / 3.5)
+        # and within the tolerance of the rate of its own atoms
+        direct = mi_discrete(DiscreteInput.from_esdu(EsduInput(3.5, 8)), 0.7)
+        assert mi_discrete(EsduInput(3.5, 8), 0.7) == pytest.approx(direct, abs=1e-12)
+
+    @pytest.mark.parametrize("span", [1e-200, 0.99e-8, 1.01e-8, 1e-4])
+    def test_narrow_inputs_agree_with_their_own_atoms(self, span):
+        # below MIN_SPAN_SIGMAS one atom; above it the integers at up to 5e8 sigma
+        direct = mi_discrete(DiscreteInput.from_esdu(EsduInput(span, 6)), 1.0)
+        assert mi_discrete(EsduInput(span, 6), 1.0) == pytest.approx(direct, abs=1e-12)
+
+    def test_narrowest_input_is_one_atom(self):
+        # 5e-324/5 rounds to 0: from_esdu cannot even build the atoms
+        one_atom = mi_discrete(DiscreteInput(np.zeros(1), np.ones(1)), 1.0)
+        assert mi_discrete(EsduInput(5e-324, 6), 1.0) == one_atom
+        assert abs(one_atom) <= QuadratureSpec().absolute_tolerance
+
+    def test_batch_error_carries_the_flat_index_of_the_first_failing_element(self, monkeypatch):
+        # with no refinement, (5, 11) at 0.15 and (10, 21) at 0.3 fail; K = 21
+        # is integrated first, but the K = 11 element comes first in flat order
+        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        inp = EsduInput(np.array([[10.0, 5.0], [10.0, 5.0]]), np.array([[21, 11], [21, 11]]))
+        with pytest.raises(ConvergenceError) as batch:
+            mi_discrete(inp, np.array([[1.0, 0.15], [0.3, 1.0]]))
+        with pytest.raises(ConvergenceError) as alone:
+            mi_discrete(EsduInput(5.0, 11), 0.15)
+        assert batch.value.index == 1
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.last_estimate == alone.value.last_estimate
+
+    def test_span_cap_is_checked_on_the_callers_values(self, monkeypatch):
+        # 30 widths exactly: the scaled input, (K - 1)/(sigma*(K - 1)/S),
+        # would read 30.000000000000004
+        monkeypatch.setattr(oracle, "MAX_SPAN_SIGMAS", 30.0)
+        assert math.isfinite(mi_discrete(EsduInput(30.0, 12), 1.0))
+        with pytest.raises(ValueError, match="span/sigma = 30.003 is more than the 30 "):
+            mi_discrete(EsduInput(30.003, 12), 1.0)
 
 
 class TestMixtureLogPdf:

@@ -7,12 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from esdurate import region as region_module
+from esdurate import oracle
 
 from esdurate.esdu import EsduInput, f_lower
 from esdurate.oracle import ConvergenceError, DiscreteInput, mi_discrete
 from esdurate.region import (
     DEFAULT_DELTA0_GRID,
+    MAX_RHO_STEPS,
     BcChannel,
     RatePair,
     RateRegion,
@@ -60,6 +61,12 @@ class TestTypes:
         with pytest.raises(ValueError):
             SplitConfig(1, 1)
         SplitConfig(1, 2)
+
+    @pytest.mark.parametrize("steps", [1, MAX_RHO_STEPS + 1, 10**8])
+    def test_rho_steps_are_bounded(self, steps):
+        assert SweepConfig(rho_steps=MAX_RHO_STEPS).rho_steps == MAX_RHO_STEPS
+        with pytest.raises(ValueError, match=f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {steps}"):
+            SweepConfig(rho_steps=steps)
 
     def test_rate_pair_nonnegative(self):
         with pytest.raises(ValueError):
@@ -153,43 +160,40 @@ class TestInnerPoints:
 
     def test_rates_go_to_the_oracle_per_alphabet_size(self, monkeypatch):
         calls = []
-        inner = region_module.mi_discrete
+        inner = oracle._mi_lockstep
 
-        def recording(inp, sigma, quad):
-            calls.append((inp.atoms.tolist(), sigma.tolist()))
-            return inner(inp, sigma, quad)
+        def recording(inp, sigmas, tolerance):
+            calls.append((inp.atoms.tolist(), sigmas.tolist()))
+            return inner(inp, sigmas, tolerance)
 
-        monkeypatch.setattr(region_module, "mi_discrete", recording)
-        rates = {}
-        exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])), None, rates)
+        monkeypatch.setattr(oracle, "_mi_lockstep", recording)
+        exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])))
         # K = 3 (splits 0 and 2, at sigma1 then sigma2), K = 12 (one composite
         # rate shared by splits 0 and 1), K = 2, K = 15; atoms 0..K-1
         assert [(len(atoms), len(sigmas)) for atoms, sigmas in calls] == [(3, 4), (12, 1), (2, 2), (15, 1)]
         assert all(atoms == list(range(len(atoms))) for atoms, _ in calls)
         assert calls[0][1] == [CH15.sigma1 * 2 / (2 * CH15.peak / 11), 2 * 2 / (2 * CH15.peak / 11),
                                CH15.sigma1 * 2 / (2 * CH15.peak / 14), 2 * 2 / (2 * CH15.peak / 14)]
-        assert len(rates) == 8
-        exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])), None, rates)
-        assert len(calls) == 4  # every rate reused
+        assert sum(len(sigmas) for _, sigmas in calls) == 8  # each distinct rate once
 
     def test_batch_names_the_first_split_that_needs_a_failing_rate(self, monkeypatch):
-        inner = region_module.mi_discrete
+        inner = oracle._mi_lockstep
 
-        def failing(inp, sigma, quad):
+        def failing(inp, sigmas, tolerance):
             # K = 3 fails at its third rate (split 2 at sigma1); K = 2 at its
             # first (split 1 at sigma1), though K = 3 goes to the oracle first
             bad = {3: 2, 2: 0}.get(inp.atoms.size)
             if bad is not None:
                 raise ConvergenceError(f"K={inp.atoms.size} did not settle", 0.1, 0.2, index=bad)
-            return inner(inp, sigma, quad)
+            return inner(inp, sigmas, tolerance)
 
-        monkeypatch.setattr(region_module, "mi_discrete", failing)
+        monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match="^K=2 did not settle") as err:
             exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])))
-        assert (err.value.split.k1, err.value.split.k2) == (2, 6)
+        assert err.value.index == 1  # split (2, 6)
         with pytest.raises(ConvergenceError, match="^K=3 did not settle") as err:
             exact_inner_point(CH15, SplitConfig(np.array([3, 3]), np.array([4, 5])))
-        assert (err.value.split.k1, err.value.split.k2) == (3, 5)
+        assert err.value.index == 1  # split (3, 5)
 
     def test_analytic_dominated_by_exact(self):
         for k1, k2 in [(2, 6), (5, 3), (12, 1), (1, 12), (3, 4)]:
@@ -370,13 +374,13 @@ class TestSweep:
     def test_exact_sweep_computes_each_rate_once(self, monkeypatch):
         cfg = SweepConfig(delta0_grid=(2.0, 3.0))
         calls = []
-        inner = region_module.mi_discrete
+        inner = oracle._mi_lockstep
 
-        def counting(inp, sigma, quad):
-            calls.extend((tuple(inp.atoms), s) for s in sigma.tolist())
-            return inner(inp, sigma, quad)
+        def counting(inp, sigmas, tolerance):
+            calls.extend((tuple(inp.atoms), s) for s in sigmas.tolist())
+            return inner(inp, sigmas, tolerance)
 
-        monkeypatch.setattr(region_module, "mi_discrete", counting)
+        monkeypatch.setattr(oracle, "_mi_lockstep", counting)
         region = sweep_inner(CH15, cfg, "exact")
         assert len(calls) == len(set(calls))
         # the same vertices as splits evaluated one by one, with nothing shared
@@ -413,18 +417,18 @@ class TestSweep:
             assert points == [point_fn(CH15, SplitConfig(a, b)) for a, b in zip(k1.tolist(), k2.tolist())]
 
     def test_exact_sweep_names_the_split_that_fails(self, monkeypatch):
-        inner = region_module.mi_discrete
+        inner = oracle._mi_lockstep
         # the rates of user 1's 5-level alphabets at sigma1, normalized to
         # atoms 0..4: splits (5, 3) at delta0 = 3 and (5, 1) at delta0 = 2
         at_sigma1 = {4.0 / SplitConfig(5, k2).user1_input(CH15.peak).span for k2 in (3, 1)}
 
-        def failing(inp, sigma, quad):
-            bad = [i for i, s in enumerate(sigma.tolist()) if inp.atoms.size == 5 and s in at_sigma1]
+        def failing(inp, sigmas, tolerance):
+            bad = [i for i, s in enumerate(sigmas.tolist()) if inp.atoms.size == 5 and s in at_sigma1]
             if bad:
                 raise ConvergenceError("did not settle", 0.1, 0.2, index=bad[0])
-            return inner(inp, sigma, quad)
+            return inner(inp, sigmas, tolerance)
 
-        monkeypatch.setattr(region_module, "mi_discrete", failing)
+        monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match=r"^split k1=5, k2=3 \(delta0=3\): did not settle") as err:
             sweep_inner(CH15, SweepConfig(delta0_grid=(3.0, 2.0)), "exact")
         assert (err.value.previous_estimate, err.value.last_estimate) == (0.1, 0.2)

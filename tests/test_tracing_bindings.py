@@ -31,20 +31,29 @@ def test_parser_class_is_bound():
     assert callable(cli._CliParser.parse_args)
 
 
+#: Every command that takes an exact ESDU rate, small enough to trace twice.
+EXACT_COMMANDS = (
+    ["bc-inner", "--mode", "exact", "--peak-db", "10", "--sigma2-ratio", "3", "--delta0-grid", "1,3",
+     "--format", "json"],
+    ["p2p-bounds", "--peak-db", "0,7.5", "--delta0", "0.5"],
+    ["esdu-rate", "--span", "3.7", "--levels", "8", "--sigma", "0.3", "--mc-samples", "10000"],
+    ["verify", "--peak-db-grid", "0,10", "--sigma-ratios", "2", "--delta0-grid", "1,3", "--rho-steps", "51"],
+)
+
+
 def test_traced_exact_sweep_counts_pairs_of_1d_atoms(monkeypatch, capsys):
-    # the atom_pairs counter reads nodes x atoms.size: right only for 1-D atoms
+    # the atom_pairs counter reads nodes x atoms.size: right only for 1-D
+    # atoms; and every ESDU rate goes through one path, the integer alphabet
     tracing = load_tracing()
     count_density = tracing.HOOKS["oracle.mixture_log_pdf"]
-    atom_shapes = []
+    atoms_seen = []
 
     def checking(tracer, args, kwargs, result):
-        atom_shapes.append(args[0].atoms.shape)
+        atoms_seen.append((args[0].atoms, tracer.is_open("oracle.mi_discrete")))
         count_density(tracer, args, kwargs, result)
 
     monkeypatch.setitem(tracing.HOOKS, "oracle.mixture_log_pdf", checking)
     cli = importlib.import_module("esdurate.cli")
-    argv = ["bc-inner", "--mode", "exact", "--peak-db", "10", "--sigma2-ratio", "3", "--delta0-grid", "1,3",
-            "--format", "json", "--timestamp", "2000-01-01T00:00:00Z"]
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -52,12 +61,16 @@ def test_traced_exact_sweep_counts_pairs_of_1d_atoms(monkeypatch, capsys):
         for _ in range(2):
             tracer.reset()
             tracer.active = True
-            assert cli.main(argv) == 0
+            for argv in EXACT_COMMANDS:
+                assert cli.main(argv + ["--timestamp", "2000-01-01T00:00:00Z"]) == 0
             tracer.active = False
             counts.append(tracing.pass_counts(tracer))
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert counts[0] == counts[1]
-    assert counts[0]["oracle.mixture_log_pdf.calls"] == len(atom_shapes) // 2 > 0
-    assert all(len(shape) == 1 for shape in atom_shapes)
+    assert counts[0]["oracle.mixture_log_pdf.calls"] == len(atoms_seen) // 2 > 0
+    assert all(atoms.ndim == 1 for atoms, _ in atoms_seen)
+    quadrature = [atoms for atoms, in_mi_discrete in atoms_seen if in_mi_discrete]
+    assert 0 < len(quadrature) < len(atoms_seen)  # the Monte-Carlo density calls are the rest
+    assert all(atoms.tolist() == list(range(atoms.size)) for atoms in quadrature)
