@@ -9,7 +9,6 @@ from .oracle import (
     ConvergenceError,
     DiscreteInput,
     McEstimate,
-    QuadratureSpec,
     mi_discrete,
     mi_monte_carlo,
     mi_uniform,
@@ -21,7 +20,6 @@ from .region import (
     RateRegion,
     SplitConfig,
     SplitOrigin,
-    SweepConfig,
     exact_inner_point,
     frontier_hull,
     outer_corner,
@@ -43,12 +41,10 @@ __all__ = [
     "EsduInput",
     "McEstimate",
     "P2pChannel",
-    "QuadratureSpec",
     "RatePair",
     "RateRegion",
     "SplitConfig",
     "SplitOrigin",
-    "SweepConfig",
     "binary_entropy",
     "c_lower",
     "c_upper",

@@ -18,12 +18,12 @@ from datetime import datetime, timezone
 from . import __version__
 from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
-    MAX_REFINEMENTS, MC_GENERATOR, MIN_MC_SAMPLES, SUPPORT_PADDING, ConvergenceError, DiscreteInput,
-    QuadratureSpec, _padded_support, mi_discrete, mi_monte_carlo,
+    MAX_REFINEMENTS, MC_GENERATOR, MIN_MC_SAMPLES, SUPPORT_PADDING, TOLERANCE, ConvergenceError, DiscreteInput,
+    _check_tolerance, _padded_support, mi_discrete, mi_monte_carlo,
 )
 from .region import (
-    MAX_RHO_STEPS, BcChannel, RateRegion, SweepConfig, SweepLimitError, outer_region, sweep_alphabet_sizes,
-    sweep_inner,
+    DEFAULT_DELTA0_GRID, MAX_RHO_STEPS, RHO_STEPS, BcChannel, RateRegion, SweepLimitError, outer_region,
+    sweep_alphabet_sizes, sweep_inner,
 )
 from .special import db_to_amplitude_ratio
 from .uniform import P2pChannel, c_lower, c_upper, e_cap
@@ -75,7 +75,7 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def build_manifest(command: str, parameters: dict, *, quadrature: QuadratureSpec | None = None,
+def build_manifest(command: str, parameters: dict, *, quad_tol: float,
                    seed: int | None = None, timestamp: str | None = None) -> dict:
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -84,13 +84,10 @@ def build_manifest(command: str, parameters: dict, *, quadrature: QuadratureSpec
         "command": command,
         "parameters": parameters,
         "timestamp": timestamp or datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "quadrature": {
+            "absolute_tolerance": quad_tol, "support_padding": SUPPORT_PADDING, "max_refinements": MAX_REFINEMENTS,
+        },
     }
-    if quadrature is not None:
-        manifest["quadrature"] = {
-            "absolute_tolerance": quadrature.absolute_tolerance,
-            "support_padding": SUPPORT_PADDING,
-            "max_refinements": MAX_REFINEMENTS,
-        }
     if seed is not None:
         manifest["seed"] = seed
         manifest["rng"] = MC_GENERATOR
@@ -107,7 +104,8 @@ def emit_csv(manifest: dict, columns: list[str], rows: list[list], stream) -> No
 def emit_table(manifest: dict, columns: list[str], rows: list[list], fmt: str, stream) -> None:
     if fmt == "csv":
         emit_csv(manifest, columns, rows, stream)
-    else:
+    else:  # CSV prints a non-finite cell as -inf; JSON has no such numbers (RFC 8259)
+        rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
         stream.write(canonical_json({"manifest": manifest, "data": {"columns": columns, "rows": rows}}))
 
 
@@ -203,12 +201,13 @@ def _check_rho_steps(rho_steps: int) -> None:
         raise UsageError(f"--rho-steps must be at most {MAX_RHO_STEPS}, got {rho_steps}")
 
 
-def _quadrature(args) -> QuadratureSpec:
+def _quadrature(args) -> float:
     """The oracle tolerance of --quad-tol; a usage error naming it if invalid."""
     try:
-        return QuadratureSpec(absolute_tolerance=args.quad_tol)
+        _check_tolerance(args.quad_tol)
     except ValueError as exc:
         raise UsageError(f"--quad-tol {args.quad_tol!r}: {exc}") from None
+    return args.quad_tol
 
 
 def _resolve_peak(args, sigma_ref: float) -> float:
@@ -248,7 +247,7 @@ def _write(args, writer) -> None:
 # ---------------------------------------------------------------- commands
 
 def cmd_p2p_bounds(args) -> int:
-    quad = _quadrature(args)
+    quad_tol = _quadrature(args)
     sigma = args.sigma
     for flag, value in (("--sigma", sigma), ("--delta0", args.delta0)):
         if not (math.isfinite(value) and value > 0.0):
@@ -277,7 +276,7 @@ def cmd_p2p_bounds(args) -> int:
             continue
         ch = P2pChannel(peak, sigma)
         inp = EsduInput(peak, levels)
-        mi = mi_discrete(inp, sigma, quad)
+        mi = mi_discrete(inp, sigma, quad_tol)
         rows.append([
             db, levels, c_lower(ch), c_upper(ch), e_cap(ch),
             f1(inp, sigma), f2(inp, sigma), f3(inp, sigma), f_lower(inp, sigma),
@@ -290,7 +289,7 @@ def cmd_p2p_bounds(args) -> int:
             "peak": args.peak, "peak_db": args.peak_db, "sigma": sigma,
             "delta0": args.delta0, "quad_tol": args.quad_tol, "format": args.format,
         },
-        quadrature=quad,
+        quad_tol=quad_tol,
         timestamp=args.timestamp,
     )
     _write(args, lambda s: emit_table(manifest, columns, rows, args.format, s))
@@ -305,7 +304,7 @@ def cmd_esdu_rate(args) -> int:
             raise UsageError(f"--mc-samples must be in [{MIN_MC_SAMPLES}, {MAX_MC_SAMPLES}], got {args.mc_samples}")
         if args.seed < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    quad = _quadrature(args)
+    quad_tol = _quadrature(args)
     sigma = args.sigma
     if not (math.isfinite(sigma) and sigma > 0.0):
         raise UsageError(f"--sigma must be finite and > 0, got {sigma!r}")
@@ -315,7 +314,7 @@ def cmd_esdu_rate(args) -> int:
         raise UsageError(f"--span {args.span:g} with --levels {args.levels}: {exc}") from None
     _check_span(inp.span, sigma, f"--span {inp.span:g} with --sigma {sigma:g}")
     degenerate = inp.levels < 2 or inp.span == 0.0
-    mi = mi_discrete(inp, sigma, quad)
+    mi = mi_discrete(inp, sigma, quad_tol)
     columns = ["span", "levels", "sigma", "xi", "f1", "f2", "f3", "f_lower", "owb",
                "g_upper", "mi_exact"]
     row = [
@@ -342,7 +341,7 @@ def cmd_esdu_rate(args) -> int:
             "quad_tol": args.quad_tol, "mc_samples": args.mc_samples,
             "format": args.format,
         },
-        quadrature=quad,
+        quad_tol=quad_tol,
         seed=seed,
         timestamp=args.timestamp,
     )
@@ -350,39 +349,36 @@ def cmd_esdu_rate(args) -> int:
     return EXIT_OK
 
 
-def _bc_common(args) -> tuple[BcChannel, SweepConfig]:
+def cmd_bc_region(args, mode: str) -> int:
     _check_rho_steps(args.rho_steps)
     sigma1, sigma2 = _resolve_sigmas(args)
-    peak = _resolve_peak(args, sigma1)
-    ch = BcChannel(peak, sigma1, sigma2)
-    quad = _quadrature(args)
-    grid = tuple(_parse_grid(args.delta0_grid, "--delta0-grid"))
-    cfg = SweepConfig(delta0_grid=grid, rho_steps=args.rho_steps, quadrature=quad)
-    return ch, cfg
-
-
-def cmd_bc_region(args, mode: str) -> int:
-    ch, cfg = _bc_common(args)
-    peak_flag = f"{_one_of(args, '--peak', '--peak-db')} with --sigma1 {ch.sigma1:g}"
-    if mode in ("analytic", "exact"):
-        if not cfg.delta0_grid:
+    ch = BcChannel(_resolve_peak(args, sigma1), sigma1, sigma2)
+    quad_tol = _quadrature(args)
+    grid = _parse_grid(args.delta0_grid, "--delta0-grid")
+    peak_flag = f"{_one_of(args, '--peak', '--peak-db')} with --sigma1 {sigma1:g}"
+    if mode == "outer":
+        # the outer bound takes no sweep; the grid only goes into the manifest
+        for delta0 in grid:
+            if not delta0 > 0.0:
+                raise UsageError(f"--delta0-grid entry {delta0:g}: spacing targets must be > 0")
+    else:
+        if not grid:
             print("warning: empty delta0 grid; region degenerates to {(0,0)}", file=sys.stderr)
-        _check_sweep(ch.peak, cfg.delta0_grid, ch.sigma1)
+        _check_sweep(ch.peak, grid, sigma1)
         if mode == "exact":
-            _check_span(ch.peak, ch.sigma1, peak_flag)
+            _check_span(ch.peak, sigma1, peak_flag)
     try:
-        reg = outer_region(ch, cfg) if mode == "outer" else sweep_inner(ch, cfg, mode)
+        reg = outer_region(ch, args.rho_steps) if mode == "outer" else sweep_inner(ch, grid, mode, quad_tol)
     except FloatingPointError as exc:
         # the closed-form bounds square ratios of the peak to the noise widths
         raise UsageError(f"{peak_flag}: peak {ch.peak:g} overflows float64 in the bound arithmetic ({exc})") from None
     manifest = build_manifest(
-        "bc-inner" if mode in ("analytic", "exact") else "bc-outer",
+        "bc-outer" if mode == "outer" else "bc-inner",
         {
-            "peak": ch.peak, "sigma1": ch.sigma1, "sigma2": ch.sigma2, "mode": mode,
-            "delta0_grid": list(cfg.delta0_grid), "rho_steps": cfg.rho_steps,
-            "quad_tol": cfg.quadrature.absolute_tolerance, "format": args.format,
+            "peak": ch.peak, "sigma1": sigma1, "sigma2": sigma2, "mode": mode,
+            "delta0_grid": grid, "rho_steps": args.rho_steps, "quad_tol": quad_tol, "format": args.format,
         },
-        quadrature=cfg.quadrature,
+        quad_tol=quad_tol,
         timestamp=args.timestamp,
     )
     _write(args, lambda s: emit_region(manifest, reg, args.format, s))
@@ -390,7 +386,7 @@ def cmd_bc_region(args, mode: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    quad = _quadrature(args)
+    quad_tol = _quadrature(args)
     for flag in ("--sandwich-tol", "--dominance-tol", "--containment-tol"):
         tolerance = getattr(args, flag[2:].replace("-", "_"))
         if not (math.isfinite(tolerance) and tolerance >= 0.0):
@@ -409,7 +405,7 @@ def cmd_verify(args) -> int:
     report = run_verification(
         db_grid, sigma_ratios, delta0_grid,
         sandwich_tol=args.sandwich_tol, dominance_tol=args.dominance_tol,
-        containment_tol=args.containment_tol, quad=quad, rho_steps=args.rho_steps,
+        containment_tol=args.containment_tol, quad_tol=quad_tol, rho_steps=args.rho_steps,
     )
     manifest = build_manifest(
         "verify",
@@ -419,7 +415,7 @@ def cmd_verify(args) -> int:
             "dominance_tol": args.dominance_tol, "containment_tol": args.containment_tol,
             "quad_tol": args.quad_tol,
         },
-        quadrature=quad,
+        quad_tol=quad_tol,
         timestamp=args.timestamp,
     )
     if "warning" in report:
@@ -434,7 +430,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", help="write to this file instead of stdout")
     parser.add_argument("--timestamp", help="pin the manifest timestamp (ISO 8601)")
-    parser.add_argument("--quad-tol", type=float, default=1e-10,
+    parser.add_argument("--quad-tol", type=float, default=TOLERANCE,
                         help="absolute tolerance of the exact-rate quadrature")
 
 
@@ -471,9 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma1", type=float, default=1.0)
         p.add_argument("--sigma2", type=float)
         p.add_argument("--sigma2-ratio", type=float, help="sigma2 as a multiple of sigma1")
-        p.add_argument("--delta0-grid", default="0.5:10:0.5",
+        p.add_argument("--delta0-grid", default=",".join(map(str, DEFAULT_DELTA0_GRID)),
                        help="spacing targets in sigma1 units; comma list or range")
-        p.add_argument("--rho-steps", type=int, default=201)
+        p.add_argument("--rho-steps", type=int, default=RHO_STEPS)
         if inner:
             p.add_argument("--mode", choices=("analytic", "exact"), default="analytic")
         _add_common(p)
@@ -490,13 +486,13 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--peak-db-grid", default="0,5,10,15,20")
     ver.add_argument("--sigma-ratios", default="2,10")
     ver.add_argument("--delta0-grid", default="0.5,1,3,6")
-    ver.add_argument("--rho-steps", type=int, default=201)
+    ver.add_argument("--rho-steps", type=int, default=RHO_STEPS)
     ver.add_argument("--sandwich-tol", type=float, default=1e-6)
     ver.add_argument("--dominance-tol", type=float, default=1e-9)
     ver.add_argument("--containment-tol", type=float, default=1e-6)
     ver.add_argument("--out", help="write to this file instead of stdout")
     ver.add_argument("--timestamp", help="pin the manifest timestamp (ISO 8601)")
-    ver.add_argument("--quad-tol", type=float, default=1e-10)
+    ver.add_argument("--quad-tol", type=float, default=TOLERANCE)
     ver.set_defaults(func=cmd_verify)
 
     return parser

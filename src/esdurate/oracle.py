@@ -4,7 +4,8 @@ noise Z.
 
 The computation uses the decomposition I = h(Y) - h(Z).  The output entropy
 h(Y) is an integral of -p(y)*log2 p(y), evaluated with adaptive composite
-Gauss-Kronrod quadrature (G7/K15 panels, bisection refinement); h(Z) is
+Gauss-Kronrod quadrature (G7/K15 panels, bisection refinement) to the
+absolute tolerance, in bits, each call takes (TOLERANCE by default); h(Z) is
 0.5*log2(2*pi*e*sigma^2) in closed form.  Nothing in this module depends on
 the closed-form bounds it is used to validate.
 
@@ -92,6 +93,8 @@ MAX_SPAN_SIGMAS = 1e5
 #: integers: a narrower one, of rate under 0.5*log2(1 + 1e-16/4) < 2e-17
 #: bits, is one atom, and no scaled noise width nears float64 overflow.
 MIN_SPAN_SIGMAS = 1e-8
+#: Default absolute tolerance, in bits, of the output-entropy integral.
+TOLERANCE = 1e-10
 #: Bisection rounds before the integral gives up: 30 halvings take a 2-sigma
 #: panel below 1e-8 sigma, yet typical calls settle in the first round.
 MAX_REFINEMENTS = 30
@@ -120,17 +123,6 @@ class ConvergenceError(RuntimeError):
         self.previous_estimate = previous_estimate
         self.last_estimate = last_estimate
         self.index = index
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Absolute tolerance, in bits, of the output-entropy integral."""
-
-    absolute_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.absolute_tolerance) and self.absolute_tolerance > 0.0):
-            raise ValueError("absolute_tolerance must be finite and > 0")
 
 
 @dataclass(eq=False)
@@ -162,8 +154,9 @@ class DiscreteInput:
 
     @classmethod
     def from_esdu(cls, inp: EsduInput) -> "DiscreteInput":
-        """Convert an ESDU input; a zero span collapses to one atom at 0."""
-        if inp.span == 0.0:
+        """Convert an ESDU input; a zero span, or one whose level spacing
+        underflows to 0, collapses to one atom at 0."""
+        if inp.span == 0.0 or inp.span / (inp.levels - 1) == 0.0:
             return cls(np.array([0.0]), np.array([1.0]))
         atoms = np.asarray(inp.atoms(), dtype=float)
         masses = np.full(inp.levels, 1.0 / inp.levels)
@@ -262,10 +255,15 @@ def _window(block: np.ndarray, atoms: np.ndarray, reach: float) -> tuple[int, in
     return first, last
 
 
-def _adaptive_integral(f, lo: float, hi: float, resolution: float, spec: QuadratureSpec | None = None) -> float:
+def _check_tolerance(tolerance: float) -> None:
+    """Raises ValueError unless the absolute tolerance is finite and > 0."""
+    if not (math.isfinite(tolerance) and tolerance > 0.0):
+        raise ValueError("absolute_tolerance must be finite and > 0")
+
+
+def _adaptive_integral(f, lo: float, hi: float, resolution: float, tolerance: float = TOLERANCE) -> float:
     """Integrate f over [lo, hi]: _adaptive_integrals for one element, f
     taking the nodes alone."""
-    tolerance = (spec if spec is not None else QuadratureSpec()).absolute_tolerance
     values = _adaptive_integrals(
         lambda y, _: f(y), np.array([lo]), np.array([hi]), np.array([resolution]), tolerance
     )
@@ -292,8 +290,10 @@ def _adaptive_integrals(
     would be alone, and repeated runs are bit-identical.  A round takes the
     panels of the first elements that fit _MAX_PANELS together; the others
     wait.  Raises ConvergenceError for the first element, in order, that
-    fails, with its index.
+    fails, with its index, and ValueError, before any panel is built, for a
+    tolerance that is not finite and > 0.
     """
+    _check_tolerance(tolerance)
     width = hi - lo
     count = np.where(width > 0.0, np.maximum(4, np.ceil(width / (2.0 * resolution))), 0).astype(np.int64)
     # np.linspace(lo, hi, count + 1) of every element, end to end
@@ -380,7 +380,7 @@ def noise_entropy(sigma):
     return as_result(0.5 * np.log2(TWO_PI_E * np.square(sigma)))
 
 
-def mi_discrete(inp: DiscreteInput | EsduInput, sigma, quad: QuadratureSpec | None = None):
+def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERANCE):
     """Mutual information I(X; X+Z) in bits for finite-support X, Z ~ N(0, sigma^2).
 
     A DiscreteInput takes one noise width, giving a float, or a 1-D array of
@@ -392,13 +392,13 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, quad: QuadratureSpec | No
     under MIN_SPAN_SIGMAS, is one atom at sigma), one lockstep call per K
     integrating each distinct scaled sigma once, in order of first need.
 
-    sigma and the span cap are checked on the caller's values.  A
-    ConvergenceError names the first failing element, in flat order, as its
-    `index`.  The value is not clamped; a deterministic input comes back as a
-    residual of quadrature size (|I| <= tolerance) rather than an exact 0.
+    sigma and the span cap are checked on the caller's values, and the
+    tolerance, in bits, before any panel.  A ConvergenceError names the first
+    failing element, in flat order, as its `index`.  The value is not
+    clamped; a deterministic input comes back as a residual of quadrature
+    size (|I| <= tolerance) rather than an exact 0.
     """
     _check_sigma(sigma)
-    tolerance = (quad if quad is not None else QuadratureSpec()).absolute_tolerance
     if isinstance(inp, EsduInput):
         return _mi_esdu(inp, sigma, tolerance)
     sigmas = np.asarray(sigma, dtype=float)
@@ -475,7 +475,7 @@ def uniform_output_pdf(ch, y):
     return out
 
 
-def mi_uniform(ch, quad: QuadratureSpec | None = None) -> float:
+def mi_uniform(ch, tolerance: float = TOLERANCE) -> float:
     """Mutual information in bits of a continuous-uniform input over [0, peak]."""
     if ch.peak == 0.0:
         return 0.0
@@ -487,7 +487,7 @@ def mi_uniform(ch, quad: QuadratureSpec | None = None) -> float:
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(p > 0.0, -p * np.log2(p), 0.0)
 
-    h_out = _adaptive_integral(integrand, lo, hi, s, quad)
+    h_out = _adaptive_integral(integrand, lo, hi, s, tolerance)
     return float(h_out - noise_entropy(s))
 
 

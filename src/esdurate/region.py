@@ -17,16 +17,19 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .esdu import EsduInput, alphabet_size, f_lower, g_upper
-from .oracle import ConvergenceError, QuadratureSpec, mi_discrete
+from .oracle import TOLERANCE, ConvergenceError, mi_discrete
 from .special import every, is_integer
 from .uniform import P2pChannel, c_upper
 
+#: Spacing targets of the inner sweep, in sigma1 units: 0.5, 1, ..., 10.
 DEFAULT_DELTA0_GRID = tuple(0.5 * i for i in range(1, 21))
 #: Most cells split_schedule enumerates: nearly 14 times the 7,221 of the
 #: default grid at 30 dB.
 MAX_SWEEP_CELLS = 100_000
-#: Most auxiliary-parameter steps of the outer bound: about 500 times the
-#: default of 201; its corners and hull take a few MB.
+#: Auxiliary-parameter steps of the outer bound, rho = 0, 1/(n-1), ..., 1.
+RHO_STEPS = 201
+#: Most auxiliary-parameter steps of the outer bound: about 500 times
+#: RHO_STEPS; its corners and hull take a few MB.
 MAX_RHO_STEPS = 100_000
 
 
@@ -133,25 +136,6 @@ class RateRegion:
     origins: tuple[SplitOrigin | None, ...] | None = None
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Sweep policy: spacing targets (multiples of sigma1), the resolution of
-    the outer bound's auxiliary-parameter grid, and quadrature controls for
-    exact mode."""
-
-    delta0_grid: tuple[float, ...] = DEFAULT_DELTA0_GRID
-    rho_steps: int = 201
-    quadrature: QuadratureSpec = QuadratureSpec()
-
-    def __post_init__(self) -> None:
-        grid = tuple(float(d) for d in self.delta0_grid)
-        if any(not (math.isfinite(d) and d > 0.0) for d in grid):
-            raise ValueError("delta0_grid entries must be finite and > 0")
-        object.__setattr__(self, "delta0_grid", grid)
-        if not 2 <= self.rho_steps <= MAX_RHO_STEPS:
-            raise ValueError(f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {self.rho_steps!r}")
-
-
 def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair | list[RatePair]:
     """Analytic superposition point of one split, or the points of a batch
     of splits in batch order, each bound called once for the batch.
@@ -167,9 +151,7 @@ def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair | list[R
     return _rate_pairs(r1, r2)
 
 
-def exact_inner_point(
-    ch: BcChannel, split: SplitConfig, quad: QuadratureSpec | None = None
-) -> RatePair | list[RatePair]:
+def exact_inner_point(ch: BcChannel, split: SplitConfig, tolerance: float = TOLERANCE) -> RatePair | list[RatePair]:
     """Oracle version of analytic_inner_point, the exact rate in place of
     both bounds, for one split or a batch: one mi_discrete call on the three
     rates of each split in turn, so a shared rate is integrated once.  A
@@ -179,7 +161,7 @@ def exact_inner_point(
     span = np.stack(np.broadcast_arrays(user1.span, composite.span, user1.span), axis=-1)
     levels = np.stack(np.broadcast_arrays(user1.levels, composite.levels, user1.levels), axis=-1)
     try:
-        rates = mi_discrete(EsduInput(span, levels), np.array([ch.sigma1, ch.sigma2, ch.sigma2]), quad)
+        rates = mi_discrete(EsduInput(span, levels), np.array([ch.sigma1, ch.sigma2, ch.sigma2]), tolerance)
     except ConvergenceError as exc:
         exc.index //= 3
         raise
@@ -204,11 +186,12 @@ def split_schedule(
     size is capped at Kmax = alphabet_size(A, delta0*sigma1); k1 runs over
     1..Kmax and k2 is the smallest count that brings the composite spacing
     down to the target, i.e. the smallest k with k1*k - 1 >= A/delta0,
-    floored so that k1*k2 >= 2 (sweep_alphabet_sizes enforces the caps).
+    floored so that k1*k2 >= 2 (sweep_alphabet_sizes checks the targets and
+    enforces the caps).  Each cell carries its delta0 as a float.
     """
     kmaxes = sweep_alphabet_sizes(peak, delta0_grid, sigma1)
     cells: list[tuple[float, int, int]] = []
-    for delta0, kmax in zip(delta0_grid, kmaxes):
+    for delta0, kmax in zip(map(float, delta0_grid), kmaxes):
         ratio = peak / (delta0 * sigma1)
         for k1 in range(1, kmax + 1):
             k2 = max(1, math.ceil((ratio + 1.0) / k1))
@@ -238,10 +221,12 @@ def sweep_alphabet_sizes(peak: float, delta0_grid: Sequence[float], sigma1: floa
 
 def sweep_inner(
     ch: BcChannel,
-    cfg: SweepConfig | None = None,
+    delta0_grid: Sequence[float] = DEFAULT_DELTA0_GRID,
     mode: Literal["analytic", "exact"] = "analytic",
+    tolerance: float = TOLERANCE,
 ) -> RateRegion:
-    """Inner-bound region: hull of the points of every sweep cell.
+    """Inner-bound region: hull of the points of every sweep cell of the
+    spacing targets delta0_grid (multiples of sigma1), checked even at peak 0.
 
     The distinct (k1, k2) splits of the schedule, in the order they first
     appear, go as one SplitConfig batch to analytic_inner_point or
@@ -251,12 +236,11 @@ def sweep_inner(
     """
     if mode not in ("analytic", "exact"):
         raise ValueError(f"mode must be 'analytic' or 'exact', got {mode!r}")
-    cfg = cfg if cfg is not None else SweepConfig()
+    first_delta0: dict[tuple[int, int], float] = {}
+    for delta0, k1, k2 in split_schedule(ch.peak, delta0_grid, ch.sigma1):
+        first_delta0.setdefault((k1, k2), delta0)
     if ch.peak == 0.0:
         return frontier_hull([])
-    first_delta0: dict[tuple[int, int], float] = {}
-    for delta0, k1, k2 in split_schedule(ch.peak, cfg.delta0_grid, ch.sigma1):
-        first_delta0.setdefault((k1, k2), delta0)
     point_of: dict[tuple[int, int], RatePair] = {}
     if first_delta0:
         splits = np.array(list(first_delta0), dtype=np.int64)
@@ -265,7 +249,7 @@ def sweep_inner(
             points = analytic_inner_point(ch, batch)
         else:
             try:
-                points = exact_inner_point(ch, batch, cfg.quadrature)
+                points = exact_inner_point(ch, batch, tolerance)
             except ConvergenceError as exc:
                 k1, k2 = (int(k[exc.index]) for k in (batch.k1, batch.k2))
                 raise ConvergenceError(
@@ -299,12 +283,13 @@ def outer_corner(ch: BcChannel, rho: float) -> RatePair | list[RatePair]:
     return _rate_pairs(r1, r2)
 
 
-def outer_region(ch: BcChannel, cfg: SweepConfig | None = None) -> RateRegion:
-    """Outer bound: hull of the rho-indexed rectangle corners, cut back by the
-    per-user capacity caps and the strong receiver's sum-rate cap."""
-    cfg = cfg if cfg is not None else SweepConfig()
-    steps = cfg.rho_steps
-    corners = outer_corner(ch, np.arange(steps) / (steps - 1))
+def outer_region(ch: BcChannel, rho_steps: int = RHO_STEPS) -> RateRegion:
+    """Outer bound: hull of the rectangle corners at rho_steps evenly spaced
+    rho in [0, 1], cut back by the per-user capacity caps and the strong
+    receiver's sum-rate cap."""
+    if not 2 <= rho_steps <= MAX_RHO_STEPS:
+        raise ValueError(f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {rho_steps!r}")
+    corners = outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1))
     hull = frontier_hull(corners)
     if len(hull.vertices) < 3:
         return hull

@@ -29,10 +29,7 @@ class CheckResult:
 
 
 def sandwich_checks(
-    db_grid,
-    delta0_grid,
-    tolerance: float = 1e-6,
-    quad: oracle.QuadratureSpec | None = None,
+    db_grid, delta0_grid, tolerance: float = 1e-6, quad_tol: float = oracle.TOLERANCE
 ) -> list[CheckResult]:
     """f_lower <= exact rate <= g_upper for the swept ESDU inputs, plus the
     continuous-uniform sandwich c_lower <= exact rate <= e_cap."""
@@ -40,7 +37,7 @@ def sandwich_checks(
     for db in db_grid:
         peak = db_to_amplitude_ratio(db)
         ch = uniform.P2pChannel(peak, 1.0)
-        rate_u = oracle.mi_uniform(ch, quad)
+        rate_u = oracle.mi_uniform(ch, quad_tol)
         for name, margin in (
             ("uniform lower", rate_u - uniform.c_lower(ch)),
             ("uniform upper", uniform.e_cap(ch) - rate_u),
@@ -49,7 +46,7 @@ def sandwich_checks(
         for delta0 in delta0_grid:
             levels = esdu.alphabet_size(peak, delta0)
             inp = esdu.EsduInput(peak, levels)
-            rate = oracle.mi_discrete(inp, 1.0, quad)
+            rate = oracle.mi_discrete(inp, 1.0, quad_tol)
             low = esdu.f_lower(inp, 1.0)
             high = esdu.g_upper(inp, 1.0)
             where = f"@ {db:g} dB, delta0={delta0:g}, K={levels}"
@@ -73,11 +70,7 @@ def dominance_checks(db_grid, delta0_grid, tolerance: float = 1e-9) -> list[Chec
 
 
 def containment_checks(
-    db_grid,
-    sigma_ratios,
-    delta0_grid,
-    tolerance: float = 1e-6,
-    rho_steps: int = 201,
+    db_grid, sigma_ratios, delta0_grid, tolerance: float = 1e-6, rho_steps: int = region.RHO_STEPS
 ) -> list[CheckResult]:
     """Every analytic inner-bound vertex lies inside the outer bound."""
     results = []
@@ -85,9 +78,8 @@ def containment_checks(
         peak = db_to_amplitude_ratio(db)
         for ratio in sigma_ratios:
             ch = region.BcChannel(peak, 1.0, float(ratio))
-            cfg = region.SweepConfig(delta0_grid=tuple(delta0_grid), rho_steps=rho_steps)
-            inner = region.sweep_inner(ch, cfg, "analytic")
-            outer = region.outer_region(ch, cfg)
+            inner = region.sweep_inner(ch, delta0_grid, "analytic")
+            outer = region.outer_region(ch, rho_steps)
             worst = min(region.region_margin(outer, v) for v in inner.vertices)
             label = f"inner in outer @ {db:g} dB, sigma2/sigma1={ratio:g}"
             results.append(CheckResult("containment", label, worst, tolerance))
@@ -102,10 +94,11 @@ def run_verification(
     sandwich_tol: float = 1e-6,
     dominance_tol: float = 1e-9,
     containment_tol: float = 1e-6,
-    quad: oracle.QuadratureSpec | None = None,
-    rho_steps: int = 201,
+    quad_tol: float = oracle.TOLERANCE,
+    rho_steps: int = region.RHO_STEPS,
 ) -> dict:
-    """Run all three suites and fold the results into a report dictionary."""
+    """Run all three suites and fold the results into a report dictionary;
+    quad_tol is the oracle's tolerance, rho_steps the outer bound's."""
     db_grid = list(db_grid)
     sigma_ratios = list(sigma_ratios)
     delta0_grid = list(delta0_grid)
@@ -114,7 +107,7 @@ def run_verification(
     if not db_grid:
         warning = "empty peak grid: no checks were run"
     else:
-        checks.extend(sandwich_checks(db_grid, delta0_grid, sandwich_tol, quad))
+        checks.extend(sandwich_checks(db_grid, delta0_grid, sandwich_tol, quad_tol))
         checks.extend(dominance_checks(db_grid, delta0_grid, dominance_tol))
         checks.extend(containment_checks(db_grid, sigma_ratios, delta0_grid, containment_tol, rho_steps))
     failures = sum(1 for c in checks if not c.passed)

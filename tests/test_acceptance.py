@@ -11,10 +11,9 @@ import time
 
 from esdurate.cli import main
 from esdurate.esdu import EsduInput, f_lower, g_upper, owb
-from esdurate.oracle import DiscreteInput, QuadratureSpec, mi_discrete, mi_monte_carlo
+from esdurate.oracle import DiscreteInput, mi_discrete, mi_monte_carlo
 from esdurate.region import (
     BcChannel,
-    SweepConfig,
     outer_region,
     region_contains,
     split_schedule,
@@ -26,7 +25,7 @@ from esdurate.uniform import P2pChannel, c_lower, c_upper
 
 from anchors import C_LOWER_DB, C_UPPER_DB
 
-QUAD = QuadratureSpec(absolute_tolerance=1e-10)
+QUAD_TOL = 1e-10
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -72,8 +71,8 @@ def test_criterion_2_esdu_bound_anchors():
 
 def test_criterion_3_exact_rate_anchors():
     start = time.monotonic()
-    e1 = abs(mi_discrete(EsduInput(1.0, 3), 1.0, QUAD) - 0.111166693415685)
-    e2 = abs(mi_discrete(EsduInput(10.0, 21), 1.0, QUAD) - 1.59082183063296)
+    e1 = abs(mi_discrete(EsduInput(1.0, 3), 1.0, QUAD_TOL) - 0.111166693415685)
+    e2 = abs(mi_discrete(EsduInput(10.0, 21), 1.0, QUAD_TOL) - 1.59082183063296)
     elapsed = time.monotonic() - start
     report(
         "criterion 3: exact-rate oracle anchors within 1e-4",
@@ -88,7 +87,7 @@ def test_criterion_4_sandwich_full_grid():
     for db in range(21):
         for delta0 in (0.5, 1.0, 3.0, 6.0):
             inp = swept_input(db, delta0)
-            rate = mi_discrete(inp, 1.0, QUAD)
+            rate = mi_discrete(inp, 1.0, QUAD_TOL)
             worst = min(worst, rate - f_lower(inp, 1.0), g_upper(inp, 1.0) - rate)
     elapsed = time.monotonic() - start
     report(
@@ -144,15 +143,15 @@ def _split(k1: int, k2: int):
 
 def test_criterion_7_region_ordering():
     start = time.monotonic()
-    cfg = SweepConfig(delta0_grid=(2.0, 3.0, 6.0), rho_steps=201, quadrature=QUAD)
+    grid = (2.0, 3.0, 6.0)
     worst_pair = None
     ok = True
     for db in (10.0, 15.0, 20.0):
         for ratio in (2.0, 10.0):
             ch = BcChannel(db_to_amplitude_ratio(db), 1.0, ratio)
-            analytic = sweep_inner(ch, cfg, "analytic")
-            exact = sweep_inner(ch, cfg, "exact")
-            outer = outer_region(ch, cfg)
+            analytic = sweep_inner(ch, grid, "analytic")
+            exact = sweep_inner(ch, grid, "exact", QUAD_TOL)
+            outer = outer_region(ch, 201)
             for v in analytic.vertices:
                 if not region_contains(exact, v, 1e-6):
                     ok, worst_pair = False, (db, ratio, "analytic outside exact", v)
@@ -174,7 +173,7 @@ def test_criterion_8_monte_carlo_cross_validation():
     worst_ratio = 0.0
     for i, (db, levels) in enumerate(grid):
         inp = EsduInput(db_to_amplitude_ratio(db), levels)
-        exact = mi_discrete(inp, 1.0, QUAD)
+        exact = mi_discrete(inp, 1.0, QUAD_TOL)
         est = mi_monte_carlo(DiscreteInput.from_esdu(inp), 1.0, 1_000_000, seed=1000 + i)
         worst_ratio = max(worst_ratio, abs(est.value - exact) / est.standard_error)
     elapsed = time.monotonic() - start

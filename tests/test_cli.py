@@ -139,6 +139,15 @@ class TestEsduRate:
         se = float(row["mi_mc_stderr"])
         assert abs(est - float(row["mi_exact"])) <= 4 * se
 
+    def test_monte_carlo_on_an_underflowing_span(self, capsys):
+        # 5e-324/5 rounds to 0: the levels coincide, for the sampler as for the quadrature
+        argv = ["esdu-rate", "--span", "5e-324", "--levels", "6", "--mc-samples", "10000"]
+        code, out, err = run_cli(capsys, argv + TS)
+        assert (code, err) == (EXIT_OK, "")
+        _, rows = parse_csv(out)
+        row = rows[0]
+        assert abs(float(row["mi_mc"]) - float(row["mi_exact"])) <= 5 * float(row["mi_mc_stderr"])
+
     def test_degenerate_input(self, capsys):
         code, out, _ = run_cli(capsys, ["esdu-rate", "--span", "0", "--levels", "1"] + TS)
         assert code == EXIT_OK
@@ -412,6 +421,8 @@ class TestUsageErrors:
             *[([command, *BASE_ARGV[command], "--rho-steps", steps],
                f"--rho-steps must be at most 100000, got {steps}")
               for command in ("bc-inner", "bc-outer", "verify") for steps in ("100001", "100000000")],
+            *[([command, *BASE_ARGV[command], "--delta0-grid", f"1,{entry}"], f"--delta0-grid entry {entry}: ")
+              for command in ("bc-inner", "bc-outer") for entry in ("-1", "0")],
         ],
     )
     def test_names_the_flag_before_any_work(self, capsys, monkeypatch, argv, message):
@@ -466,3 +477,25 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert "round-off" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [["esdu-rate", "--span", "1e-320", "--levels", "6"], ["p2p-bounds", "--peak", "1e-320"]],
+        ids=["esdu-rate", "p2p-bounds"],
+    )
+    def test_non_finite_cell_is_null_in_json_and_inf_in_csv(self, capsys, argv):
+        # owb of a subnormal span is -inf
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"] + TS)
+        assert code == EXIT_OK
+        data = json.loads(out, parse_constant=_reject_constant)["data"]
+        assert data["rows"][0][data["columns"].index("owb")] is None
+        code, out, _ = run_cli(capsys, argv + TS)
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert rows[0]["owb"] == "-inf"

@@ -14,9 +14,9 @@ from esdurate.oracle import (
     _G7_WEIGHTS,
     _K15_NODES,
     _K15_WEIGHTS,
+    TOLERANCE,
     ConvergenceError,
     DiscreteInput,
-    QuadratureSpec,
     _adaptive_integral,
     _adaptive_integrals,
     mi_discrete,
@@ -149,6 +149,14 @@ class TestDiscreteInput:
         assert di.atoms.tolist() == [0.0]
         assert di.masses.tolist() == [1.0]
 
+    def test_underflowing_spacing_collapses(self):
+        # 5e-324/5 rounds to 0: six levels at one point are one atom
+        di = DiscreteInput.from_esdu(EsduInput(5e-324, 6))
+        assert di.atoms.tolist() == [0.0]
+        assert di.masses.tolist() == [1.0]
+        # a subnormal spacing still separates the levels
+        assert DiscreteInput.from_esdu(EsduInput(1e-320, 6)).atoms.size == 6
+
     @pytest.mark.parametrize(
         "atoms,masses",
         [
@@ -248,10 +256,10 @@ class TestEsduInputs:
         assert mi_discrete(EsduInput(span, 6), 1.0) == pytest.approx(direct, abs=1e-12)
 
     def test_narrowest_input_is_one_atom(self):
-        # 5e-324/5 rounds to 0: from_esdu cannot even build the atoms
+        # 5e-324/5 rounds to 0: the levels coincide
         one_atom = mi_discrete(DiscreteInput(np.zeros(1), np.ones(1)), 1.0)
         assert mi_discrete(EsduInput(5e-324, 6), 1.0) == one_atom
-        assert abs(one_atom) <= QuadratureSpec().absolute_tolerance
+        assert abs(one_atom) <= TOLERANCE
 
     def test_batch_error_carries_the_flat_index_of_the_first_failing_element(self, monkeypatch):
         # with no refinement, (5, 11) at 0.15 and (10, 21) at 0.3 fail; K = 21
@@ -484,7 +492,7 @@ class TestSigmaBatch:
         di = DiscreteInput.from_esdu(EsduInput(span if levels > 1 else 0.0, levels))
         lo, hi = di.atoms[0] - 10.0 * sigma, di.atoms[-1] + 10.0 * sigma
         full = _adaptive_integral(entropy_integrand(di, sigma), lo, hi, sigma) - noise_entropy(sigma)
-        assert mi_discrete(di, sigma) == pytest.approx(full, abs=QuadratureSpec().absolute_tolerance)
+        assert mi_discrete(di, sigma) == pytest.approx(full, abs=TOLERANCE)
 
     def test_asymmetric_input_integrates_its_full_support(self, monkeypatch):
         nodes = []
@@ -557,6 +565,22 @@ class TestMiUniform:
             assert c_lower(ch) - 1e-6 <= rate <= e_cap(ch) + 1e-6
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tolerance", [0.0, -1e-10, math.nan, math.inf])
+    def test_rejected_before_any_integrand_call(self, monkeypatch, tolerance):
+        for name in ("mixture_log_pdf", "uniform_output_pdf"):
+            monkeypatch.setattr(oracle, name, lambda *a: pytest.fail("integrand ran"))
+        calls = (
+            lambda: mi_discrete(DiscreteInput.from_esdu(EsduInput(2.0, 3)), 1.0, tolerance),
+            lambda: mi_discrete(DiscreteInput.from_esdu(EsduInput(2.0, 3)), np.array([1.0, 2.0]), tolerance),
+            lambda: mi_discrete(EsduInput(10.0, 21), 1.0, tolerance),
+            lambda: mi_uniform(P2pChannel(3.0, 1.0), tolerance),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^absolute_tolerance must be finite and > 0$"):
+                call()
+
+
 class TestKronrodRule:
     @staticmethod
     def legendre_moment(d):
@@ -599,15 +623,13 @@ class TestAdaptiveIntegral:
     def test_refines_a_spike(self):
         # density much narrower than the resolution hint: must refine, then hit it
         spike = lambda y: np.exp(-0.5 * (y / 0.02) ** 2) / (0.02 * math.sqrt(2 * math.pi))
-        spec = QuadratureSpec(absolute_tolerance=1e-12)
-        assert _adaptive_integral(spike, -1.0, 1.0, 1.0, spec) == pytest.approx(1.0, abs=1e-9)
+        assert _adaptive_integral(spike, -1.0, 1.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-9)
 
     def test_convergence_error_carries_estimates(self, monkeypatch):
         spike = lambda y: np.exp(-0.5 * (y / 0.02) ** 2) / (0.02 * math.sqrt(2 * math.pi))
-        spec = QuadratureSpec(absolute_tolerance=1e-12)
         monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 1)
         with pytest.raises(ConvergenceError, match="within 1 refinement rounds") as err:
-            _adaptive_integral(spike, -1.0, 1.0, 1.0, spec)
+            _adaptive_integral(spike, -1.0, 1.0, 1.0, 1e-12)
         assert math.isfinite(err.value.last_estimate)
         assert math.isfinite(err.value.previous_estimate)
         assert err.value.last_estimate != err.value.previous_estimate
@@ -619,9 +641,8 @@ class TestAdaptiveIntegral:
             panels.append(y.shape[0])
             return np.exp(-0.5 * y * y)
 
-        spec = QuadratureSpec(absolute_tolerance=1e-30)
         with pytest.raises(ConvergenceError, match="round-off"):
-            _adaptive_integral(gaussian, -10.0, 10.0, 1.0, spec)
+            _adaptive_integral(gaussian, -10.0, 10.0, 1.0, 1e-30)
         assert sum(panels) <= 300
 
 

@@ -19,7 +19,7 @@ from esdurate.region import (
     RateRegion,
     SplitConfig,
     SplitOrigin,
-    SweepConfig,
+    SweepLimitError,
     exact_inner_point,
     frontier_hull,
     outer_corner,
@@ -63,10 +63,14 @@ class TestTypes:
         SplitConfig(1, 2)
 
     @pytest.mark.parametrize("steps", [1, MAX_RHO_STEPS + 1, 10**8])
-    def test_rho_steps_are_bounded(self, steps):
-        assert SweepConfig(rho_steps=MAX_RHO_STEPS).rho_steps == MAX_RHO_STEPS
+    def test_rho_steps_are_bounded(self, monkeypatch, steps):
+        corners = []  # the rho grid sizes the outer bound asked for
+        monkeypatch.setattr("esdurate.region.outer_corner", lambda ch, rho: corners.append(rho.size) or [])
+        outer_region(CH15, MAX_RHO_STEPS)
+        assert corners == [MAX_RHO_STEPS]
         with pytest.raises(ValueError, match=f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {steps}"):
-            SweepConfig(rho_steps=steps)
+            outer_region(CH15, steps)
+        assert corners == [MAX_RHO_STEPS]  # rejected before any corner
 
     def test_rate_pair_nonnegative(self):
         with pytest.raises(ValueError):
@@ -103,7 +107,7 @@ class TestSchedule:
 
     def test_cell_cap_is_a_value_error(self):
         # the default grid at 30 dB, the largest sweep in use, stays within the cap
-        assert len(split_schedule(1000.0, SweepConfig().delta0_grid, 1.0)) == 7221
+        assert len(split_schedule(1000.0, DEFAULT_DELTA0_GRID, 1.0)) == 7221
         with pytest.raises(ValueError, match="sweep cells"):
             split_schedule(1000.0, [0.02 * i for i in range(1, 101)], 1.0)
 
@@ -334,8 +338,7 @@ class TestRegionContains:
 
 class TestSweep:
     def test_reference_frontier(self):
-        cfg = SweepConfig(delta0_grid=(3.0,))
-        region = sweep_inner(CH15, cfg, "analytic")
+        region = sweep_inner(CH15, (3.0,), "analytic")
         verts = [(v.r1, v.r2) for v in region.vertices]
         for target in [(0.614593593172419, 1.84936562997861), (1.56038369189476, 1.2086163461867)]:
             assert any(
@@ -344,8 +347,7 @@ class TestSweep:
         assert any(abs(x - 3.06182819782385) <= 1e-9 and y == 0.0 for x, y in verts)
 
     def test_provenance_labels(self):
-        cfg = SweepConfig(delta0_grid=(3.0,))
-        region = sweep_inner(CH15, cfg, "analytic")
+        region = sweep_inner(CH15, (3.0,), "analytic")
         assert region.origins is not None
         by_vertex = dict(zip([(v.r1, v.r2) for v in region.vertices], region.origins))
         x_intercept = max(v.r1 for v in region.vertices)
@@ -353,12 +355,26 @@ class TestSweep:
         assert (origin.k1, origin.k2, origin.delta0) == (12, 1, 3.0)
 
     def test_zero_peak(self):
-        region = sweep_inner(BcChannel(0.0, 1.0, 2.0), SweepConfig(delta0_grid=(1.0,)))
+        region = sweep_inner(BcChannel(0.0, 1.0, 2.0), (1.0,))
         assert [(v.r1, v.r2) for v in region.vertices] == [(0.0, 0.0)]
+
+    @pytest.mark.parametrize("peak", [0.0, PEAK15])
+    @pytest.mark.parametrize("delta0", [0.0, -1.0])
+    def test_rejects_a_non_positive_spacing_target(self, peak, delta0):
+        # checked by the schedule, so at peak 0 too, and naming the entry
+        with pytest.raises(SweepLimitError, match="spacing must be finite and > 0") as err:
+            sweep_inner(BcChannel(peak, 1.0, 2.0), (1.0, delta0), "exact")
+        assert err.value.delta0 == delta0
+
+    def test_integer_grid_gives_float_origins(self):
+        region = sweep_inner(CH15, (3,))
+        origins = [o for o in region.origins if o is not None]
+        assert origins and all(type(o.delta0) is float for o in origins)
+        assert region == sweep_inner(CH15, (3.0,))
 
     def test_two_level_sweep_spans_axis_points(self):
         ch = BcChannel(3.0, 1.0, 2.0)
-        region = sweep_inner(ch, SweepConfig(delta0_grid=(3.0,)), "analytic")
+        region = sweep_inner(ch, (3.0,), "analytic")
         expected = {
             (0.0, 0.0),
             (f_lower(EsduInput(3.0, 2), 1.0), 0.0),
@@ -367,12 +383,11 @@ class TestSweep:
         assert {(v.r1, v.r2) for v in region.vertices} == expected
 
     def test_exact_sweep_hits_oracle_intercept(self):
-        cfg = SweepConfig(delta0_grid=(3.0,))
-        region = sweep_inner(CH15, cfg, "exact")
+        region = sweep_inner(CH15, (3.0,), "exact")
         assert max(v.r1 for v in region.vertices) == pytest.approx(3.09380550736701, abs=1e-6)
 
     def test_exact_sweep_computes_each_rate_once(self, monkeypatch):
-        cfg = SweepConfig(delta0_grid=(2.0, 3.0))
+        grid = (2.0, 3.0)
         calls = []
         inner = oracle._mi_lockstep
 
@@ -381,17 +396,17 @@ class TestSweep:
             return inner(inp, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", counting)
-        region = sweep_inner(CH15, cfg, "exact")
+        region = sweep_inner(CH15, grid, "exact")
         assert len(calls) == len(set(calls))
         # the same vertices as splits evaluated one by one, with nothing shared
-        splits = {(k1, k2) for _, k1, k2 in split_schedule(CH15.peak, cfg.delta0_grid, 1.0)}
+        splits = {(k1, k2) for _, k1, k2 in split_schedule(CH15.peak, grid, 1.0)}
         assert len(calls) < 3 * len(splits)
         points = [exact_inner_point(CH15, SplitConfig(k1, k2)) for k1, k2 in sorted(splits)]
         assert region.vertices == frontier_hull(points).vertices
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
-            sweep_inner(CH15, SweepConfig(delta0_grid=(3.0,)), "fast")
+            sweep_inner(CH15, (3.0,), "fast")
 
     @pytest.mark.parametrize("db,ratio", [(15.0, 2.0), (15.0, 10.0), (30.0, 2.0), (30.0, 10.0)])
     def test_analytic_sweep_matches_split_by_split(self, db, ratio):
@@ -430,7 +445,7 @@ class TestSweep:
 
         monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match=r"^split k1=5, k2=3 \(delta0=3\): did not settle") as err:
-            sweep_inner(CH15, SweepConfig(delta0_grid=(3.0, 2.0)), "exact")
+            sweep_inner(CH15, (3.0, 2.0), "exact")
         assert (err.value.previous_estimate, err.value.last_estimate) == (0.1, 0.2)
 
     def test_exact_sweep_memory(self):
@@ -486,15 +501,13 @@ class TestOuterRegion:
         assert max(v.r2 for v in region.vertices) == pytest.approx(cap2, abs=1e-9)
 
     def test_inner_regions_contained(self):
-        cfg = SweepConfig(delta0_grid=(1.0, 3.0))
-        outer = outer_region(CH15, cfg)
+        outer = outer_region(CH15)
         for mode in ("analytic",):
-            inner = sweep_inner(CH15, cfg, mode)
+            inner = sweep_inner(CH15, (1.0, 3.0), mode)
             assert all(region_contains(outer, v, 1e-6) for v in inner.vertices)
 
     def test_symmetric_channel_consistency(self):
         a = BcChannel(10.0, 1.0, 1.0)
         b = BcChannel(10.0, 1.0, 1.0)  # swapped sigmas coincide
-        cfg = SweepConfig(delta0_grid=(2.0,))
-        assert sweep_inner(a, cfg).vertices == sweep_inner(b, cfg).vertices
-        assert outer_region(a, cfg).vertices == outer_region(b, cfg).vertices
+        assert sweep_inner(a, (2.0,)).vertices == sweep_inner(b, (2.0,)).vertices
+        assert outer_region(a).vertices == outer_region(b).vertices

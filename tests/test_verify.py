@@ -1,14 +1,13 @@
 import pytest
 
 import esdurate.esdu
-from esdurate.oracle import QuadratureSpec
 from esdurate.verify import CheckResult, run_verification
 
-FAST_QUAD = QuadratureSpec(absolute_tolerance=1e-8)
+FAST_QUAD_TOL = 1e-8
 
 
 def test_small_grid_passes():
-    report = run_verification([0.0, 10.0], [2.0], [1.0, 3.0], quad=FAST_QUAD, rho_steps=51)
+    report = run_verification([0.0, 10.0], [2.0], [1.0, 3.0], quad_tol=FAST_QUAD_TOL, rho_steps=51)
     assert report["summary"]["passed"]
     assert report["summary"]["failures"] == 0
     assert report["summary"]["total"] == len(report["checks"])
@@ -19,7 +18,7 @@ def test_small_grid_passes():
 def test_perturbed_lower_bound_breaks_the_sandwich(monkeypatch):
     true_bound = esdurate.esdu.f_lower
     monkeypatch.setattr(esdurate.esdu, "f_lower", lambda inp, sigma: true_bound(inp, sigma) + 0.1)
-    report = run_verification([10.0], [2.0], [1.0], quad=FAST_QUAD, rho_steps=51)
+    report = run_verification([10.0], [2.0], [1.0], quad_tol=FAST_QUAD_TOL, rho_steps=51)
     assert not report["summary"]["passed"]
     failing = [c for c in report["checks"] if not c["passed"]]
     assert failing
@@ -34,7 +33,7 @@ def test_empty_grid_reports_warning():
 
 
 def test_margins_are_reported():
-    report = run_verification([10.0], [2.0], [3.0], quad=FAST_QUAD, rho_steps=51)
+    report = run_verification([10.0], [2.0], [3.0], quad_tol=FAST_QUAD_TOL, rho_steps=51)
     for check in report["checks"]:
         assert check["margin"] >= -check["tolerance"]
         assert check["label"]
