@@ -476,7 +476,9 @@ def uniform_output_pdf(ch, y):
 
 
 def mi_uniform(ch, tolerance: float = TOLERANCE) -> float:
-    """Mutual information in bits of a continuous-uniform input over [0, peak]."""
+    """Mutual information in bits of a continuous-uniform input over [0, peak];
+    the tolerance is checked even at peak 0, where nothing is integrated."""
+    _check_tolerance(tolerance)
     if ch.peak == 0.0:
         return 0.0
     s = ch.sigma

@@ -17,7 +17,7 @@ from typing import Iterable, Literal, Sequence
 import numpy as np
 
 from .esdu import EsduInput, alphabet_size, f_lower, g_upper
-from .oracle import TOLERANCE, ConvergenceError, mi_discrete
+from .oracle import TOLERANCE, ConvergenceError, _check_tolerance, mi_discrete
 from .special import every, is_integer
 from .uniform import P2pChannel, c_upper
 
@@ -136,9 +136,10 @@ class RateRegion:
     origins: tuple[SplitOrigin | None, ...] | None = None
 
 
-def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair | list[RatePair]:
-    """Analytic superposition point of one split, or the points of a batch
-    of splits in batch order, each bound called once for the batch.
+def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair | tuple[np.ndarray, np.ndarray]:
+    """Analytic superposition point of one split, or for a batch of splits
+    the arrays (r1, r2) of their points in batch order, each bound called
+    once for the batch.
 
     User 1 gets the lower bound f_lower of its sub-alphabet at sigma1; user 2
     gets f_lower of the composite alphabet at sigma2 minus the upper bound
@@ -147,11 +148,15 @@ def analytic_inner_point(ch: BcChannel, split: SplitConfig) -> RatePair | list[R
     """
     user1 = split.user1_input(ch.peak)
     r1 = f_lower(user1, ch.sigma1)
-    r2 = f_lower(split.composite_input(ch.peak), ch.sigma2) - g_upper(user1, ch.sigma2)
-    return _rate_pairs(r1, r2)
+    # a composite is EsduInput(peak, K): one bound per distinct K, scattered back
+    levels, which = np.unique(np.ravel(split.total_levels), return_inverse=True)
+    composite = f_lower(EsduInput(ch.peak, levels), ch.sigma2)[which].reshape(np.shape(split.total_levels))
+    return _rate_pairs(r1, composite - g_upper(user1, ch.sigma2))
 
 
-def exact_inner_point(ch: BcChannel, split: SplitConfig, tolerance: float = TOLERANCE) -> RatePair | list[RatePair]:
+def exact_inner_point(
+    ch: BcChannel, split: SplitConfig, tolerance: float = TOLERANCE
+) -> RatePair | tuple[np.ndarray, np.ndarray]:
     """Oracle version of analytic_inner_point, the exact rate in place of
     both bounds, for one split or a batch: one mi_discrete call on the three
     rates of each split in turn, so a shared rate is integrated once.  A
@@ -168,13 +173,31 @@ def exact_inner_point(ch: BcChannel, split: SplitConfig, tolerance: float = TOLE
     return _rate_pairs(rates[..., 0], rates[..., 1] - rates[..., 2])
 
 
-def _rate_pairs(r1, r2) -> RatePair | list[RatePair]:
-    """RatePair(max(0, r1), max(0, r2)), or the list of them, in order, for
-    arrays of rates."""
+def _rate_pairs(r1, r2) -> RatePair | tuple[np.ndarray, np.ndarray]:
+    """RatePair(max(0, r1), max(0, r2)), or for arrays of rates the arrays
+    clamped the same way, broadcast to one shape."""
     if np.ndim(r1) == 0 and np.ndim(r2) == 0:
         return RatePair(max(0.0, float(r1)), max(0.0, float(r2)))
     r1, r2 = np.broadcast_arrays(r1, r2)
-    return [RatePair(max(0.0, a), max(0.0, b)) for a, b in zip(r1.ravel().tolist(), r2.ravel().tolist())]
+    # max(0.0, x) elementwise: x only where x > 0, so NaN clamps to 0 too
+    return np.where(r1 > 0.0, r1, 0.0), np.where(r2 > 0.0, r2, 0.0)
+
+
+def _pair_list(r1: np.ndarray, r2: np.ndarray) -> list[RatePair]:
+    """The RatePairs of arrays of clamped rates, in order."""
+    return [RatePair(a, b) for a, b in zip(r1.ravel().tolist(), r2.ravel().tolist())]
+
+
+def _pareto_candidates(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Indices of the points no other point beats in both rates: taken by r1
+    descending (r2 descending among ties), each point whose r2 is at least
+    the largest r2 before it.  A point left out lies in the rectangle below
+    an earlier one, so it is inside the hull of the others with the origin
+    and the axis projections, or one of those three: frontier_hull of the
+    candidates has the vertices of frontier_hull of them all."""
+    order = np.lexsort((-r2, -r1))
+    ranked = r2[order]
+    return order[ranked >= np.maximum.accumulate(ranked)]
 
 
 def split_schedule(
@@ -203,12 +226,19 @@ def split_schedule(
 
 def sweep_alphabet_sizes(peak: float, delta0_grid: Sequence[float], sigma1: float) -> list[int]:
     """Kmax = alphabet_size(peak, delta0*sigma1) of each spacing target, its
-    number of sweep cells.  Raises SweepLimitError for the first target whose
-    alphabet_size fails, or for more than MAX_SWEEP_CELLS cells in all."""
+    number of sweep cells.  Raises SweepLimitError for the first target that
+    is not finite and > 0, whose product with sigma1 under- or overflows, or
+    whose alphabet_size fails, or for more than MAX_SWEEP_CELLS cells in all."""
     kmaxes = []
     for delta0 in delta0_grid:
         try:
-            kmaxes.append(alphabet_size(peak, delta0 * sigma1))
+            if not (math.isfinite(delta0) and delta0 > 0.0):
+                raise ValueError(f"spacing must be finite and > 0, got {delta0!r}")
+            spacing = delta0 * sigma1
+            if not 0.0 < spacing < math.inf:
+                fault = "underflows to 0" if spacing == 0.0 else "overflows"
+                raise ValueError(f"spacing {delta0:g} * sigma1 {sigma1:g} {fault} in float64")
+            kmaxes.append(alphabet_size(peak, spacing))
         except ValueError as exc:
             raise SweepLimitError(str(exc), delta0) from None
     if sum(kmaxes) > MAX_SWEEP_CELLS:
@@ -226,54 +256,55 @@ def sweep_inner(
     tolerance: float = TOLERANCE,
 ) -> RateRegion:
     """Inner-bound region: hull of the points of every sweep cell of the
-    spacing targets delta0_grid (multiples of sigma1), checked even at peak 0.
+    spacing targets delta0_grid (multiples of sigma1), checked even at peak 0,
+    as is the tolerance in exact mode.
 
     The distinct (k1, k2) splits of the schedule, in the order they first
     appear, go as one SplitConfig batch to analytic_inner_point or
     exact_inner_point, so each split is computed once, by one call per sweep;
     in exact mode so is each mutual information that several splits share.
-    The vertex provenance records the first cell that produced each vertex.
+    Only the Pareto candidates among the points (see _pareto_candidates) go
+    to the hull, which has the same vertices as the hull of them all.  The
+    vertex provenance records the first cell that produced each vertex.
     """
     if mode not in ("analytic", "exact"):
         raise ValueError(f"mode must be 'analytic' or 'exact', got {mode!r}")
+    if mode == "exact":
+        _check_tolerance(tolerance)
     first_delta0: dict[tuple[int, int], float] = {}
     for delta0, k1, k2 in split_schedule(ch.peak, delta0_grid, ch.sigma1):
         first_delta0.setdefault((k1, k2), delta0)
     if ch.peak == 0.0:
         return frontier_hull([])
-    point_of: dict[tuple[int, int], RatePair] = {}
-    if first_delta0:
-        splits = np.array(list(first_delta0), dtype=np.int64)
-        batch = SplitConfig(splits[:, 0], splits[:, 1])
-        if mode == "analytic":
-            points = analytic_inner_point(ch, batch)
-        else:
-            try:
-                points = exact_inner_point(ch, batch, tolerance)
-            except ConvergenceError as exc:
-                k1, k2 = (int(k[exc.index]) for k in (batch.k1, batch.k2))
-                raise ConvergenceError(
-                    f"split k1={k1}, k2={k2} (delta0={first_delta0[(k1, k2)]:g}): {exc}",
-                    exc.previous_estimate,
-                    exc.last_estimate,
-                ) from exc
-        point_of = dict(zip(first_delta0, points))
-    # splits in schedule order, so the first split with a point has its first cell
-    first_split: dict[tuple[float, float], tuple[int, int]] = {}
-    for split, point in point_of.items():
-        first_split.setdefault((point.r1, point.r2), split)
-    hull = frontier_hull(point_of.values())
+    splits = np.array(list(first_delta0), dtype=np.int64).reshape(-1, 2)
+    batch = SplitConfig(splits[:, 0], splits[:, 1])
+    if mode == "analytic":
+        r1, r2 = analytic_inner_point(ch, batch)
+    else:
+        try:
+            r1, r2 = exact_inner_point(ch, batch, tolerance)
+        except ConvergenceError as exc:
+            k1, k2 = splits[exc.index].tolist()
+            raise ConvergenceError(
+                f"split k1={k1}, k2={k2} (delta0={first_delta0[(k1, k2)]:g}): {exc}",
+                exc.previous_estimate,
+                exc.last_estimate,
+            ) from exc
+    front = _pareto_candidates(r1, r2)
+    hull = frontier_hull(_pair_list(r1[front], r2[front]))
     origins = []
     for v in hull.vertices:
-        split = first_split.get((v.r1, v.r2))
+        # the first split, in schedule order, whose point is the vertex
+        first = np.flatnonzero((r1 == v.r1) & (r2 == v.r2))[:1]
+        split = tuple(splits[first[0]].tolist()) if first.size else None
         origins.append(None if split is None else SplitOrigin(first_delta0[split], *split))
     return RateRegion(hull.vertices, tuple(origins))
 
 
 @np.errstate(over="raise")
-def outer_corner(ch: BcChannel, rho: float) -> RatePair | list[RatePair]:
+def outer_corner(ch: BcChannel, rho: float) -> RatePair | tuple[np.ndarray, np.ndarray]:
     """Corner of the outer-bound rectangle at auxiliary parameter rho, or the
-    corners, in order, at an array of rho values."""
+    arrays (r1, r2) of the corners, in order, at an array of rho values."""
     if not every((rho >= 0.0) & (rho <= 1.0)):
         raise ValueError("rho must lie in [0, 1]")
     scaled = c_upper(P2pChannel(rho * ch.peak, ch.sigma2))
@@ -289,8 +320,7 @@ def outer_region(ch: BcChannel, rho_steps: int = RHO_STEPS) -> RateRegion:
     receiver's sum-rate cap."""
     if not 2 <= rho_steps <= MAX_RHO_STEPS:
         raise ValueError(f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {rho_steps!r}")
-    corners = outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1))
-    hull = frontier_hull(corners)
+    hull = frontier_hull(_pair_list(*outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1))))
     if len(hull.vertices) < 3:
         return hull
     verts = [(v.r1, v.r2) for v in hull.vertices]

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -304,6 +308,21 @@ class TestBcRegion:
         assert out == ""
         assert "--peak-db with --sigma1 1: span/sigma = 1e+06" in err
 
+    @pytest.mark.parametrize(
+        "sigma1,entry,message",
+        [
+            # the entry the user typed, not its product with --sigma1
+            ("2", "-1", "--delta0-grid entry -1: spacing must be finite and > 0, got -1.0\n"),
+            ("1e-300", "1e-30", "--delta0-grid entry 1e-30: spacing 1e-30 * sigma1 1e-300 underflows to 0"),
+            ("1e10", "1e300", "--delta0-grid entry 1e+300: spacing 1e+300 * sigma1 1e+10 overflows"),
+        ],
+    )
+    def test_spacing_target_is_checked_before_scaling(self, capsys, sigma1, entry, message):
+        argv = ["bc-inner", "--peak-db", "10", "--sigma1", sigma1, "--sigma2-ratio", "2", "--delta0-grid", entry]
+        code, out, err = run_cli(capsys, argv + TS)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert message in err
+
     def test_sigma2_flags_are_exclusive(self, capsys):
         code, _, err = run_cli(
             capsys, ["bc-inner", "--peak-db", "15", "--sigma2", "2", "--sigma2-ratio", "2"]
@@ -456,6 +475,24 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == EXIT_USAGE
+
+    def test_commands_in_one_process_share_no_state(self, capsys):
+        channel = ["--peak-db", "10", "--sigma2-ratio", "3", "--delta0-grid", "1,3", "--format", "json"] + TS
+        with pytest.raises(SystemExit) as exc:
+            main(["bc-inner", *channel, "--mode", "fast"])
+        assert exc.value.code == EXIT_USAGE
+        capsys.readouterr()
+        code, exact, _ = run_cli(capsys, ["bc-inner", "--mode", "exact", *channel])
+        assert code == EXIT_OK and json.loads(exact)["manifest"]["parameters"]["mode"] == "exact"
+        # no flag value carries over: without --mode the sweep is analytic again
+        code, analytic, _ = run_cli(capsys, ["bc-inner", *channel])
+        assert code == EXIT_OK and json.loads(analytic)["manifest"]["parameters"]["mode"] == "analytic"
+        assert run_cli(capsys, ["bc-inner", *channel]) == (EXIT_OK, analytic, "")
+        # and a fresh interpreter prints the same bytes
+        src = str(Path(esdurate.cli.__file__).resolve().parents[1])
+        fresh = subprocess.run([sys.executable, "-m", "esdurate.cli", "bc-inner", *channel],
+                               capture_output=True, env={**os.environ, "PYTHONPATH": src}, check=False)
+        assert (fresh.returncode, fresh.stdout) == (EXIT_OK, analytic.encode("utf-8"))
 
 
 class TestNumericalFailure:

@@ -580,6 +580,12 @@ class TestTolerance:
             with pytest.raises(ValueError, match=r"^absolute_tolerance must be finite and > 0$"):
                 call()
 
+    @pytest.mark.parametrize("tolerance", [0.0, math.nan])
+    def test_rejected_where_nothing_is_integrated(self, tolerance):
+        # a zero peak builds no panel, yet the tolerance is checked as at any other peak
+        with pytest.raises(ValueError, match=r"^absolute_tolerance must be finite and > 0$"):
+            mi_uniform(P2pChannel(0.0, 1.0), tolerance)
+
 
 class TestKronrodRule:
     @staticmethod

@@ -20,6 +20,8 @@ from esdurate.region import (
     SplitConfig,
     SplitOrigin,
     SweepLimitError,
+    _pair_list,
+    _pareto_candidates,
     exact_inner_point,
     frontier_hull,
     outer_corner,
@@ -39,6 +41,13 @@ from anchors import BC15_DELTA3_SPLIT_POINTS
 # subnormal range, where their rounding would swamp a 1e-12 tolerance
 RATE = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
 FRACTION = st.floats(0.0, 1.0)
+
+# coordinates on a coarse grid give duplicates, ties in r1 and in r2, zeros
+# and (with EDGE runs) collinear points, all in exact arithmetic
+GRID_RATE = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0])
+POINT = st.tuples(st.one_of(GRID_RATE, RATE), st.one_of(GRID_RATE, RATE))
+# a run of points t*(x, 0) + (1 - t)*(0, y) on one chord, t on a grid
+EDGE = st.tuples(GRID_RATE, GRID_RATE, st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=5))
 
 PEAK15 = db_to_amplitude_ratio(15.0)
 CH15 = BcChannel(PEAK15, 1.0, 2.0)
@@ -65,7 +74,7 @@ class TestTypes:
     @pytest.mark.parametrize("steps", [1, MAX_RHO_STEPS + 1, 10**8])
     def test_rho_steps_are_bounded(self, monkeypatch, steps):
         corners = []  # the rho grid sizes the outer bound asked for
-        monkeypatch.setattr("esdurate.region.outer_corner", lambda ch, rho: corners.append(rho.size) or [])
+        monkeypatch.setattr("esdurate.region.outer_corner", lambda ch, rho: corners.append(rho.size) or (np.empty(0), np.empty(0)))
         outer_region(CH15, MAX_RHO_STEPS)
         assert corners == [MAX_RHO_STEPS]
         with pytest.raises(ValueError, match=f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {steps}"):
@@ -250,6 +259,19 @@ class TestFrontierHull:
             }
             assert mine == theirs
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(POINT, max_size=40), st.lists(EDGE, max_size=3))
+    def test_pareto_candidates_give_the_same_hull(self, points, edges):
+        for x, y, ts in edges:
+            points = points + [(t * x, (1.0 - t) * y) for t in ts]
+        r1, r2 = (np.array([p[i] for p in points], dtype=float) for i in (0, 1))
+        front = _pareto_candidates(r1, r2)
+        # every point left out has a candidate at or above it in both rates
+        for i in sorted(set(range(len(points))) - set(front.tolist())):
+            assert any(r1[j] >= r1[i] and r2[j] >= r2[i] for j in front)
+        everything = frontier_hull([RatePair(x, y) for x, y in points])
+        assert frontier_hull(_pair_list(r1[front], r2[front])).vertices == everything.vertices
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(RATE, RATE, FRACTION, FRACTION), min_size=1, max_size=30))
     def test_contains_its_inputs_and_is_a_down_set(self, rows):
@@ -359,6 +381,22 @@ class TestSweep:
         assert [(v.r1, v.r2) for v in region.vertices] == [(0.0, 0.0)]
 
     @pytest.mark.parametrize("peak", [0.0, PEAK15])
+    @pytest.mark.parametrize("tolerance", [0.0, math.nan])
+    def test_exact_mode_checks_the_tolerance_at_any_peak(self, peak, tolerance):
+        with pytest.raises(ValueError, match=r"^absolute_tolerance must be finite and > 0$"):
+            sweep_inner(BcChannel(peak, 1.0, 2.0), (1.0,), "exact", tolerance)
+
+    def test_spacing_target_is_checked_before_scaling(self):
+        # the entry itself is named, not its product with sigma1
+        with pytest.raises(SweepLimitError, match=r"spacing must be finite and > 0, got -1\.0$") as err:
+            sweep_inner(BcChannel(PEAK15, 2.0, 4.0), (1.0, -1.0))
+        assert err.value.delta0 == -1.0
+        for sigma1, delta0, fault in ((1e-300, 1e-30, "underflows to 0"), (1e10, 1e300, "overflows")):
+            with pytest.raises(SweepLimitError, match=fault) as err:
+                split_schedule(sigma1, (1.0, delta0), sigma1)
+            assert err.value.delta0 == delta0
+
+    @pytest.mark.parametrize("peak", [0.0, PEAK15])
     @pytest.mark.parametrize("delta0", [0.0, -1.0])
     def test_rejects_a_non_positive_spacing_target(self, peak, delta0):
         # checked by the schedule, so at peak 0 too, and naming the entry
@@ -408,7 +446,8 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_inner(CH15, (3.0,), "fast")
 
-    @pytest.mark.parametrize("db,ratio", [(15.0, 2.0), (15.0, 10.0), (30.0, 2.0), (30.0, 10.0)])
+    # at 20 dB, sigma2/sigma1 = 1.5, many splits share a composite alphabet size K
+    @pytest.mark.parametrize("db,ratio", [(15.0, 2.0), (15.0, 10.0), (20.0, 1.5), (30.0, 2.0), (30.0, 10.0)])
     def test_analytic_sweep_matches_split_by_split(self, db, ratio):
         ch = BcChannel(db_to_amplitude_ratio(db), 1.0, ratio)
         points, first_origin = [], {}
@@ -428,7 +467,8 @@ class TestSweep:
         k1, k2 = np.array([3, 1, 12, 2, 3]), np.array([4, 12, 1, 6, 4])
         batch = SplitConfig(k1, k2)
         for point_fn in (analytic_inner_point, exact_inner_point):
-            points = point_fn(CH15, batch)
+            r1, r2 = point_fn(CH15, batch)  # a batch gives the arrays of its rates
+            points = [RatePair(a, b) for a, b in zip(r1.tolist(), r2.tolist())]
             assert points == [point_fn(CH15, SplitConfig(a, b)) for a, b in zip(k1.tolist(), k2.tolist())]
 
     def test_exact_sweep_names_the_split_that_fails(self, monkeypatch):
