@@ -10,13 +10,16 @@ absolute tolerance, in bits, each call takes (TOLERANCE by default); h(Z) is
 the closed-form bounds it is used to validate.
 
 mi_discrete takes one noise width or a 1-D array of them: the rates of one
-input at several widths, integrated in lockstep, one density call per round.
-It is also the one path to the exact rate of an EsduInput (or a batch),
-taken from its alphabet rescaled to the integers 0..K-1.  An input that is
-its own mirror image (masses equal to their reverse, atom sums atoms[i] +
-atoms[-1-i] all equal in float64) has an output density symmetric about its
-midpoint, so its entropy integral runs over the lower half at half the
-tolerance and is doubled.
+input at several widths.  It is also the one path to the exact rate of an
+EsduInput (or a batch), taken from its alphabet rescaled to the integers
+0..K-1.  Either way it makes one lockstep call (see _adaptive_integrals): every
+rate it needs is an element of that call, whatever its alphabet, and a round
+makes one density call per alphabet among its elements.  A round holds at most
+_ROUND_PANELS panels, so its arrays stay small however many rates a call
+needs.  An input that is its own mirror image (masses equal to their reverse,
+atom sums atoms[i] + atoms[-1-i] all equal in float64) has an output density
+symmetric about its midpoint, so its entropy integral runs over the lower half
+at half the tolerance and is doubled.
 
 The mixture density behind h(Y) works in fixed blocks of at most 2^16
 (y, atom) pairs, 512 KiB per float64 temporary, whatever the number of nodes
@@ -98,9 +101,13 @@ TOLERANCE = 1e-10
 #: Bisection rounds before the integral gives up: 30 halvings take a 2-sigma
 #: panel below 1e-8 sigma, yet typical calls settle in the first round.
 MAX_REFINEMENTS = 30
-#: Backstop on the working set of one integral call: a round holds at most
-#: this many panels (15 nodes each), and an element that needs more fails.
+#: Backstop on the working set of one integral call: an element that needs
+#: more than this many open panels (15 nodes each) fails.
 _MAX_PANELS = 2_000_000
+#: Panels of one round of a lockstep call: the round takes the first elements
+#: whose panels fit together, or the first element alone if its panels do not
+#: fit.  2,048 panels are 30,720 nodes, 240 KiB per float64 node array.
+_ROUND_PANELS = 2048
 
 #: Bit generator behind numpy's default_rng; period 2^128, seeded explicitly.
 MC_GENERATOR = "numpy-pcg64"
@@ -150,7 +157,17 @@ class DiscreteInput:
             raise ValueError(f"masses must sum to 1, got {masses.sum()!r}")
         self.atoms = atoms
         self.masses = masses
-        self._log_masses = np.log(masses, out=np.full_like(masses, -np.inf), where=masses > 0.0)
+        self._log_masses = _log_masses(masses)
+
+    @classmethod
+    def _integers(cls, k: int) -> "DiscreteInput":
+        """The uniform input on the integers 0..k-1, bit for bit what
+        DiscreteInput builds, without the checks it passes by construction."""
+        inp = object.__new__(cls)
+        inp.atoms = np.arange(k, dtype=float)
+        inp.masses = np.full(k, 1.0 / k)
+        inp._log_masses = _log_masses(inp.masses)
+        return inp
 
     @classmethod
     def from_esdu(cls, inp: EsduInput) -> "DiscreteInput":
@@ -161,6 +178,11 @@ class DiscreteInput:
         atoms = np.asarray(inp.atoms(), dtype=float)
         masses = np.full(inp.levels, 1.0 / inp.levels)
         return cls(atoms, masses)
+
+
+def _log_masses(masses: np.ndarray) -> np.ndarray:
+    """log(masses), -inf where a mass is 0."""
+    return np.log(masses, out=np.full_like(masses, -np.inf), where=masses > 0.0)
 
 
 def mixture_log_pdf(inp: DiscreteInput, sigma, y):
@@ -271,16 +293,17 @@ def _adaptive_integral(f, lo: float, hi: float, resolution: float, tolerance: fl
 
 
 def _adaptive_integrals(
-    f, lo: np.ndarray, hi: np.ndarray, resolution: np.ndarray, tolerance: float, copies: int = 1
+    f, lo: np.ndarray, hi: np.ndarray, resolution: np.ndarray, tolerance: float, copies=1
 ) -> np.ndarray:
     """copies times the integral of f over each [lo[j], hi[j]], by adaptive
-    G7/K15 panel bisection, every element j in lockstep.
+    G7/K15 panel bisection, every element j in lockstep; copies is one count
+    or one per element.
 
     f(y, which) takes the nodes of a round, a row of 15 per panel, and the
     element of each row.  Element j starts from uniform panels no wider than
     twice resolution[j] (the smoothing scale of its integrand).  Each panel
     costs one 15-node evaluation: the K15 value is accepted once |K15 - G7|
-    is within the panel's proportional share of tolerance / copies;
+    is within the panel's proportional share of tolerance / copies[j];
     otherwise the panel is bisected.  A panel whose error is still above its
     share but already at QUADPACK's round-off level cannot improve, so that
     ends its element at once.
@@ -288,10 +311,12 @@ def _adaptive_integrals(
     Each element keeps its own panels, estimates and refinement count, and
     adds its panels in a fixed order, so its result or error is what it
     would be alone, and repeated runs are bit-identical.  A round takes the
-    panels of the first elements that fit _MAX_PANELS together; the others
-    wait.  Raises ConvergenceError for the first element, in order, that
-    fails, with its index, and ValueError, before any panel is built, for a
-    tolerance that is not finite and > 0.
+    open panels of the first elements that fit _ROUND_PANELS together, or of
+    the first element alone if they do not fit; the others wait.  An element
+    with more than _MAX_PANELS open panels fails.  Raises ConvergenceError
+    for the first element, in order, that fails, with its index, and
+    ValueError, before any panel is built, for a tolerance that is not finite
+    and > 0.
     """
     _check_tolerance(tolerance)
     width = hi - lo
@@ -302,6 +327,7 @@ def _adaptive_integrals(
     step = width[owner] / count[owner]
     lower = index * step + lo[owner]
     upper = np.where(index + 1 == count[owner], hi[owner], (index + 1) * step + lo[owner])
+    copies = np.broadcast_to(copies, lo.shape)
     share = tolerance / copies / np.where(width > 0.0, width, 1.0)
     settled = np.zeros(lo.size)
     previous, last = np.full(lo.size, math.nan), np.full(lo.size, math.nan)
@@ -309,10 +335,10 @@ def _adaptive_integrals(
     failure = None
     while owner.size:
         size = owner.size
-        if size > _MAX_PANELS:
+        if size > _ROUND_PANELS:
             # owner is sorted: the panels of the first elements that fit together
             held = np.cumsum(np.bincount(owner))
-            fit = int(np.searchsorted(held, _MAX_PANELS, side="right"))
+            fit = int(np.searchsorted(held, _ROUND_PANELS, side="right"))
             size = max(int(held[fit - 1]) if fit else 0, int(np.searchsorted(owner, owner[0], side="right")))
         low, up, which = lower[:size], upper[:size], owner[:size]
         half = 0.5 * (up - low)
@@ -321,16 +347,18 @@ def _adaptive_integrals(
         kronrod = half * (values * _K15_WEIGHTS).sum(axis=1)
         error = np.abs(half * (values * _K15_MINUS_G7).sum(axis=1))
         converged = error <= share[which] * (up - low)
+        todo = ~converged
+        magnitude = (np.abs(values[todo]) * _K15_WEIGHTS).sum(axis=1)
+        del values  # before the next round's f builds its own
         settled += np.bincount(which, np.where(converged, kronrod, 0.0), lo.size)
         if converged.all():  # every element of the round is done
             lower, upper, owner = lower[size:], upper[size:], owner[size:]
             continue
         stepped = np.unique(which)
         unsettled = np.bincount(which, np.where(converged, 0.0, kronrod), lo.size)
-        previous[stepped], last[stepped] = last[stepped], copies * (settled[stepped] + unsettled[stepped])
+        previous[stepped], last[stepped] = last[stepped], copies[stepped] * (settled[stepped] + unsettled[stepped])
         rounds[stepped] += 1
-        todo = ~converged
-        roundoff = _ROUNDOFF * half[todo] * (np.abs(values[todo]) * _K15_WEIGHTS).sum(axis=1)
+        roundoff = _ROUNDOFF * half[todo] * magnitude
         stuck = np.unique(which[todo][error[todo] <= roundoff])
         mid = low[todo] + half[todo]
         lower = np.concatenate([np.column_stack([low[todo], mid]).ravel(), lower[size:]])
@@ -384,13 +412,14 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     """Mutual information I(X; X+Z) in bits for finite-support X, Z ~ N(0, sigma^2).
 
     A DiscreteInput takes one noise width, giving a float, or a 1-D array of
-    them, integrated in lockstep (see _adaptive_integrals), each element
-    bit-identical to its call alone; a mirror-symmetric input (see the module
-    docstring) integrates its lower half at half the tolerance, doubled.  An
-    EsduInput or batch broadcasts against sigma: K levels over span S have
-    the rate of the integers 0..K-1 at sigma*(K - 1)/S (one level, or a span
-    under MIN_SPAN_SIGMAS, is one atom at sigma), one lockstep call per K
-    integrating each distinct scaled sigma once, in order of first need.
+    them, each element bit-identical to its call alone; a mirror-symmetric
+    input (see the module docstring) integrates its lower half at half the
+    tolerance, doubled.  An EsduInput or batch broadcasts against sigma: K
+    levels over span S have the rate of the integers 0..K-1 at
+    sigma*(K - 1)/S (one level, or a span under MIN_SPAN_SIGMAS, is one atom
+    at sigma), each distinct scaled rate integrated once, in order of first
+    need.  Either way one lockstep call (see _mi_lockstep) integrates every
+    rate the call needs.
 
     sigma and the span cap are checked on the caller's values, and the
     tolerance, in bits, before any panel.  A ConvergenceError names the first
@@ -405,7 +434,7 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     if sigmas.ndim > 1:
         raise ValueError(f"sigma must be a number or a 1-D array, got shape {sigmas.shape}")
     _padded_support(inp.atoms[0], inp.atoms[-1], sigmas)  # the span cap
-    rates = _mi_lockstep(inp, sigmas.reshape(-1), tolerance)
+    rates = _mi_lockstep([inp] * sigmas.size, sigmas.reshape(-1), tolerance)
     return float(rates[0]) if np.ndim(sigma) == 0 else rates
 
 
@@ -416,39 +445,53 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
     live = (levels > 1) & (span > MIN_SPAN_SIGMAS * sigmas)
     scaled = np.where(live, sigmas * (levels - 1) / np.where(live, span, 1.0), sigmas)
     keys = list(zip(np.where(live, levels, 1).ravel().tolist(), scaled.ravel().tolist()))
-    groups: dict[int, list[float]] = {}
-    for k, s in dict.fromkeys(keys):  # the distinct keys, in order of first need
-        groups.setdefault(k, []).append(s)
-    rates, failures = {}, []
-    for k, group in groups.items():
-        integers = DiscreteInput(np.arange(k, dtype=float), np.full(k, 1.0 / k))
-        try:
-            rates.update(zip([(k, s) for s in group], _mi_lockstep(integers, np.array(group), tolerance).tolist()))
-        except ConvergenceError as exc:
-            exc.index = keys.index((k, group[exc.index]))
-            failures.append(exc)
-    if failures:
-        raise min(failures, key=lambda exc: exc.index)
-    return as_result(np.array([rates[key] for key in keys]).reshape(span.shape))
+    distinct = list(dict.fromkeys(keys))  # in order of first need
+    integers = {k: DiscreteInput._integers(k) for k in dict.fromkeys(k for k, _ in distinct)}
+    try:
+        rates = _mi_lockstep([integers[k] for k, _ in distinct], np.array([s for _, s in distinct]), tolerance)
+    except ConvergenceError as exc:
+        exc.index = keys.index(distinct[exc.index])
+        raise
+    rate_of = dict(zip(distinct, rates.tolist()))
+    return as_result(np.array([rate_of[key] for key in keys]).reshape(span.shape))
 
 
-def _mi_lockstep(inp: DiscreteInput, sigmas: np.ndarray, tolerance: float) -> np.ndarray:
-    """The rates of one input at a 1-D array of noise widths, integrated in
-    lockstep; the span cap is the caller's to check."""
-    atoms, masses = inp.atoms, inp.masses
-    lo, hi = atoms[0] - SUPPORT_PADDING * sigmas, atoms[-1] + SUPPORT_PADDING * sigmas
-    mirrored = np.array_equal(masses, masses[::-1]) and bool(np.all(atoms + atoms[::-1] == atoms[0] + atoms[-1]))
-    if mirrored:
-        hi = np.full(sigmas.size, 0.5 * (atoms[0] + atoms[-1]))
+def _mi_lockstep(inputs: list[DiscreteInput], sigmas: np.ndarray, tolerance: float) -> np.ndarray:
+    """The rate of inputs[j] at sigmas[j] for every element j, in one
+    _adaptive_integrals call; the span cap is the caller's to check.  A
+    round's rows go to mixture_log_pdf by input, in a stable order: one call
+    per distinct input (by identity) among the round's elements."""
+    alphabets = list(dict.fromkeys(inputs))
+    number = {inp: i for i, inp in enumerate(alphabets)}
+    group = np.array([number[inp] for inp in inputs], dtype=np.intp)
+    first = np.array([inp.atoms[0] for inp in alphabets])[group]
+    last = np.array([inp.atoms[-1] for inp in alphabets])[group]
+    mirrored = np.array([_mirrored(inp) for inp in alphabets], dtype=bool)[group]
+    lo = first - SUPPORT_PADDING * sigmas
+    hi = np.where(mirrored, 0.5 * (first + last), last + SUPPORT_PADDING * sigmas)
 
     def integrand(y: np.ndarray, which: np.ndarray) -> np.ndarray:
-        lp = mixture_log_pdf(inp, sigmas[which, None], y)
+        owners = group[which]
+        order = np.argsort(owners, kind="stable")
+        lp = np.empty_like(y)
+        for rows in np.split(order, np.flatnonzero(np.diff(owners[order])) + 1):
+            lp[rows] = mixture_log_pdf(alphabets[owners[rows[0]]], sigmas[which[rows], None], y[rows])
         p = np.exp(lp)
+        # -p * lp * log2(e) in place, 0 where p underflows
         with np.errstate(invalid="ignore"):
-            return np.where(p > 0.0, -p * lp * _LOG2_E, 0.0)
+            lp *= p
+        lp *= -_LOG2_E
+        lp[~(p > 0.0)] = 0.0
+        return lp
 
-    h_out = _adaptive_integrals(integrand, lo, hi, sigmas, tolerance, 2 if mirrored else 1)
+    h_out = _adaptive_integrals(integrand, lo, hi, sigmas, tolerance, np.where(mirrored, 2, 1))
     return h_out - noise_entropy(sigmas)
+
+
+def _mirrored(inp: DiscreteInput) -> bool:
+    """Whether an input is its own mirror image (see the module docstring)."""
+    atoms, masses = inp.atoms, inp.masses
+    return np.array_equal(masses, masses[::-1]) and bool(np.all(atoms + atoms[::-1] == atoms[0] + atoms[-1]))
 
 
 def uniform_output_pdf(ch, y):

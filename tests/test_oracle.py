@@ -14,6 +14,7 @@ from esdurate.oracle import (
     _G7_WEIGHTS,
     _K15_NODES,
     _K15_WEIGHTS,
+    MIN_SPAN_SIGMAS,
     TOLERANCE,
     ConvergenceError,
     DiscreteInput,
@@ -157,6 +158,14 @@ class TestDiscreteInput:
         # a subnormal spacing still separates the levels
         assert DiscreteInput.from_esdu(EsduInput(1e-320, 6)).atoms.size == 6
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 150, 2001])
+    def test_integer_alphabet_equals_the_checked_one(self, k):
+        trusted = DiscreteInput._integers(k)
+        checked = DiscreteInput(np.arange(k, dtype=float), np.full(k, 1.0 / k))
+        for name in ("atoms", "masses", "_log_masses"):
+            mine, theirs = getattr(trusted, name), getattr(checked, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+
     @pytest.mark.parametrize(
         "atoms,masses",
         [
@@ -217,6 +226,21 @@ def esdu_batches(draw):
     return [(span if levels > 1 else 0.0, levels, sigma) for span, levels, sigma in elements]
 
 
+@st.composite
+def fused_esdu_batches(draw):
+    """Mixed-K (span, levels, sigma) batches: drawn elements with one K = 1
+    element, one span below MIN_SPAN_SIGMAS noise widths and one repeated
+    key among them, in a drawn order."""
+    sigmas = st.sampled_from([0.3, 1.0, 2.5]) | st.floats(0.2, 5.0)
+    elements = draw(st.lists(st.tuples(st.floats(0.0, 30.0), st.integers(2, 40), sigmas), min_size=1, max_size=6))
+    elements.append((0.0, 1, draw(sigmas)))
+    sigma = draw(sigmas)
+    narrow = draw(st.sampled_from([1e-300, 0.5, 0.99])) * MIN_SPAN_SIGMAS * sigma
+    elements.append((narrow, draw(st.integers(2, 40)), sigma))
+    elements.append(draw(st.sampled_from(elements)))
+    return draw(st.permutations(elements))
+
+
 class TestEsduInputs:
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(esdu_batches())
@@ -273,6 +297,46 @@ class TestEsduInputs:
         assert batch.value.index == 1
         assert str(batch.value) == str(alone.value)
         assert batch.value.last_estimate == alone.value.last_estimate
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(fused_esdu_batches())
+    @example([(0.0, 1, 1.0), (5e-9, 3, 1.0), (10.0, 21, 1.0), (5.0, 11, 0.5), (10.0, 21, 1.0), (4.0, 2, 0.3)])
+    def test_fused_batch_element_equals_its_own_call(self, elements):
+        span, levels, sigma = (np.array(column) for column in zip(*elements))
+        batch = mi_discrete(EsduInput(span, levels), sigma)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_ROUND_PANELS", 16)  # rounds that split the alphabets
+            assert mi_discrete(EsduInput(span, levels), sigma).tolist() == batch.tolist()
+        for value, (s, k, g) in zip(batch.tolist(), elements):
+            assert value == mi_discrete(EsduInput(s, k), g)
+            assert value == pytest.approx(mi_discrete(DiscreteInput.from_esdu(EsduInput(s, k)), g), abs=1e-12)
+
+    def test_one_lockstep_call_makes_one_density_call_per_alphabet_in_a_round(self, monkeypatch):
+        rounds = []
+        integrate, density = oracle._adaptive_integrals, oracle.mixture_log_pdf
+
+        def recording_integrals(f, *args):
+            def recording_f(y, which):
+                rounds.append((y.shape[0], []))
+                return f(y, which)
+            return integrate(recording_f, *args)
+
+        def recording_density(inp, sigma, y):
+            rounds[-1][1].append((inp.atoms.size, y.shape[0]))
+            return density(inp, sigma, y)
+
+        monkeypatch.setattr(oracle, "_adaptive_integrals", recording_integrals)
+        monkeypatch.setattr(oracle, "mixture_log_pdf", recording_density)
+        inp = EsduInput(np.array([10.0, 5.0, 0.0, 10.0]), np.array([21, 11, 1, 21]))
+        want = [mi_discrete(EsduInput(float(s), int(k)), 0.4) for s, k in zip(inp.span, inp.levels)]
+        rounds.clear()
+        assert mi_discrete(inp, 0.4).tolist() == want
+        # K in order of first need, each with its first-round panels: the
+        # scaled width is 0.8 for K = 21 and K = 11, and 0.4 for K = 1
+        assert rounds[0][1] == [(21, 12), (11, 9), (1, 5)]
+        for rows, calls in rounds:
+            sizes = [k for k, _ in calls]
+            assert len(sizes) == len(set(sizes)) and sum(n for _, n in calls) == rows
 
     def test_span_cap_is_checked_on_the_callers_values(self, monkeypatch):
         # 30 widths exactly: the scaled input, (K - 1)/(sigma*(K - 1)/S),
@@ -527,10 +591,42 @@ class TestSigmaBatch:
         rounds = []
         inner = oracle.mixture_log_pdf
         monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: rounds.append(len(y)) or inner(inp, s, y))
-        monkeypatch.setattr(oracle, "_MAX_PANELS", 40)
+        monkeypatch.setattr(oracle, "_ROUND_PANELS", 40)
         assert mi_discrete(di, sigmas).tolist() == want.tolist()
         # rounds of at most 40 panels: the first two elements, then what is left
         assert rounds[0] == 33 and max(rounds) <= 40
+
+    def test_element_wider_than_the_round_budget_runs_alone(self, monkeypatch):
+        di = DiscreteInput.from_esdu(EsduInput(30.0, 31))
+        sigmas = np.array([1.0, 0.5, 2.0])  # 13, 20 and 9 first-round panels
+        want = mi_discrete(di, sigmas)
+        rounds = []
+        inner = oracle.mixture_log_pdf
+        monkeypatch.setattr(
+            oracle, "mixture_log_pdf", lambda inp, s, y: rounds.append(set(np.ravel(s).tolist())) or inner(inp, s, y)
+        )
+        monkeypatch.setattr(oracle, "_ROUND_PANELS", 8)
+        assert mi_discrete(di, sigmas).tolist() == want.tolist()
+        # no element fits 8 panels: every round holds the first open element alone
+        assert rounds[0] == {1.0}
+        assert all(len(widths) == 1 for widths in rounds)
+
+    def test_element_over_the_backstop_fails_though_it_runs_alone(self, monkeypatch):
+        # rounds of 4 panels hold one element each; the 0.02-wide spike then
+        # grows past 8 open panels and fails as it would alone
+        monkeypatch.setattr(oracle, "_ROUND_PANELS", 4)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 8)
+
+        def integrate(widths):
+            n = len(widths)
+            return _adaptive_integrals(spikes(widths), np.full(n, -1.0), np.full(n, 1.0), np.ones(n), 1e-12)
+
+        with pytest.raises(ConvergenceError, match="did not converge") as batch:
+            integrate([1.0, 0.02, 1.0])
+        with pytest.raises(ConvergenceError) as alone:
+            integrate([0.02])
+        assert (batch.value.index, alone.value.index) == (1, 0)
+        assert str(batch.value) == str(alone.value)
 
     def test_element_over_the_backstop_fails_as_it_would_alone(self, monkeypatch):
         # the 0.02-wide spike needs more than 8 panels; the wide ones do not

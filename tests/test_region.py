@@ -175,30 +175,38 @@ class TestInnerPoints:
         calls = []
         inner = oracle._mi_lockstep
 
-        def recording(inp, sigmas, tolerance):
-            calls.append((inp.atoms.tolist(), sigmas.tolist()))
-            return inner(inp, sigmas, tolerance)
+        def recording(inputs, sigmas, tolerance):
+            calls.append([(inp.atoms.tolist(), s) for inp, s in zip(inputs, sigmas.tolist())])
+            return inner(inputs, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", recording)
         exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])))
+        assert len(calls) == 1  # one lockstep call holds every alphabet size
+        by_size = {}
+        for atoms, sigma in calls[0]:
+            by_size.setdefault(len(atoms), []).append(sigma)
         # K = 3 (splits 0 and 2, at sigma1 then sigma2), K = 12 (one composite
         # rate shared by splits 0 and 1), K = 2, K = 15; atoms 0..K-1
-        assert [(len(atoms), len(sigmas)) for atoms, sigmas in calls] == [(3, 4), (12, 1), (2, 2), (15, 1)]
-        assert all(atoms == list(range(len(atoms))) for atoms, _ in calls)
-        assert calls[0][1] == [CH15.sigma1 * 2 / (2 * CH15.peak / 11), 2 * 2 / (2 * CH15.peak / 11),
-                               CH15.sigma1 * 2 / (2 * CH15.peak / 14), 2 * 2 / (2 * CH15.peak / 14)]
-        assert sum(len(sigmas) for _, sigmas in calls) == 8  # each distinct rate once
+        assert [(k, len(sigmas)) for k, sigmas in by_size.items()] == [(3, 4), (12, 1), (2, 2), (15, 1)]
+        assert all(atoms == list(range(len(atoms))) for atoms, _ in calls[0])
+        assert by_size[3] == [CH15.sigma1 * 2 / (2 * CH15.peak / 11), 2 * 2 / (2 * CH15.peak / 11),
+                              CH15.sigma1 * 2 / (2 * CH15.peak / 14), 2 * 2 / (2 * CH15.peak / 14)]
+        assert len(calls[0]) == 8  # each distinct rate once
 
     def test_batch_names_the_first_split_that_needs_a_failing_rate(self, monkeypatch):
         inner = oracle._mi_lockstep
 
-        def failing(inp, sigmas, tolerance):
+        def failing(inputs, sigmas, tolerance):
             # K = 3 fails at its third rate (split 2 at sigma1); K = 2 at its
-            # first (split 1 at sigma1), though K = 3 goes to the oracle first
-            bad = {3: 2, 2: 0}.get(inp.atoms.size)
-            if bad is not None:
-                raise ConvergenceError(f"K={inp.atoms.size} did not settle", 0.1, 0.2, index=bad)
-            return inner(inp, sigmas, tolerance)
+            # first (split 1 at sigma1), though K = 3 goes to the oracle first;
+            # the lockstep call reports the first failing element it holds
+            seen = {}
+            for j, inp in enumerate(inputs):
+                k = inp.atoms.size
+                seen[k] = seen.get(k, -1) + 1
+                if {3: 2, 2: 0}.get(k) == seen[k]:
+                    raise ConvergenceError(f"K={k} did not settle", 0.1, 0.2, index=j)
+            return inner(inputs, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match="^K=2 did not settle") as err:
@@ -429,12 +437,13 @@ class TestSweep:
         calls = []
         inner = oracle._mi_lockstep
 
-        def counting(inp, sigmas, tolerance):
-            calls.extend((tuple(inp.atoms), s) for s in sigmas.tolist())
-            return inner(inp, sigmas, tolerance)
+        def counting(inputs, sigmas, tolerance):
+            calls.extend((tuple(inp.atoms), s) for inp, s in zip(inputs, sigmas.tolist()))
+            return inner(inputs, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", counting)
         region = sweep_inner(CH15, grid, "exact")
+        assert calls  # the sweep's rates pass the recorded seam
         assert len(calls) == len(set(calls))
         # the same vertices as splits evaluated one by one, with nothing shared
         splits = {(k1, k2) for _, k1, k2 in split_schedule(CH15.peak, grid, 1.0)}
@@ -477,11 +486,12 @@ class TestSweep:
         # atoms 0..4: splits (5, 3) at delta0 = 3 and (5, 1) at delta0 = 2
         at_sigma1 = {4.0 / SplitConfig(5, k2).user1_input(CH15.peak).span for k2 in (3, 1)}
 
-        def failing(inp, sigmas, tolerance):
-            bad = [i for i, s in enumerate(sigmas.tolist()) if inp.atoms.size == 5 and s in at_sigma1]
+        def failing(inputs, sigmas, tolerance):
+            pairs = zip(inputs, sigmas.tolist())
+            bad = [j for j, (inp, s) in enumerate(pairs) if inp.atoms.size == 5 and s in at_sigma1]
             if bad:
                 raise ConvergenceError("did not settle", 0.1, 0.2, index=bad[0])
-            return inner(inp, sigmas, tolerance)
+            return inner(inputs, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match=r"^split k1=5, k2=3 \(delta0=3\): did not settle") as err:
@@ -489,9 +499,10 @@ class TestSweep:
         assert (err.value.previous_estimate, err.value.last_estimate) == (0.1, 0.2)
 
     def test_exact_sweep_memory(self):
-        # the largest bc-exact channel: 539 cells, 389 density calls of at
-        # most 64,350 (node, atom) pairs; traced peak 1.3 MB (1.8 MB one
-        # rate at a time)
+        # the largest bc-exact channel: 539 cells, 840 distinct rates in one
+        # lockstep call of rounds of at most 2,048 panels, 562 density calls
+        # of at most 49,335 (node, atom) pairs; traced peak 2.8 MB (4.3 MB
+        # with every first-round panel in one round)
         ch = BcChannel(db_to_amplitude_ratio(18.5), 1.0, 10.0)
         sweep_inner(ch, mode="exact")
         tracemalloc.start()
