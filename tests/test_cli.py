@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -18,6 +19,8 @@ from esdurate.cli import (
     MAX_GRID_POINTS,
     UsageError,
     _parse_grid,
+    build_manifest,
+    build_parser,
     canonical_json,
     main,
 )
@@ -26,7 +29,12 @@ TS = ["--timestamp", "2000-01-01T00:00:00Z"]
 
 
 def run_cli(capsys, argv):
-    code = main(argv)
+    """(exit code, stdout, stderr) of one command; argparse's usage errors
+    raise SystemExit, which is turned back into the code a shell would see."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -76,9 +84,10 @@ class TestP2pBounds:
     def test_peak_flags_are_exclusive(self, capsys):
         code, _, err = run_cli(capsys, ["p2p-bounds", "--peak", "1", "--peak-db", "0"])
         assert code == EXIT_USAGE
-        assert "exactly one" in err
-        code, _, _ = run_cli(capsys, ["p2p-bounds"])
+        assert "--peak-db not allowed with argument --peak" in err
+        code, _, err = run_cli(capsys, ["p2p-bounds"])
         assert code == EXIT_USAGE
+        assert "one of the arguments --peak --peak-db is required" in err
 
     @pytest.mark.parametrize(
         "argv,flag",
@@ -260,7 +269,7 @@ class TestBcRegion:
         assert out == ""
         assert "--peak-db 3100" in err
 
-    @pytest.mark.parametrize("command", ["bc-inner", "bc-outer"])
+    @pytest.mark.parametrize("command", ["bc-outer"])
     def test_rho_steps_below_two_names_the_flag(self, capsys, command):
         code, out, err = run_cli(capsys, [command, "--peak-db", "10", "--sigma2-ratio", "2", "--rho-steps", "1"] + TS)
         assert code == EXIT_USAGE
@@ -328,7 +337,10 @@ class TestBcRegion:
             capsys, ["bc-inner", "--peak-db", "15", "--sigma2", "2", "--sigma2-ratio", "2"]
         )
         assert code == EXIT_USAGE
-        assert "exactly one" in err
+        assert "--sigma2-ratio not allowed with argument --sigma2" in err
+        code, _, err = run_cli(capsys, ["bc-outer", "--peak-db", "15"])
+        assert code == EXIT_USAGE
+        assert "one of the arguments --sigma2 --sigma2-ratio is required" in err
 
     def test_outer_region_constraint(self, capsys):
         code, out, _ = run_cli(
@@ -408,6 +420,15 @@ BASE_ARGV = {
     "verify": [],
 }
 QUAD_TOL_RULE = "absolute_tolerance must be finite and > 0"
+#: bc-outer runs no quadrature and takes no --quad-tol; bc-inner samples no
+#: rho and takes no --rho-steps
+REMOVED = {("bc-outer", "--quad-tol"), ("bc-inner", "--rho-steps")}
+
+
+def rejected(command, flag, text, message):
+    """The error for `flag text` given to `command`: `message`, or argparse's
+    for a flag the command does not take."""
+    return f"unrecognized arguments: {flag} {text}" if (command, flag) in REMOVED else message
 
 
 class TestUsageErrors:
@@ -423,12 +444,13 @@ class TestUsageErrors:
             (["esdu-rate", "--span", "2", "--levels", "1"],
              "--span 2 with --levels 1: a single-level input has no extent"),
             (["esdu-rate", "--span", "2", "--levels", "3", "--mc-samples", "9999"],
-             "--mc-samples must be in [10000, 10000000], got 9999"),
+             "--mc-samples must be >= 10000, got 9999"),
             (["esdu-rate", "--span", "2", "--levels", "3", "--mc-samples", "-5"],
-             "--mc-samples must be in [10000, 10000000], got -5"),
+             "--mc-samples must be >= 10000, got -5"),
             (["esdu-rate", "--span", "2", "--levels", "3", "--mc-samples", "10000", "--seed", "-1"],
              "--seed must be >= 0, got -1"),
-            *[([command, *BASE_ARGV[command], "--quad-tol", tol], f"--quad-tol {value}: {QUAD_TOL_RULE}")
+            *[([command, *BASE_ARGV[command], "--quad-tol", tol],
+               rejected(command, "--quad-tol", tol, f"--quad-tol {value}: {QUAD_TOL_RULE}"))
               for command in BASE_ARGV for tol, value in (("0", "0.0"), ("nan", "nan"))],
             *[([command, "--peak", peak, "--sigma2-ratio", "2"], f"--peak must be finite and >= 0, got {value}")
               for command in ("bc-inner", "bc-outer") for peak, value in (("-1", "-1.0"), ("nan", "nan"))],
@@ -438,10 +460,18 @@ class TestUsageErrors:
             (["verify", "--containment-tol", "-1"], "--containment-tol must be finite and >= 0, got -1.0"),
             (["verify", "--containment-tol", "nan"], "--containment-tol must be finite and >= 0, got nan"),
             *[([command, *BASE_ARGV[command], "--rho-steps", steps],
-               f"--rho-steps must be at most 100000, got {steps}")
+               rejected(command, "--rho-steps", steps, f"--rho-steps must be at most 100000, got {steps}"))
               for command in ("bc-inner", "bc-outer", "verify") for steps in ("100001", "100000000")],
             *[([command, *BASE_ARGV[command], "--delta0-grid", f"1,{entry}"], f"--delta0-grid entry {entry}: ")
               for command in ("bc-inner", "bc-outer") for entry in ("-1", "0")],
+            # a flag's domain no longer depends on another flag being given
+            (["p2p-bounds", "--peak-db", "5", "--sigma", "inf"], "--sigma must be finite and > 0, got inf"),
+            (["p2p-bounds", "--peak", "inf"], "--peak must be finite and >= 0, got inf"),
+            (["esdu-rate", "--span", "2", "--levels", "3", "--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["esdu-rate", "--span", "2", "--levels", "100001"], "--levels must be at most 100000, got 100001"),
+            (["esdu-rate", "--span", "2", "--levels", "2.5"], "--levels invalid int value: '2.5'"),
+            (["p2p-bounds", "--peak-db", "5", "--delta0", "abc"], "--delta0 invalid float value: 'abc'"),
+            (["bc-inner", "--peak-db", "10", "--sigma2-ratio", "x"], "--sigma2-ratio invalid float value: 'x'"),
         ],
     )
     def test_names_the_flag_before_any_work(self, capsys, monkeypatch, argv, message):
@@ -465,7 +495,75 @@ class TestUsageErrors:
         assert mi == exact_inner_point(ch, SplitConfig(int(levels), 1)).r1
 
 
+class TestManifest:
+    #: each command's parameters, and whether it records the quadrature
+    SCHEMA = {
+        "p2p-bounds": ({"peak", "peak_db", "sigma", "delta0", "quad_tol", "format"}, True),
+        "esdu-rate": ({"span", "levels", "sigma", "quad_tol", "mc_samples", "format"}, True),
+        "bc-inner": ({"peak", "sigma1", "sigma2", "mode", "delta0_grid", "quad_tol", "format"}, True),
+        "bc-outer": ({"peak", "sigma1", "sigma2", "mode", "delta0_grid", "rho_steps", "format"}, False),
+        "verify": ({"peak_db_grid", "sigma_ratios", "delta0_grid", "sandwich_tol", "dominance_tol",
+                    "containment_tol", "quad_tol"}, True),
+    }
+
+    @pytest.mark.parametrize("command", list(SCHEMA))
+    def test_parameters_and_quadrature_by_command(self, capsys, command):
+        argv = [command, *BASE_ARGV[command]] + (
+            ["--peak-db-grid", "0", "--sigma-ratios", "2", "--delta0-grid", "3", "--rho-steps", "11"]
+            if command == "verify" else ["--format", "json"]
+        )
+        code, out, _ = run_cli(capsys, argv + TS)
+        assert code == EXIT_OK
+        manifest = json.loads(out)["manifest"]
+        keys, quadrature = self.SCHEMA[command]
+        assert manifest["schema_version"] == 2
+        assert set(manifest["parameters"]) == keys
+        assert ("quadrature" in manifest) == quadrature
+        assert manifest["timestamp"] == TS[1]
+
+    @pytest.mark.parametrize(
+        "stamp", ["", "2000-01-01", "2000-01-01 00:00:00Z", "2000-01-01T00:00:00+00:00", "2000-1-1T0:0:0Z",
+                  "2000-13-01T00:00:00Z"],
+    )
+    def test_timestamp_must_be_the_manifest_form(self, capsys, stamp):
+        code, out, err = run_cli(capsys, ["p2p-bounds", "--peak-db", "5", "--timestamp", stamp])
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"--timestamp must be a UTC time like 2000-01-01T00:00:00Z, got {stamp!r}" in err
+
+    def test_pinned_timestamp_round_trips(self, capsys):
+        argv = ["esdu-rate", "--span", "2", "--levels", "3", "--timestamp", "2031-12-31T23:59:59Z"]
+        _, first, _ = run_cli(capsys, argv)
+        assert json.loads(first.splitlines()[0][len("# manifest: "):])["timestamp"] == "2031-12-31T23:59:59Z"
+        assert run_cli(capsys, argv) == (EXIT_OK, first, "")
+        # a library caller's pin is kept as given, even an empty one
+        assert build_manifest("esdu-rate", {}, timestamp="")["timestamp"] == ""
+
+
+class TestOutPath:
+    @pytest.mark.parametrize("argv", [["bc-inner", "--peak-db", "10", "--sigma2-ratio", "2"],
+                                      ["verify", *TestVerifyCommand.FAST]], ids=["bc-inner", "verify"])
+    def test_unopenable_out_path_is_a_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(capsys, [*argv, "--out", str(target)] + TS)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"esdurate: error: --out {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
+
 class TestParser:
+    def test_every_numeric_flag_checks_its_domain(self):
+        # a bare float or int type takes nan, inf or any integer; each numeric
+        # flag names its domain through one of the cli converters instead
+        subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        numeric = 0
+        for command, parser in subparsers.choices.items():
+            for action in parser._actions:
+                if action.type is None and isinstance(action.default, (int, float)):
+                    pytest.fail(f"{command} {action.dest}: a numeric default with no type")
+                assert action.type not in (float, int), f"{command} {action.dest} has a bare {action.type.__name__}"
+                numeric += action.type is not None
+        assert numeric >= 20
+
     def test_unknown_flag_exits_with_usage_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["p2p-bounds", "--bogus"])

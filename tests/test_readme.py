@@ -1,7 +1,13 @@
-"""The README's library quick start runs, and prints what its comments show."""
+"""The README's library quick start and command-line examples run, and the
+quick start prints what its comments show."""
 
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from esdurate.cli import EXIT_OK, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -12,6 +18,14 @@ def quick_start() -> str:
     return re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
 
 
+def cli_examples() -> list[list[str]]:
+    """The argv of every `esdurate ...` line in the first sh block after the
+    "Command line" heading."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.DOTALL).group(1)
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("esdurate ")]
+
+
 def test_library_quick_start_runs(capsys):
     code = quick_start()
     exec(compile(code, str(README), "exec"), {"__name__": "readme_quick_start"})
@@ -20,3 +34,18 @@ def test_library_quick_start_runs(capsys):
     shown = re.findall(r"(-?\d+\.\d+)\.\.\.", "".join(re.findall(r"#.*", code)))
     assert shown and len(printed) == len(shown)
     assert all(value.startswith(prefix) for value, prefix in zip(printed, shown))
+
+
+def test_every_command_has_an_example():
+    assert {argv[0] for argv in cli_examples()} == {"p2p-bounds", "esdu-rate", "bc-inner", "bc-outer", "verify"}
+
+
+@pytest.mark.parametrize("argv", cli_examples(), ids=lambda argv: argv[0])
+def test_command_line_example_runs(capsys, argv):
+    try:
+        code = main([*argv, "--timestamp", "2000-01-01T00:00:00Z"])
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, err) == (EXIT_OK, "")
+    assert out.startswith(("# manifest: {", "{\n"))
