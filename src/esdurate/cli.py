@@ -6,12 +6,14 @@ reruns with an identical manifest (use --timestamp to pin the only
 non-deterministic field) produce byte-identical output.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
-failure.
+failure, 141 (128 + SIGPIPE, as a shell reports it) when stdout is closed
+before the output is written.
 """
 
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from datetime import datetime, timezone
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
+EXIT_BROKEN_PIPE = 141
 
 SCHEMA_VERSION = 2
 #: The form of the manifest timestamp, and the one --timestamp accepts.
@@ -439,7 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
     p2p = sub.add_parser("p2p-bounds", help="bound table for the point-to-point channel")
     peak = p2p.add_mutually_exclusive_group(required=True)
     peak.add_argument("--peak", type=_nonnegative, help="peak amplitude A (linear)")
-    peak.add_argument("--peak-db", help="A/sigma in dB; comma list or start:stop[:step]")
+    peak.add_argument("--peak-db", help="A/sigma in dB; comma list or start:stop[:step] "
+                      "(a grid that starts with a minus sign needs the = form: --peak-db=-10:0:5)")
     p2p.add_argument("--sigma", type=_positive, default=1.0)
     p2p.add_argument("--delta0", type=_positive, default=0.5,
                      help="target level spacing in sigma units (picks K)")
@@ -481,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     bco.set_defaults(func=lambda a: cmd_bc_region(a, "outer"))
 
     ver = sub.add_parser("verify", help="run the sandwich/dominance/containment suites")
-    ver.add_argument("--peak-db-grid", default="0,5,10,15,20")
+    ver.add_argument("--peak-db-grid", default="0,5,10,15,20",
+                     help="A/sigma1 in dB; comma list or start:stop[:step] "
+                     "(a grid that starts with a minus sign needs the = form: --peak-db-grid=-5,0)")
     ver.add_argument("--sigma-ratios", default="2,10")
     ver.add_argument("--delta0-grid", default="0.5,1,3,6")
     ver.add_argument("--rho-steps", type=rho_steps, default=RHO_STEPS)
@@ -498,7 +504,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left (say, `| head -1`): send what is still buffered to
+        # devnull, so the interpreter's own flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (UsageError, ValueError) as exc:
         print(f"esdurate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

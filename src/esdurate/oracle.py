@@ -22,10 +22,12 @@ symmetric about its midpoint, so its entropy integral runs over the lower half
 at half the tolerance and is doubled.
 
 The mixture density behind h(Y) works in fixed blocks of at most 2^16
-(y, atom) pairs, 512 KiB per float64 temporary, whatever the number of nodes
-or samples, and leaves out atoms more than 40 sigma from a block only where
-their terms provably underflow to 0.0.  The value at each y depends on that
-y and its sigma alone, never on the other values of the call.
+(atom, y) pairs, 512 KiB per float64 temporary, whatever the number of nodes
+or samples, a row per atom, and adds each y's terms in row order, from the
+first atom to the last.  It leaves out atoms more than 40 sigma from a block
+only where their terms provably underflow to 0.0, which would add nothing to
+a row-ordered sum, so the value at each y depends on that y and its sigma
+alone, never on the other values of the call.
 
 A seeded Monte-Carlo estimator provides an independent cross-check of the
 quadrature path.
@@ -71,13 +73,9 @@ _K15_MINUS_G7 = _K15_WEIGHTS - _G7_WEIGHTS
 #: QUADPACK's round-off level of a panel, in units of half * sum |w_k f_k|.
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
-#: Entries of one (block x atoms) work array in mixture_log_pdf: 512 KiB per
+#: Entries of one (atoms x block) work array in mixture_log_pdf: 512 KiB per
 #: float64 temporary.
 _BLOCK_ELEMENTS = 1 << 16
-#: Atoms are summed in chunks of this many, counted from the first atom: a
-#: block's window takes whole chunks, and the chunk totals add left to right,
-#: so leaving out chunks whose terms are all 0.0 changes no bit of a sum.
-_CHUNK_ATOMS = 64
 #: Atoms farther than this many noise widths from every y of a block are left
 #: out of its log-sum-exp, once the block's peaks show their terms underflow.
 _WINDOW_SIGMAS = 40.0
@@ -193,16 +191,16 @@ def mixture_log_pdf(inp: DiscreteInput, sigma, y):
     the shape of y is preserved.  sigma is one noise width or an array of
     them that broadcasts against y, a width per value.
 
-    The flattened values run in blocks of _BLOCK_ELEMENTS // K rows (at least
-    one), which fit the budget even with all K atoms.  A block keeps only the
-    atoms within _WINDOW_SIGMAS times its largest sigma of its values,
-    widened to whole chunks of _CHUNK_ATOMS, when that is exact: every term left out
+    The flattened values run in blocks of _BLOCK_ELEMENTS // K values (at
+    least one), which fit the budget even with all K atoms; a block is a row
+    of terms per atom.  It keeps only the atoms within _WINDOW_SIGMAS times
+    its largest sigma of its values when that is exact: every term left out
     is below exp(-800 + max log mass), more than 746 below the block's
     smallest kept peak, so its exp(term - peak) is 0.0 in float64.  Otherwise
     (values far from every atom, zero masses near them) the block keeps every
-    atom.  Since the sum adds chunk totals left to right, the chunks left out
-    would only have added 0.0: the value at each y is the same whatever
-    block, window or call it falls in.
+    atom.  Each value's terms are added in row order, first atom to last, so
+    the atoms left out would only have added 0.0: the value at each y is the
+    same whatever block, window or call it falls in.
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
@@ -217,28 +215,24 @@ def mixture_log_pdf(inp: DiscreteInput, sigma, y):
 
 
 def _exponents(y: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """The per-atom terms -0.5*((y - atom)/sigma)^2 + log(mass) of 1-D y,
-    atoms last; sigma is a column, one width for every y or one per y."""
-    z = y[:, None] - atoms
+    """The per-atom terms -0.5*((y - atom)/sigma)^2 + log(mass) of 1-D y, a
+    row per atom; sigma is one width for every y or one per y."""
+    z = y - atoms[:, None]
     z /= sigma
     exponents = -0.5 * z
     exponents *= z
-    exponents += log_masses
+    exponents += log_masses[:, None]
     return exponents
 
 
-def _log_sum_exp(exponents: np.ndarray, peak: np.ndarray, chunk: int) -> np.ndarray:
-    """log(sum(exp(exponents))) over the last axis, given its maximum `peak`:
-    chunks of `chunk` columns from the first (the last may be shorter), their
-    totals added left to right.  Overwrites exponents."""
-    exponents -= peak[:, None]
+def _log_sum_exp(exponents: np.ndarray, peak: np.ndarray) -> np.ndarray:
+    """log(sum(exp(exponents))) over the atoms (rows), given their maximum
+    `peak`, the rows added first to last.  Overwrites exponents."""
+    exponents -= peak
     np.exp(exponents, out=exponents)
-    rows, width = exponents.shape
-    whole = width - width % chunk
-    totals = exponents[:, :whole].reshape(rows, -1, chunk).sum(axis=-1)
-    if whole < width:
-        totals = np.column_stack([totals, exponents[:, whole:].sum(axis=-1)])
-    return peak + np.log(np.cumsum(totals, axis=-1)[:, -1])
+    # numpy sums a lone column pairwise, so its order would depend on the block
+    total = np.cumsum(exponents, axis=0)[-1] if exponents.shape[1] == 1 else exponents.sum(axis=0)
+    return peak + np.log(total)
 
 
 def _blocked_log_sum_exp(
@@ -247,25 +241,23 @@ def _blocked_log_sum_exp(
     """_log_sum_exp of the terms of 1-D y with widths `scale`, one or one per
     value, block by block within the budget."""
     n, k = flat.size, atoms.size
-    widths = scale.reshape(-1, 1)
-    chunk = min(_CHUNK_ATOMS, k)
+    widths = scale.reshape(-1)
     out = np.empty(n)
     # no term of an atom outside a block's window exceeds this
     excluded_top = -0.5 * _WINDOW_SIGMAS**2 + float(np.max(log_masses))
-    rows = max(1, _BLOCK_ELEMENTS // k)  # within the budget even with every atom
-    for start in range(0, n, rows):
-        block = flat[start : start + rows]
-        sigma = widths if widths.size == 1 else widths[start : start + rows]
+    columns = max(1, _BLOCK_ELEMENTS // k)  # within the budget even with every atom
+    for start in range(0, n, columns):
+        block = flat[start : start + columns]
+        sigma = widths if widths.size == 1 else widths[start : start + columns]
         first, last = _window(block, atoms, _WINDOW_SIGMAS * np.max(sigma))
         if last > first:
-            first, last = first - first % chunk, min(k, last + -last % chunk)
             exponents = _exponents(block, atoms[first:last], log_masses[first:last], sigma)
-            peak = np.max(exponents, axis=-1)
+            peak = np.max(exponents, axis=0)
         if last == first or (last - first < k and not excluded_top - np.min(peak) < _UNDERFLOW_EXPONENT):
-            # a dropped atom might not underflow: redo these rows with every atom
+            # a dropped atom might not underflow: redo these values with every atom
             exponents = _exponents(block, atoms, log_masses, sigma)
-            peak = np.max(exponents, axis=-1)
-        out[start : start + rows] = _log_sum_exp(exponents, peak, chunk)
+            peak = np.max(exponents, axis=0)
+        out[start : start + columns] = _log_sum_exp(exponents, peak)
         del exponents, peak  # before the next block allocates its own
     return out
 
@@ -434,7 +426,7 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     if sigmas.ndim > 1:
         raise ValueError(f"sigma must be a number or a 1-D array, got shape {sigmas.shape}")
     _padded_support(inp.atoms[0], inp.atoms[-1], sigmas)  # the span cap
-    rates = _mi_lockstep([inp] * sigmas.size, sigmas.reshape(-1), tolerance)
+    rates = _mi_lockstep([inp] * sigmas.size, sigmas.reshape(-1), tolerance, mirrored=_mirrored(inp))
     return float(rates[0]) if np.ndim(sigma) == 0 else rates
 
 
@@ -448,7 +440,9 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
     distinct = list(dict.fromkeys(keys))  # in order of first need
     integers = {k: DiscreteInput._integers(k) for k in dict.fromkeys(k for k, _ in distinct)}
     try:
-        rates = _mi_lockstep([integers[k] for k, _ in distinct], np.array([s for _, s in distinct]), tolerance)
+        rates = _mi_lockstep(
+            [integers[k] for k, _ in distinct], np.array([s for _, s in distinct]), tolerance, mirrored=True
+        )
     except ConvergenceError as exc:
         exc.index = keys.index(distinct[exc.index])
         raise
@@ -456,19 +450,19 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
     return as_result(np.array([rate_of[key] for key in keys]).reshape(span.shape))
 
 
-def _mi_lockstep(inputs: list[DiscreteInput], sigmas: np.ndarray, tolerance: float) -> np.ndarray:
+def _mi_lockstep(inputs: list[DiscreteInput], sigmas: np.ndarray, tolerance: float, mirrored: bool) -> np.ndarray:
     """The rate of inputs[j] at sigmas[j] for every element j, in one
-    _adaptive_integrals call; the span cap is the caller's to check.  A
-    round's rows go to mixture_log_pdf by input, in a stable order: one call
-    per distinct input (by identity) among the round's elements."""
+    _adaptive_integrals call; the span cap is the caller's to check, and so is
+    whether every input is its own mirror image.  A round's rows go to
+    mixture_log_pdf by input, in a stable order: one call per distinct input
+    (by identity) among the round's elements."""
     alphabets = list(dict.fromkeys(inputs))
     number = {inp: i for i, inp in enumerate(alphabets)}
     group = np.array([number[inp] for inp in inputs], dtype=np.intp)
     first = np.array([inp.atoms[0] for inp in alphabets])[group]
     last = np.array([inp.atoms[-1] for inp in alphabets])[group]
-    mirrored = np.array([_mirrored(inp) for inp in alphabets], dtype=bool)[group]
     lo = first - SUPPORT_PADDING * sigmas
-    hi = np.where(mirrored, 0.5 * (first + last), last + SUPPORT_PADDING * sigmas)
+    hi = 0.5 * (first + last) if mirrored else last + SUPPORT_PADDING * sigmas
 
     def integrand(y: np.ndarray, which: np.ndarray) -> np.ndarray:
         owners = group[which]
@@ -484,7 +478,7 @@ def _mi_lockstep(inputs: list[DiscreteInput], sigmas: np.ndarray, tolerance: flo
         lp[~(p > 0.0)] = 0.0
         return lp
 
-    h_out = _adaptive_integrals(integrand, lo, hi, sigmas, tolerance, np.where(mirrored, 2, 1))
+    h_out = _adaptive_integrals(integrand, lo, hi, sigmas, tolerance, 2 if mirrored else 1)
     return h_out - noise_entropy(sigmas)
 
 

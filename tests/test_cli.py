@@ -12,6 +12,7 @@ import esdurate.cli
 import esdurate.esdu
 from esdurate.region import BcChannel, SplitConfig, exact_inner_point
 from esdurate.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
@@ -63,6 +64,17 @@ class TestP2pBounds:
         assert code == EXIT_OK
         _, rows = parse_csv(out)
         assert [float(r["A_over_sigma_db"]) for r in rows] == [0.0, 1.0, 2.0]
+
+    def test_grid_that_starts_with_a_minus_sign_takes_the_equals_form(self, capsys):
+        code, out, _ = run_cli(capsys, ["p2p-bounds", "--peak-db=-10:0:5", "--delta0", "1"] + TS)
+        assert code == EXIT_OK
+        assert [float(r["A_over_sigma_db"]) for r in parse_csv(out)[1]] == [-10.0, -5.0, 0.0]
+        # argparse takes a separate -10:0:5 for an option; the help says so
+        code, _, err = run_cli(capsys, ["p2p-bounds", "--peak-db", "-10:0:5"])
+        assert code == EXIT_USAGE and "--peak-db expected one argument" in err
+        for command, flag in (("p2p-bounds", "--peak-db"), ("verify", "--peak-db-grid")):
+            code, out, _ = run_cli(capsys, [command, "--help"])
+            assert code == EXIT_OK and f"the = form: {flag}=-" in " ".join(out.split())
 
     def test_10db_row(self, capsys):
         code, out, _ = run_cli(capsys, ["p2p-bounds", "--peak-db", "10", "--delta0", "0.5"] + TS)
@@ -548,6 +560,19 @@ class TestOutPath:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"esdurate: error: --out {target}: No such file or directory\n"
         assert not target.parent.exists()
+
+
+    def test_closed_stdout_exits_quietly(self):
+        # 240 kB of vertices, more than a pipe holds: the command is still
+        # writing when its reader leaves after the first line, as `| head -1` does
+        src = str(Path(esdurate.cli.__file__).resolve().parents[1])
+        argv = ["bc-outer", "--peak-db", "30", "--sigma2-ratio", "2", "--rho-steps", "100000"]
+        proc = subprocess.Popen([sys.executable, "-m", "esdurate.cli", *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src})
+        assert proc.stdout.readline().startswith(b"# manifest: ")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
 
 
 class TestParser:

@@ -70,6 +70,20 @@ def reference_log_pdf(di, sigma, y):
     return np.reshape(out - math.log(sigma * math.sqrt(2.0 * math.pi)), np.shape(y))
 
 
+def left_to_right_log_pdf(di, sigma, y):
+    """mixture_log_pdf of 1-D y with every atom in every sum, each value's
+    terms added from the first atom to the last (np.cumsum is sequential),
+    in the operation order of the oracle's kernel."""
+    out = []
+    for part in np.array_split(y, max(1, y.size // 256)):
+        z = (part - di.atoms[:, None]) / sigma
+        exponents = -0.5 * z * z + di._log_masses[:, None]
+        peak = exponents.max(axis=0)
+        total = np.cumsum(np.exp(exponents - peak), axis=0)[-1]
+        out.append(peak + np.log(total) - np.log(np.float64(sigma)) - oracle._LOG_SQRT_2PI)
+    return np.concatenate(out)
+
+
 @st.composite
 def mixtures(draw):
     """Inputs with 1 to 3000 atoms: evenly spaced or jittered, uniform,
@@ -433,14 +447,12 @@ class TestMixtureLogPdf:
             "unsorted": np.random.default_rng(0).uniform(-10.0, 1010.0, 7650),
             "far": np.linspace(1500.0, 1600.0, 3000),
         }[case]
-        shapes, spans, windows = [], [], []
+        shapes, windows = [], []
         exponents, window = oracle._exponents, oracle._window
 
         def recording_exponents(*args):
             out = exponents(*args)
             shapes.append(out.shape)
-            first = int(np.searchsorted(di.atoms, args[1][0]))
-            spans.append((first, first + args[1].size))
             return out
 
         monkeypatch.setattr(oracle, "_exponents", recording_exponents)
@@ -449,14 +461,24 @@ class TestMixtureLogPdf:
         rows = oracle._BLOCK_ELEMENTS // 2001
         blocks = math.ceil(y.size / rows)
         assert len(windows) == blocks  # one window per block
-        assert all(r * k <= oracle._BLOCK_ELEMENTS for r, k in shapes)
-        assert {r for r, _ in shapes} == {rows, y.size - (blocks - 1) * rows}
-        # windows are whole chunks of atoms counted from the first
-        chunk = oracle._CHUNK_ATOMS
-        assert all(first % chunk == 0 and (last % chunk == 0 or last == 2001) for first, last in spans)
+        # blocks are (atoms, values)
+        assert all(k * r <= oracle._BLOCK_ELEMENTS for k, r in shapes)
+        assert {r for _, r in shapes} == {rows, y.size - (blocks - 1) * rows}
+        if case == "sorted":
+            assert all(k < 2001 for k, _ in shapes)
         if case == "far":
-            assert all(k == 2001 for _, k in shapes)
+            assert all(k == 2001 for k, _ in shapes)
+        # the atoms a window leaves out would only have added 0.0
+        assert np.array_equal(got, left_to_right_log_pdf(di, 1.0, y))
         np.testing.assert_allclose(got, reference_log_pdf(di, 1.0, y), rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("levels", [8, 64, 2001])
+    def test_lone_value_equals_its_element_of_a_batch(self, levels):
+        # a one-value block is summed in the same order as a wider one
+        di = DiscreteInput.from_esdu(EsduInput(0.5 * (levels - 1), levels))
+        y = np.random.default_rng(levels).uniform(-5.0, 0.5 * levels + 5.0, 300)
+        batch = mixture_log_pdf(di, 1.0, y)
+        assert [mixture_log_pdf(di, 1.0, value) for value in y.tolist()] == batch.tolist()
 
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
@@ -565,6 +587,18 @@ class TestSigmaBatch:
         di = DiscreteInput(np.array([0.0, 1.0, 3.0]), np.full(3, 1 / 3))
         mi_discrete(di, 1.0)
         assert nodes[0] == 12 * 15  # 12 panels over [-10, 13]
+
+    def test_symmetry_is_checked_once_per_input_and_never_for_esdu(self, monkeypatch):
+        checked = []
+        inner = oracle._mirrored
+        monkeypatch.setattr(oracle, "_mirrored", lambda inp: checked.append(inp) or inner(inp))
+        di = DiscreteInput.from_esdu(EsduInput(6.0, 4))
+        mi_discrete(di, np.array([0.5, 1.0, 2.0]))
+        assert checked == [di]
+        checked.clear()
+        # the integers 0..K-1 are their own mirror image by construction
+        mi_discrete(EsduInput(np.array([6.0, 9.0, 0.0]), np.array([4, 7, 1])), 1.0)
+        assert checked == []
 
     def test_rejects_a_sigma_array_of_more_than_one_dimension(self):
         with pytest.raises(ValueError, match="1-D"):

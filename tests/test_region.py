@@ -175,9 +175,9 @@ class TestInnerPoints:
         calls = []
         inner = oracle._mi_lockstep
 
-        def recording(inputs, sigmas, tolerance):
+        def recording(inputs, sigmas, tolerance, mirrored):
             calls.append([(inp.atoms.tolist(), s) for inp, s in zip(inputs, sigmas.tolist())])
-            return inner(inputs, sigmas, tolerance)
+            return inner(inputs, sigmas, tolerance, mirrored)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", recording)
         exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])))
@@ -196,7 +196,7 @@ class TestInnerPoints:
     def test_batch_names_the_first_split_that_needs_a_failing_rate(self, monkeypatch):
         inner = oracle._mi_lockstep
 
-        def failing(inputs, sigmas, tolerance):
+        def failing(inputs, sigmas, tolerance, mirrored):
             # K = 3 fails at its third rate (split 2 at sigma1); K = 2 at its
             # first (split 1 at sigma1), though K = 3 goes to the oracle first;
             # the lockstep call reports the first failing element it holds
@@ -206,7 +206,7 @@ class TestInnerPoints:
                 seen[k] = seen.get(k, -1) + 1
                 if {3: 2, 2: 0}.get(k) == seen[k]:
                     raise ConvergenceError(f"K={k} did not settle", 0.1, 0.2, index=j)
-            return inner(inputs, sigmas, tolerance)
+            return inner(inputs, sigmas, tolerance, mirrored)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match="^K=2 did not settle") as err:
@@ -437,9 +437,9 @@ class TestSweep:
         calls = []
         inner = oracle._mi_lockstep
 
-        def counting(inputs, sigmas, tolerance):
+        def counting(inputs, sigmas, tolerance, mirrored):
             calls.extend((tuple(inp.atoms), s) for inp, s in zip(inputs, sigmas.tolist()))
-            return inner(inputs, sigmas, tolerance)
+            return inner(inputs, sigmas, tolerance, mirrored)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", counting)
         region = sweep_inner(CH15, grid, "exact")
@@ -486,12 +486,12 @@ class TestSweep:
         # atoms 0..4: splits (5, 3) at delta0 = 3 and (5, 1) at delta0 = 2
         at_sigma1 = {4.0 / SplitConfig(5, k2).user1_input(CH15.peak).span for k2 in (3, 1)}
 
-        def failing(inputs, sigmas, tolerance):
+        def failing(inputs, sigmas, tolerance, mirrored):
             pairs = zip(inputs, sigmas.tolist())
             bad = [j for j, (inp, s) in enumerate(pairs) if inp.atoms.size == 5 and s in at_sigma1]
             if bad:
                 raise ConvergenceError("did not settle", 0.1, 0.2, index=bad[0])
-            return inner(inputs, sigmas, tolerance)
+            return inner(inputs, sigmas, tolerance, mirrored)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match=r"^split k1=5, k2=3 \(delta0=3\): did not settle") as err:
