@@ -38,7 +38,7 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 EXIT_BROKEN_PIPE = 141
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 #: The form of the manifest timestamp, and the one --timestamp accepts.
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
@@ -408,7 +408,7 @@ def cmd_verify(args) -> int:
     parameters = {"peak_db_grid": args.peak_db_grid, "sigma_ratios": args.sigma_ratios,
                   "delta0_grid": args.delta0_grid, "sandwich_tol": args.sandwich_tol,
                   "dominance_tol": args.dominance_tol, "containment_tol": args.containment_tol,
-                  "quad_tol": args.quad_tol}
+                  "quad_tol": args.quad_tol, "rho_steps": args.rho_steps}
     manifest = build_manifest("verify", parameters, quad_tol=args.quad_tol, timestamp=args.timestamp)
     if "warning" in report:
         print(f"warning: {report['warning']}", file=sys.stderr)

@@ -158,13 +158,15 @@ class DiscreteInput:
         self._log_masses = _log_masses(masses)
 
     @classmethod
-    def _integers(cls, k: int) -> "DiscreteInput":
+    def _integers(cls, integers: np.ndarray, k: int) -> "DiscreteInput":
         """The uniform input on the integers 0..k-1, bit for bit what
-        DiscreteInput builds, without the checks it passes by construction."""
+        DiscreteInput builds, without the checks it passes by construction:
+        its atoms are the first k of `integers` (an np.arange of floats), its
+        masses and log masses read-only views of one value each."""
         inp = object.__new__(cls)
-        inp.atoms = np.arange(k, dtype=float)
-        inp.masses = np.full(k, 1.0 / k)
-        inp._log_masses = _log_masses(inp.masses)
+        inp.atoms = integers[:k]
+        inp.masses = np.broadcast_to(1.0 / k, (k,))
+        inp._log_masses = np.broadcast_to(_log_masses(np.full(1, 1.0 / k)), (k,))
         return inp
 
     @classmethod
@@ -438,10 +440,11 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
     scaled = np.where(live, sigmas * (levels - 1) / np.where(live, span, 1.0), sigmas)
     keys = list(zip(np.where(live, levels, 1).ravel().tolist(), scaled.ravel().tolist()))
     distinct = list(dict.fromkeys(keys))  # in order of first need
-    integers = {k: DiscreteInput._integers(k) for k in dict.fromkeys(k for k, _ in distinct)}
+    integers = np.arange(max((k for k, _ in distinct), default=0), dtype=float)
+    alphabets = {k: DiscreteInput._integers(integers, k) for k in dict.fromkeys(k for k, _ in distinct)}
     try:
         rates = _mi_lockstep(
-            [integers[k] for k, _ in distinct], np.array([s for _, s in distinct]), tolerance, mirrored=True
+            [alphabets[k] for k, _ in distinct], np.array([s for _, s in distinct]), tolerance, mirrored=True
         )
     except ConvergenceError as exc:
         exc.index = keys.index(distinct[exc.index])

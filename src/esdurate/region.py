@@ -7,12 +7,13 @@ composite ESDU alphabet of K = k1*k2 levels exactly.  Inner-bound points come
 either from the closed-form bounds (analytic mode) or from the quadrature
 oracle (exact mode); the outer bound intersects a hull of auxiliary-parameter
 rectangles with per-user and sum-rate capacity caps.  Regions are convex
-polygons anchored at the origin, listed counter-clockwise from (0, 0).
+down-sets, polygons closed toward both axes, and frontier_hull builds every
+one of them, listed counter-clockwise from (0, 0).
 """
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -124,7 +125,7 @@ class SplitOrigin:
 
 @dataclass(frozen=True)
 class RateRegion:
-    """Convex achievable region.
+    """Convex rate region closed toward both axes, as frontier_hull gives it.
 
     vertices run counter-clockwise starting at the origin: (0,0), the r1-axis
     intercept, the frontier, and finally the r2-axis intercept.  origins, when
@@ -183,18 +184,13 @@ def _rate_pairs(r1, r2) -> RatePair | tuple[np.ndarray, np.ndarray]:
     return np.where(r1 > 0.0, r1, 0.0), np.where(r2 > 0.0, r2, 0.0)
 
 
-def _pair_list(r1: np.ndarray, r2: np.ndarray) -> list[RatePair]:
-    """The RatePairs of arrays of clamped rates, in order."""
-    return [RatePair(a, b) for a, b in zip(r1.ravel().tolist(), r2.ravel().tolist())]
-
-
 def _pareto_candidates(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     """Indices of the points no other point beats in both rates: taken by r1
     descending (r2 descending among ties), each point whose r2 is at least
     the largest r2 before it.  A point left out lies in the rectangle below
     an earlier one, so it is inside the hull of the others with the origin
-    and the axis projections, or one of those three: frontier_hull of the
-    candidates has the vertices of frontier_hull of them all."""
+    and the axis projections, or one of those three, so frontier_hull walks
+    the candidates alone."""
     order = np.lexsort((-r2, -r1))
     ranked = r2[order]
     return order[ranked >= np.maximum.accumulate(ranked)]
@@ -263,9 +259,9 @@ def sweep_inner(
     appear, go as one SplitConfig batch to analytic_inner_point or
     exact_inner_point, so each split is computed once, by one call per sweep;
     in exact mode so is each mutual information that several splits share.
-    Only the Pareto candidates among the points (see _pareto_candidates) go
-    to the hull, which has the same vertices as the hull of them all.  The
-    vertex provenance records the first cell that produced each vertex.
+    frontier_hull takes the rate arrays of every split and walks only their
+    Pareto candidates.  The vertex provenance records the first cell that
+    produced each vertex.
     """
     if mode not in ("analytic", "exact"):
         raise ValueError(f"mode must be 'analytic' or 'exact', got {mode!r}")
@@ -275,7 +271,7 @@ def sweep_inner(
     for delta0, k1, k2 in split_schedule(ch.peak, delta0_grid, ch.sigma1):
         first_delta0.setdefault((k1, k2), delta0)
     if ch.peak == 0.0:
-        return frontier_hull([])
+        return frontier_hull([], [])
     splits = np.array(list(first_delta0), dtype=np.int64).reshape(-1, 2)
     batch = SplitConfig(splits[:, 0], splits[:, 1])
     if mode == "analytic":
@@ -290,8 +286,7 @@ def sweep_inner(
                 exc.previous_estimate,
                 exc.last_estimate,
             ) from exc
-    front = _pareto_candidates(r1, r2)
-    hull = frontier_hull(_pair_list(r1[front], r2[front]))
+    hull = frontier_hull(r1, r2)
     origins = []
     for v in hull.vertices:
         # the first split, in schedule order, whose point is the vertex
@@ -315,12 +310,12 @@ def outer_corner(ch: BcChannel, rho: float) -> RatePair | tuple[np.ndarray, np.n
 
 
 def outer_region(ch: BcChannel, rho_steps: int = RHO_STEPS) -> RateRegion:
-    """Outer bound: hull of the rectangle corners at rho_steps evenly spaced
-    rho in [0, 1], cut back by the per-user capacity caps and the strong
-    receiver's sum-rate cap."""
+    """Outer bound: frontier_hull of the rectangle corners at rho_steps evenly
+    spaced rho in [0, 1], cut back by the per-user capacity caps and the
+    strong receiver's sum-rate cap, and hulled again."""
     if not 2 <= rho_steps <= MAX_RHO_STEPS:
         raise ValueError(f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {rho_steps!r}")
-    hull = frontier_hull(_pair_list(*outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1))))
+    hull = frontier_hull(*outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1)))
     if len(hull.vertices) < 3:
         return hull
     verts = [(v.r1, v.r2) for v in hull.vertices]
@@ -328,26 +323,35 @@ def outer_region(ch: BcChannel, rho_steps: int = RHO_STEPS) -> RateRegion:
     cap2 = c_upper(P2pChannel(ch.peak, ch.sigma2))
     for a, b, c in ((1.0, 0.0, cap1), (0.0, 1.0, cap2), (1.0, 1.0, cap1)):
         verts = _clip_halfplane(verts, a, b, c)
-    # clipping keeps the polygon convex, so rebuilding the hull is the safe
-    # way to shed duplicate and collinear vertices
-    return _hull_region(verts)
+    # the caps cut a down-set into a down-set; its hull sheds the duplicate
+    # and collinear vertices the cuts leave
+    return frontier_hull(*np.reshape(verts, (-1, 2)).T)
 
 
-def frontier_hull(points: Iterable[RatePair]) -> RateRegion:
-    """Convex hull of nonnegative rate pairs, closed down to the axes.
+def frontier_hull(r1, r2) -> RateRegion:
+    """Convex hull of the nonnegative rate pairs (r1[i], r2[i]), closed down
+    to the axes: the hull with the origin and the axis projections
+    (max r1, 0) and (0, max r2), a down-set (anything componentwise below a
+    member is inside).
 
-    The point set is augmented with the origin and the axis projections
-    (max r1, 0) and (0, max r2), so the hull is automatically a down-set:
-    anything componentwise below a member is inside.  Collinear vertices are
-    dropped; an empty input yields the single-vertex region {(0, 0)}.
+    Its vertices run counter-clockwise from (0, 0) to (max r1, 0), along the
+    Pareto candidates (see _pareto_candidates) by r1 descending, and up to
+    (0, max r2).  One walk over them pops every vertex where the boundary
+    does not turn left, so duplicate and collinear vertices go.  No points,
+    or only the origin, give the one vertex (0, 0); points on one axis give
+    the segment from (0, 0) to the farthest.
     """
-    unique = {(0.0, 0.0)}
-    for p in points:
-        unique.add((p.r1, p.r2))
-    if len(unique) > 1:
-        unique.add((max(x for x, _ in unique), 0.0))
-        unique.add((0.0, max(y for _, y in unique)))
-    return _hull_region(unique)
+    r1, r2 = np.asarray(r1, dtype=float).ravel(), np.asarray(r2, dtype=float).ravel()
+    front = _pareto_candidates(r1, r2)
+    chain: list[tuple[float, float]] = []
+    top1, top2 = float(np.max(r1, initial=0.0)), float(np.max(r2, initial=0.0))
+    for p in [(top1, 0.0), *zip(r1[front].tolist(), r2[front].tolist()), (0.0, top2)]:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+            chain.pop()
+        chain.append(p)
+    # the walk meets the origin only where the region is a segment or a point
+    hull = [(0.0, 0.0)] + [v for v in chain if v != (0.0, 0.0)]
+    return RateRegion(tuple(RatePair(x, y) for x, y in hull))
 
 
 def region_margin(region: RateRegion, p: RatePair) -> float:
@@ -370,36 +374,8 @@ def region_contains(region: RateRegion, p: RatePair, tol: float = 1e-6) -> bool:
     return region_margin(region, p) >= -tol
 
 
-def _hull_region(points: Iterable[tuple[float, float]]) -> RateRegion:
-    """Convex hull of the points, counter-clockwise from (0, 0) when the
-    origin is a vertex."""
-    hull = _monotone_chain(sorted(set(points)))
-    if (0.0, 0.0) in hull:
-        start = hull.index((0.0, 0.0))
-        hull = hull[start:] + hull[:start]
-    return RateRegion(tuple(RatePair(x, y) for x, y in hull))
-
-
 def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _monotone_chain(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Andrew's monotone chain; returns the hull counter-clockwise.  Inputs
-    must be sorted and deduplicated.  Collinear points are excluded."""
-    if len(pts) <= 2:
-        return list(pts)
-    lower: list[tuple[float, float]] = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0.0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[float, float]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0.0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
 
 
 def _segment_distance(

@@ -2,7 +2,8 @@
 math module only: the scalar formulas of esdurate.uniform and esdurate.esdu
 as they stood before those modules worked on numpy arrays, plus the defining
 double sum of f3.  The batched bounds are checked against these element by
-element; nothing here imports the package.
+element.  Also the general convex hull region.frontier_hull used before it
+walked only the down-set frontier.  Nothing here imports the package.
 """
 
 import math
@@ -81,3 +82,32 @@ def g_upper(span, k, sigma):
     if k == 1:
         return 0.0
     return min(math.log2(k), c_upper(span, sigma), g_prime(span, k, sigma))
+
+
+def cross(o, a, b):
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+
+def frontier_hull(points):
+    """Vertices of the convex hull of the (r1, r2) pairs with the origin and
+    the axis projections (max r1, 0) and (0, max r2), counter-clockwise from
+    (0, 0): Andrew's monotone chain over the sorted distinct points, rotated
+    to start at the origin, collinear points excluded."""
+    unique = {(0.0, 0.0)} | {(float(x), float(y)) for x, y in points}
+    if len(unique) > 1:
+        unique.add((max(x for x, _ in unique), 0.0))
+        unique.add((0.0, max(y for _, y in unique)))
+    pts = sorted(unique)
+    if len(pts) <= 2:
+        return pts
+    chains = []
+    for ordered in (pts, pts[::-1]):
+        chain = []
+        for p in ordered:
+            while len(chain) >= 2 and cross(chain[-2], chain[-1], p) <= 0.0:
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    hull = chains[0] + chains[1]
+    start = hull.index((0.0, 0.0))
+    return hull[start:] + hull[:start]

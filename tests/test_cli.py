@@ -515,7 +515,7 @@ class TestManifest:
         "bc-inner": ({"peak", "sigma1", "sigma2", "mode", "delta0_grid", "quad_tol", "format"}, True),
         "bc-outer": ({"peak", "sigma1", "sigma2", "mode", "delta0_grid", "rho_steps", "format"}, False),
         "verify": ({"peak_db_grid", "sigma_ratios", "delta0_grid", "sandwich_tol", "dominance_tol",
-                    "containment_tol", "quad_tol"}, True),
+                    "containment_tol", "quad_tol", "rho_steps"}, True),
     }
 
     @pytest.mark.parametrize("command", list(SCHEMA))
@@ -528,10 +528,21 @@ class TestManifest:
         assert code == EXIT_OK
         manifest = json.loads(out)["manifest"]
         keys, quadrature = self.SCHEMA[command]
-        assert manifest["schema_version"] == 2
+        assert manifest["schema_version"] == 3
         assert set(manifest["parameters"]) == keys
         assert ("quadrature" in manifest) == quadrature
         assert manifest["timestamp"] == TS[1]
+
+    def test_verify_manifest_records_the_rho_steps(self, capsys):
+        # the containment margins depend on --rho-steps, so the manifest must too
+        argv = ["verify", "--peak-db-grid", "0", "--sigma-ratios", "2", "--delta0-grid", "3"] + TS
+        manifests = []
+        for steps in ("11", "201"):
+            code, out, _ = run_cli(capsys, argv + ["--rho-steps", steps])
+            assert code == EXIT_OK
+            manifests.append(json.loads(out)["manifest"])
+        assert [m["parameters"]["rho_steps"] for m in manifests] == [11, 201]
+        assert manifests[0] != manifests[1]
 
     @pytest.mark.parametrize(
         "stamp", ["", "2000-01-01", "2000-01-01 00:00:00Z", "2000-01-01T00:00:00+00:00", "2000-1-1T0:0:0Z",

@@ -174,7 +174,8 @@ class TestDiscreteInput:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 150, 2001])
     def test_integer_alphabet_equals_the_checked_one(self, k):
-        trusted = DiscreteInput._integers(k)
+        # atoms sliced from a longer arange, as one mi_discrete call shares it
+        trusted = DiscreteInput._integers(np.arange(2001, dtype=float), k)
         checked = DiscreteInput(np.arange(k, dtype=float), np.full(k, 1.0 / k))
         for name in ("atoms", "masses", "_log_masses"):
             mine, theirs = getattr(trusted, name), getattr(checked, name)

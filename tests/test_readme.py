@@ -40,7 +40,8 @@ def test_every_command_has_an_example():
     assert {argv[0] for argv in cli_examples()} == {"p2p-bounds", "esdu-rate", "bc-inner", "bc-outer", "verify"}
 
 
-@pytest.mark.parametrize("argv", cli_examples(), ids=lambda argv: argv[0])
+# each id is the whole command line, so a new example renames no other test
+@pytest.mark.parametrize("argv", cli_examples(), ids=" ".join)
 def test_command_line_example_runs(capsys, argv):
     try:
         code = main([*argv, "--timestamp", "2000-01-01T00:00:00Z"])

@@ -20,7 +20,6 @@ from esdurate.region import (
     SplitConfig,
     SplitOrigin,
     SweepLimitError,
-    _pair_list,
     _pareto_candidates,
     exact_inner_point,
     frontier_hull,
@@ -35,6 +34,7 @@ from esdurate.region import (
 from esdurate.special import db_to_amplitude_ratio
 from esdurate.uniform import P2pChannel, c_upper
 
+import scalar_reference as ref
 from anchors import BC15_DELTA3_SPLIT_POINTS
 
 # rates of 0 or at least 1e-3 keep the margin's edge products out of the
@@ -227,25 +227,25 @@ class TestInnerPoints:
 
 class TestFrontierHull:
     def test_dominated_interior_point_is_dropped(self):
-        region = frontier_hull([RatePair(1, 0), RatePair(0, 1), RatePair(0.4, 0.4)])
+        region = frontier_hull([1, 0, 0.4], [0, 1, 0.4])
         assert [(v.r1, v.r2) for v in region.vertices] == [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
     def test_single_point_degenerates_to_axis_segment(self):
-        region = frontier_hull([RatePair(2, 0)])
+        region = frontier_hull([2], [0])
         assert [(v.r1, v.r2) for v in region.vertices] == [(0.0, 0.0), (2.0, 0.0)]
 
     def test_collinear_chord_point_removed(self):
-        region = frontier_hull([RatePair(1, 1), RatePair(2, 0), RatePair(0, 2)])
+        region = frontier_hull([1, 2, 0], [1, 0, 2])
         assert [(v.r1, v.r2) for v in region.vertices] == [(0.0, 0.0), (2.0, 0.0), (0.0, 2.0)]
 
     def test_empty_input(self):
-        region = frontier_hull([])
+        region = frontier_hull([], [])
         assert [(v.r1, v.r2) for v in region.vertices] == [(0.0, 0.0)]
 
     def test_counterclockwise_convex(self):
         rng = np.random.default_rng(5)
-        pts = [RatePair(x, y) for x, y in rng.uniform(0.0, 3.0, size=(60, 2))]
-        region = frontier_hull(pts)
+        pts = rng.uniform(0.0, 3.0, size=(60, 2))
+        region = frontier_hull(pts[:, 0], pts[:, 1])
         verts = [(v.r1, v.r2) for v in region.vertices]
         n = len(verts)
         for i in range(n):
@@ -257,7 +257,7 @@ class TestFrontierHull:
         rng = np.random.default_rng(11)
         for _ in range(20):
             pts = rng.uniform(0.0, 5.0, size=(rng.integers(3, 40), 2))
-            region = frontier_hull([RatePair(x, y) for x, y in pts])
+            region = frontier_hull(pts[:, 0], pts[:, 1])
             mine = {(round(v.r1, 12), round(v.r2, 12)) for v in region.vertices}
             augmented = np.vstack([pts, [[0, 0], [pts[:, 0].max(), 0], [0, pts[:, 1].max()]]])
             hull = ConvexHull(augmented)
@@ -277,14 +277,23 @@ class TestFrontierHull:
         # every point left out has a candidate at or above it in both rates
         for i in sorted(set(range(len(points))) - set(front.tolist())):
             assert any(r1[j] >= r1[i] and r2[j] >= r2[i] for j in front)
-        everything = frontier_hull([RatePair(x, y) for x, y in points])
-        assert frontier_hull(_pair_list(r1[front], r2[front])).vertices == everything.vertices
+        everything = frontier_hull(r1, r2)
+        assert frontier_hull(r1[front], r2[front]).vertices == everything.vertices
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(POINT, max_size=40), st.lists(EDGE, max_size=3))
+    def test_matches_the_general_hull(self, points, edges):
+        # vertex for vertex, in order, the monotone chain over every point
+        for x, y, ts in edges:
+            points = points + [(t * x, (1.0 - t) * y) for t in ts]
+        region = frontier_hull([x for x, _ in points], [y for _, y in points])
+        assert [(v.r1, v.r2) for v in region.vertices] == ref.frontier_hull(points)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(RATE, RATE, FRACTION, FRACTION), min_size=1, max_size=30))
     def test_contains_its_inputs_and_is_a_down_set(self, rows):
         # each input (x, y) and the point (a*x, b*y) below it lie in the hull
-        region = frontier_hull([RatePair(x, y) for x, y, _, _ in rows])
+        region = frontier_hull([x for x, _, _, _ in rows], [y for _, y, _, _ in rows])
         for x, y, a, b in rows:
             assert region_margin(region, RatePair(x, y)) >= -1e-12
             assert region_margin(region, RatePair(a * x, b * y)) >= -1e-12
@@ -292,11 +301,11 @@ class TestFrontierHull:
 
 class TestRegionContains:
     POINT = RateRegion((RatePair(0.0, 0.0),))
-    SEGMENT = frontier_hull([RatePair(2, 0)])
-    TRIANGLE = frontier_hull([RatePair(1, 0), RatePair(0, 1)])
-    SQUARE = frontier_hull([RatePair(1, 1)])
+    SEGMENT = frontier_hull([2], [0])
+    TRIANGLE = frontier_hull([1, 0], [0, 1])
+    SQUARE = frontier_hull([1], [1])
     # a 5.7 degree vertex at (1, 0)
-    ACUTE = frontier_hull([RatePair(1, 0), RatePair(0, 0.1)])
+    ACUTE = frontier_hull([1, 0], [0, 0.1])
 
     @pytest.mark.parametrize(
         "region,p,margin",
@@ -328,7 +337,7 @@ class TestRegionContains:
         st.floats(0.0, 12.0),
     )
     def test_outside_margin_is_minus_the_distance(self, rows, x, y):
-        region = frontier_hull([RatePair(a, b) for a, b in rows])
+        region = frontier_hull([a for a, _ in rows], [b for _, b in rows])
         verts = np.array([(v.r1, v.r2) for v in region.vertices])
         p = np.array([x, y])
         if len(verts) >= 3:
@@ -347,21 +356,21 @@ class TestRegionContains:
         assert region_margin(region, RatePair(x, y)) == pytest.approx(-distance, rel=1e-12, abs=1e-12)
 
     def test_origin_and_outside(self):
-        region = frontier_hull([RatePair(1, 0), RatePair(0, 1)])
+        region = frontier_hull([1, 0], [0, 1])
         assert region_contains(region, RatePair(0, 0))
         assert not region_contains(region, RatePair(2.0, 0.0))
         assert region_contains(region, RatePair(0.5, 0.5), tol=1e-6)
         assert not region_contains(region, RatePair(0.501, 0.501), tol=1e-6)
 
     def test_tolerance_band(self):
-        region = frontier_hull([RatePair(1, 0), RatePair(0, 1)])
+        region = frontier_hull([1, 0], [0, 1])
         assert region_contains(region, RatePair(0.5 + 4e-7, 0.5 + 4e-7), tol=1e-6)
 
     def test_degenerate_regions(self):
         point = RateRegion((RatePair(0.0, 0.0),))
         assert region_contains(point, RatePair(0.0, 0.0))
         assert not region_contains(point, RatePair(0.1, 0.0))
-        segment = frontier_hull([RatePair(2, 0)])
+        segment = frontier_hull([2], [0])
         assert region_contains(segment, RatePair(1.0, 0.0))
         assert not region_contains(segment, RatePair(1.0, 0.1))
 
@@ -449,7 +458,7 @@ class TestSweep:
         splits = {(k1, k2) for _, k1, k2 in split_schedule(CH15.peak, grid, 1.0)}
         assert len(calls) < 3 * len(splits)
         points = [exact_inner_point(CH15, SplitConfig(k1, k2)) for k1, k2 in sorted(splits)]
-        assert region.vertices == frontier_hull(points).vertices
+        assert region.vertices == frontier_hull([p.r1 for p in points], [p.r2 for p in points]).vertices
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -467,7 +476,7 @@ class TestSweep:
             point = point_of[(k1, k2)]
             points.append(point)
             first_origin.setdefault((point.r1, point.r2), SplitOrigin(delta0, k1, k2))
-        hull = frontier_hull(points)
+        hull = frontier_hull([p.r1 for p in points], [p.r2 for p in points])
         region = sweep_inner(ch)
         assert region.vertices == hull.vertices
         assert region.origins == tuple(first_origin.get((v.r1, v.r2)) for v in hull.vertices)

@@ -1,6 +1,9 @@
 import pytest
 
 import esdurate.esdu
+from esdurate.esdu import EsduInput, alphabet_size, f_lower, g_upper, owb
+from esdurate.oracle import mi_discrete
+from esdurate.special import db_to_amplitude_ratio
 from esdurate.verify import CheckResult, run_verification
 
 FAST_QUAD_TOL = 1e-8
@@ -30,6 +33,44 @@ def test_empty_grid_reports_warning():
     assert report["summary"]["total"] == 0
     assert report["summary"]["passed"]
     assert "warning" in report
+
+
+def test_checks_run_in_grid_order():
+    report = run_verification([0.0, 10.0], [2.0], [1.0, 3.0], quad_tol=FAST_QUAD_TOL, rho_steps=51)
+    cells = []
+    for db in (0.0, 10.0):
+        levels = [alphabet_size(db_to_amplitude_ratio(db), delta0) for delta0 in (1.0, 3.0)]
+        cells.append([f"@ {db:g} dB, delta0={delta0:g}, K={k}" for delta0, k in zip((1, 3), levels)])
+    expected = []
+    for db, where in zip((0, 10), cells):
+        expected += [f"uniform lower @ {db} dB", f"uniform upper @ {db} dB"]
+        expected += [f"esdu {side} {w}" for w in where for side in ("lower", "upper")]
+    expected += [f"f_lower vs owb {w}" for where in cells for w in where]
+    expected += [f"inner in outer @ {db} dB, sigma2/sigma1=2" for db in (0, 10)]
+    assert [c["label"] for c in report["checks"]] == expected
+
+
+def test_empty_delta0_grid_runs_only_the_uniform_sandwich_and_containment():
+    report = run_verification([0.0, 10.0], [2.0], [], quad_tol=FAST_QUAD_TOL, rho_steps=51)
+    assert [c["label"] for c in report["checks"]] == [
+        "uniform lower @ 0 dB", "uniform upper @ 0 dB", "uniform lower @ 10 dB", "uniform upper @ 10 dB",
+        "inner in outer @ 0 dB, sigma2/sigma1=2", "inner in outer @ 10 dB, sigma2/sigma1=2",
+    ]
+    assert report["summary"]["passed"]
+
+
+def test_one_cell_grid_equals_the_calls_on_its_input():
+    # the batch over the grid gives each cell the bits of its own calls
+    report = run_verification([10.0], [2.0], [3.0], quad_tol=FAST_QUAD_TOL, rho_steps=51)
+    peak = db_to_amplitude_ratio(10.0)
+    inp = EsduInput(peak, alphabet_size(peak, 3.0))
+    rate = mi_discrete(inp, 1.0, FAST_QUAD_TOL)
+    margins = {c["label"]: c["margin"] for c in report["checks"]}
+    where = f"@ 10 dB, delta0=3, K={inp.levels}"
+    assert margins[f"esdu lower {where}"] == rate - f_lower(inp, 1.0)
+    assert margins[f"esdu upper {where}"] == g_upper(inp, 1.0) - rate
+    assert margins[f"f_lower vs owb {where}"] == f_lower(inp, 1.0) - owb(inp, 1.0)
+    assert [c["suite"] for c in report["checks"]] == ["sandwich"] * 4 + ["dominance", "containment"]
 
 
 def test_margins_are_reported():
