@@ -18,6 +18,8 @@ import re
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
@@ -302,26 +304,24 @@ def cmd_p2p_bounds(args) -> int:
         "A_over_sigma_db", "K", "c_lower", "c_upper", "e_cap",
         "f1", "f2", "f3", "f_lower", "g_upper", "owb", "mi_exact", "h_input",
     ]
-    rows = []
-    for db, peak in peaks:
+    sizes = []
+    for _, peak in peaks:
         try:
-            levels = alphabet_size(peak, args.delta0 * sigma)
+            sizes.append(alphabet_size(peak, args.delta0 * sigma))
         except ValueError as exc:
             raise UsageError(f"{peak_flag} with --delta0 {args.delta0:g}: {exc}") from None
         _check_span(peak, sigma, f"{peak_flag} with --sigma {sigma:g}")
-        if peak == 0.0:
-            # a zero-peak channel carries nothing; every rate column collapses
-            rows.append([db, levels, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, 0.0,
-                         math.log2(levels)])
-            continue
-        ch = P2pChannel(peak, sigma)
-        inp = EsduInput(peak, levels)
-        mi = mi_discrete(inp, sigma, args.quad_tol)
-        rows.append([
-            db, levels, c_lower(ch), c_upper(ch), e_cap(ch),
-            f1(inp, sigma), f2(inp, sigma), f3(inp, sigma), f_lower(inp, sigma),
-            g_upper(inp, sigma), owb(inp, sigma), mi, math.log2(levels),
-        ])
+    # every nonzero-peak row as one batch: one mi_discrete call and one call per bound
+    live = [i for i, (_, peak) in enumerate(peaks) if peak > 0.0]
+    ch = P2pChannel(np.array([peaks[i][1] for i in live]), sigma)
+    inp = EsduInput(ch.peak, np.array([sizes[i] for i in live], dtype=np.int64))
+    batch = [bound(ch) for bound in (c_lower, c_upper, e_cap)]
+    batch += [bound(inp, sigma) for bound in (f1, f2, f3, f_lower, g_upper, owb)]
+    batch.append(mi_discrete(inp, sigma, args.quad_tol))
+    rates = dict(zip(live, zip(*(column.tolist() for column in batch))))
+    # a zero-peak channel carries nothing; every rate column collapses
+    collapsed = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, None, 0.0)
+    rows = [[db, k, *rates.get(i, collapsed), math.log2(k)] for i, ((db, _), k) in enumerate(zip(peaks, sizes))]
 
     parameters = {"peak": args.peak, "peak_db": args.peak_db, "sigma": sigma, "delta0": args.delta0,
                   "quad_tol": args.quad_tol, "format": args.format}

@@ -3,23 +3,31 @@ I(X; X+Z) of a finite-support or continuous-uniform input X through Gaussian
 noise Z.
 
 The computation uses the decomposition I = h(Y) - h(Z).  The output entropy
-h(Y) is an integral of -p(y)*log2 p(y), evaluated with adaptive composite
-Gauss-Kronrod quadrature (G7/K15 panels, bisection refinement) to the
-absolute tolerance, in bits, each call takes (TOLERANCE by default); h(Z) is
+h(Y) is an integral of -p(y)*log2 p(y), evaluated to the absolute tolerance,
+in bits, each call takes (TOLERANCE by default); h(Z) is
 0.5*log2(2*pi*e*sigma^2) in closed form.  Nothing in this module depends on
 the closed-form bounds it is used to validate.
+
+An input that is its own mirror image (masses equal to their reverse, atom
+sums atoms[i] + atoms[-1-i] all equal in float64), as every ESDU input is,
+has an output density symmetric about its midpoint.  Its entropy integral
+runs over the lower half, from SUPPORT_PADDING noise widths below the first
+atom, by the nested composite trapezoid rule (see _mirrored_integrals), and
+is doubled: the integrand is Gaussian-smoothed and every odd derivative
+vanishes at the mirror point, so the rule converges exponentially.  Any other
+input, and the continuous-uniform input, is integrated over its whole padded
+support by adaptive composite Gauss-Kronrod quadrature (G7/K15 panels,
+bisection refinement; see _adaptive_integrals), which is also the tests'
+reference for the trapezoid rule.
 
 mi_discrete takes one noise width or a 1-D array of them: the rates of one
 input at several widths.  It is also the one path to the exact rate of an
 EsduInput (or a batch), taken from its alphabet rescaled to the integers
-0..K-1.  Either way it makes one lockstep call (see _adaptive_integrals): every
-rate it needs is an element of that call, whatever its alphabet, and a round
-makes one density call per alphabet among its elements.  A round holds at most
-_ROUND_PANELS panels, so its arrays stay small however many rates a call
-needs.  An input that is its own mirror image (masses equal to their reverse,
-atom sums atoms[i] + atoms[-1-i] all equal in float64) has an output density
-symmetric about its midpoint, so its entropy integral runs over the lower half
-at half the tolerance and is doubled.
+0..K-1.  Either way it makes one lockstep call (see _mi_lockstep): every rate
+it needs is an element of that call, whatever its alphabet, and a trapezoid
+round makes one density call per alphabet among its elements.  A round holds
+at most _ROUND_NODES nodes, so its arrays stay small however many rates a
+call needs.
 
 The mixture density behind h(Y) works in fixed blocks of at most 2^16
 (atom, y) pairs, 512 KiB per float64 temporary, whatever the number of nodes
@@ -70,7 +78,8 @@ _K15_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _G7_WEIGHTS = np.zeros(15)
 _G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
 _K15_MINUS_G7 = _K15_WEIGHTS - _G7_WEIGHTS
-#: QUADPACK's round-off level of a panel, in units of half * sum |w_k f_k|.
+#: QUADPACK's round-off level of a quadrature sum, in units of the same sum
+#: over |f| (a G7/K15 panel's half * sum |w_k f_k|, a trapezoid level's).
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 #: Entries of one (atoms x block) work array in mixture_log_pdf: 512 KiB per
@@ -86,9 +95,10 @@ _UNDERFLOW_EXPONENT = -746.0
 #: left out holds under Q(10) = 7.6e-24 of the mass and 1e-20 bits of entropy.
 SUPPORT_PADDING = 10.0
 #: Widest input, in noise widths, whose output entropy is integrated: 100
-#: times the 1000 of a 30 dB peak.  The first round then holds at most 50,010
-#: panels (750,150 nodes, 6 MB per float64 node array); at the default
-#: tolerance an input this wide already stops at the round-off level.
+#: times the 1000 of a 30 dB peak.  An asymmetric input's first G7/K15 round
+#: then holds at most 50,010 panels (750,150 nodes, 6 MB per float64 node
+#: array), and a mirrored input's first trapezoid round at most about 907,000
+#: nodes (7.3 MB), at the smallest start step, 0.11 sigma.
 MAX_SPAN_SIGMAS = 1e5
 #: Narrowest ESDU input, in noise widths, that mi_discrete scales to the
 #: integers: a narrower one, of rate under 0.5*log2(1 + 1e-16/4) < 2e-17
@@ -96,16 +106,22 @@ MAX_SPAN_SIGMAS = 1e5
 MIN_SPAN_SIGMAS = 1e-8
 #: Default absolute tolerance, in bits, of the output-entropy integral.
 TOLERANCE = 1e-10
-#: Bisection rounds before the integral gives up: 30 halvings take a 2-sigma
-#: panel below 1e-8 sigma, yet typical calls settle in the first round.
+#: Refinement rounds before an integral gives up: 30 halvings take a 2-sigma
+#: panel or a trapezoid step below 1e-8 sigma, yet typical calls settle in
+#: the first round.
 MAX_REFINEMENTS = 30
 #: Backstop on the working set of one integral call: an element that needs
-#: more than this many open panels (15 nodes each) fails.
-_MAX_PANELS = 2_000_000
-#: Panels of one round of a lockstep call: the round takes the first elements
-#: whose panels fit together, or the first element alone if its panels do not
-#: fit.  2,048 panels are 30,720 nodes, 240 KiB per float64 node array.
-_ROUND_PANELS = 2048
+#: more than this many nodes (open G7/K15 panels of 15 nodes, or trapezoid
+#: nodes in all) fails.
+_MAX_NODES = 30_000_000
+#: Nodes of one round of a lockstep call: the round takes the first elements
+#: whose nodes fit together, or the first element alone if its nodes do not
+#: fit.  30,720 nodes (2,048 G7/K15 panels) are 240 KiB per float64 array.
+_ROUND_NODES = 30_720
+#: The trapezoid rule's start step, in noise widths, is at most this, and
+#: aims at an error of exp(-_STEP_EXPONENT) (see _start_steps).
+_MAX_STEP_SIGMAS = 0.75
+_STEP_EXPONENT = 30.0
 
 #: Bit generator behind numpy's default_rng; period 2^128, seeded explicitly.
 MC_GENERATOR = "numpy-pcg64"
@@ -286,31 +302,28 @@ def _adaptive_integral(f, lo: float, hi: float, resolution: float, tolerance: fl
     return float(values[0])
 
 
-def _adaptive_integrals(
-    f, lo: np.ndarray, hi: np.ndarray, resolution: np.ndarray, tolerance: float, copies=1
-) -> np.ndarray:
-    """copies times the integral of f over each [lo[j], hi[j]], by adaptive
-    G7/K15 panel bisection, every element j in lockstep; copies is one count
-    or one per element.
+def _adaptive_integrals(f, lo: np.ndarray, hi: np.ndarray, resolution: np.ndarray, tolerance: float) -> np.ndarray:
+    """The integral of f over each [lo[j], hi[j]], by adaptive G7/K15 panel
+    bisection, every element j in lockstep.
 
     f(y, which) takes the nodes of a round, a row of 15 per panel, and the
     element of each row.  Element j starts from uniform panels no wider than
     twice resolution[j] (the smoothing scale of its integrand).  Each panel
     costs one 15-node evaluation: the K15 value is accepted once |K15 - G7|
-    is within the panel's proportional share of tolerance / copies[j];
-    otherwise the panel is bisected.  A panel whose error is still above its
-    share but already at QUADPACK's round-off level cannot improve, so that
-    ends its element at once.
+    is within the panel's proportional share of tolerance; otherwise the
+    panel is bisected.  A panel whose error is still above its share but
+    already at QUADPACK's round-off level cannot improve, so that ends its
+    element at once.
 
     Each element keeps its own panels, estimates and refinement count, and
     adds its panels in a fixed order, so its result or error is what it
     would be alone, and repeated runs are bit-identical.  A round takes the
-    open panels of the first elements that fit _ROUND_PANELS together, or of
-    the first element alone if they do not fit; the others wait.  An element
-    with more than _MAX_PANELS open panels fails.  Raises ConvergenceError
-    for the first element, in order, that fails, with its index, and
-    ValueError, before any panel is built, for a tolerance that is not finite
-    and > 0.
+    open panels of the first elements whose nodes fit _ROUND_NODES together,
+    or of the first element alone if they do not fit; the others wait.  An
+    element with more than _MAX_NODES nodes in open panels fails.  Raises
+    ConvergenceError for the first element, in order, that fails, with its
+    index, and ValueError, before any panel is built, for a tolerance that is
+    not finite and > 0.
     """
     _check_tolerance(tolerance)
     width = hi - lo
@@ -321,18 +334,18 @@ def _adaptive_integrals(
     step = width[owner] / count[owner]
     lower = index * step + lo[owner]
     upper = np.where(index + 1 == count[owner], hi[owner], (index + 1) * step + lo[owner])
-    copies = np.broadcast_to(copies, lo.shape)
-    share = tolerance / copies / np.where(width > 0.0, width, 1.0)
+    share = tolerance / np.where(width > 0.0, width, 1.0)
     settled = np.zeros(lo.size)
     previous, last = np.full(lo.size, math.nan), np.full(lo.size, math.nan)
     rounds = np.zeros(lo.size, dtype=np.int64)
+    round_panels = _ROUND_NODES // _K15_NODES.size
     failure = None
     while owner.size:
         size = owner.size
-        if size > _ROUND_PANELS:
+        if size > round_panels:
             # owner is sorted: the panels of the first elements that fit together
             held = np.cumsum(np.bincount(owner))
-            fit = int(np.searchsorted(held, _ROUND_PANELS, side="right"))
+            fit = int(np.searchsorted(held, round_panels, side="right"))
             size = max(int(held[fit - 1]) if fit else 0, int(np.searchsorted(owner, owner[0], side="right")))
         low, up, which = lower[:size], upper[:size], owner[:size]
         half = 0.5 * (up - low)
@@ -350,7 +363,7 @@ def _adaptive_integrals(
             continue
         stepped = np.unique(which)
         unsettled = np.bincount(which, np.where(converged, 0.0, kronrod), lo.size)
-        previous[stepped], last[stepped] = last[stepped], copies[stepped] * (settled[stepped] + unsettled[stepped])
+        previous[stepped], last[stepped] = last[stepped], settled[stepped] + unsettled[stepped]
         rounds[stepped] += 1
         roundoff = _ROUNDOFF * half[todo] * magnitude
         stuck = np.unique(which[todo][error[todo] <= roundoff])
@@ -358,29 +371,130 @@ def _adaptive_integrals(
         lower = np.concatenate([np.column_stack([low[todo], mid]).ravel(), lower[size:]])
         upper = np.concatenate([np.column_stack([mid, up[todo]]).ravel(), upper[size:]])
         owner = np.concatenate([np.repeat(which[todo], 2), owner[size:]])
-        open_panels = np.bincount(owner, minlength=lo.size)
-        exhausted = stepped[(open_panels[stepped] > 0) & (
-            (rounds[stepped] > MAX_REFINEMENTS) | (open_panels[stepped] > _MAX_PANELS)
+        open_nodes = _K15_NODES.size * np.bincount(owner, minlength=lo.size)
+        exhausted = stepped[(open_nodes[stepped] > 0) & (
+            (rounds[stepped] > MAX_REFINEMENTS) | (open_nodes[stepped] > _MAX_NODES)
         )]
         failing = np.union1d(stuck, exhausted)
         if failing.size:  # elements after an earlier failure are gone
             j = int(failing[0])
-            reason = (
-                f"entropy integral cannot reach absolute tolerance {tolerance!r}: "
-                "panel error is at the round-off level"
-                if j in stuck else f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds"
-            )
-            failure = _convergence_error(reason, float(previous[j]), float(last[j]), j)
+            failure = _convergence_error(j in stuck, tolerance, float(previous[j]), float(last[j]), j)
         if failure is not None:
             # later elements cannot be the first to fail
             keep = owner < failure.index
             lower, upper, owner = lower[keep], upper[keep], owner[keep]
     if failure is not None:
         raise failure
-    return copies * settled
+    return settled
 
 
-def _convergence_error(reason: str, previous: float, last: float, index: int | None = None) -> ConvergenceError:
+def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """The trapezoid rule's start step c*sigma for an input whose gaps
+    between adjacent atoms run from `smallest` to `largest` (both 0 for one
+    atom), elementwise.  With s = sigma/gap and E = _STEP_EXPONENT, c =
+    min(_MAX_STEP_SIGMAS, 2*pi^2*s / (E - 1/(8*s^2))) where that denominator
+    is positive, and _MAX_STEP_SIGMAS elsewhere: the error model
+    exp(-1/(8*s^2)) * exp(-2*pi^2*s/c) <= exp(-E), for atoms a gap apart put
+    complex zeros of the density pi*sigma^2/gap from the real axis.
+
+    A lattice, as every ESDU input is, has one gap.  Otherwise the gap that
+    needs the smallest c is used: c falls as g*(E - g^2/8) rises, for g =
+    gap/sigma, which it does up to g = sqrt(8E/3), so that point clipped to
+    [smallest, largest] needs the smallest c of any gap.  Written in g, one
+    atom (g = 0) divides nothing by zero."""
+    g = np.clip(math.sqrt(8.0 * _STEP_EXPONENT / 3.0), smallest / sigma, largest / sigma)
+    floor = 2.0 * math.pi**2 / _MAX_STEP_SIGMAS
+    return 2.0 * math.pi**2 / np.maximum(g * (_STEP_EXPONENT - 0.125 * g * g), floor) * sigma
+
+
+def _mirrored_integrals(f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, tolerance: float) -> np.ndarray:
+    """Twice the integral of f over each [lo[j], mid[j]], for an integrand
+    that is its own mirror image about mid[j] and negligible at lo[j], by
+    the nested composite trapezoid rule, every element j in lockstep.
+
+    f(y, which) takes the 1-D nodes of a round and the element of each node.
+    Every odd derivative of such an integrand vanishes at mid[j], so no
+    Euler-Maclaurin correction applies and the rule converges exponentially.
+    Element j's first round evaluates 2n + 1 nodes, n = ceil((mid - lo) /
+    step[j]), for T_n and T_2n; its estimate 2*T_2n is accepted once
+    2*|T_2n - T_n|, floored at the round-off level of its sum of |f|, is
+    within tolerance.  Otherwise each later round adds the midpoints of its
+    finest level, for at most MAX_REFINEMENTS levels; an element whose
+    difference is at the round-off level, or whose next level would bring
+    its nodes past _MAX_NODES, fails at once.
+
+    Each element keeps its own level and sums, adding each level's values in
+    node order, so its result or error is what it would be alone, and reruns
+    are bit-identical.  A round takes the next level of the first open
+    elements whose nodes fit _ROUND_NODES together, or of the first alone;
+    the others wait.  Raises ConvergenceError for the first element, in
+    order, that fails, with its index, and ValueError, before any node is
+    built, for a tolerance that is not finite and > 0.
+    """
+    _check_tolerance(tolerance)
+    width = mid - lo
+    base = np.maximum(1, np.ceil(width / step)).astype(np.int64)
+    intervals = np.zeros(lo.size, dtype=np.int64)  # of the finest level so far; 0 before the first round
+    estimate, magnitude = np.zeros(lo.size), np.zeros(lo.size)
+    refinements = np.zeros(lo.size, dtype=np.int64)
+    out = np.zeros(lo.size)
+    open_ = np.arange(lo.size)
+    failure = None
+    while open_.size:
+        fresh = intervals[open_] == 0
+        needed = np.where(fresh, 2 * base[open_] + 1, intervals[open_])
+        held = np.cumsum(needed)
+        take = max(1, int(np.searchsorted(held, _ROUND_NODES, side="right")))
+        now, needed, fresh = open_[:take], needed[:take], fresh[:take]
+        finest = np.where(fresh, 2 * base[now], 2 * intervals[now])
+        h = width[now] / finest
+        # node k of an element is lo + k*h: every k on its first round, odd k later
+        slot = np.repeat(np.arange(take), needed)
+        k = np.arange(slot.size) - np.repeat(held[:take] - needed, needed)
+        k = np.where(fresh[slot], k, 2 * k + 1)
+        values = f(k * h[slot] + lo[now][slot], now[slot])
+        magnitudes = np.abs(values)
+        # the new nodes have odd k; a first round's others give T_n, with half weight at both ends
+        new = k % 2 == 1
+        coarse = np.where(new, 0.0, np.where((k == 0) | (k == finest[slot]), 0.5, 1.0))
+        del k
+        sums = [np.bincount(slot, w * v, take) for w in (coarse, new) for v in (values, magnitudes)]
+        del values, magnitudes, coarse, new  # before the next round's f builds its own
+        previous = np.where(fresh, 2.0 * h * sums[0], estimate[now])
+        rough = np.where(fresh, 2.0 * h * sums[1], magnitude[now])
+        estimate[now] = 0.5 * previous + h * sums[2]
+        magnitude[now] = 0.5 * rough + h * sums[3]
+        intervals[now] = finest
+        change = np.abs(estimate[now] - previous)
+        # no estimate is better than the round-off level of its sum, as in QUADPACK
+        floor = _ROUNDOFF * magnitude[now]
+        converged = 2.0 * np.maximum(change, floor) <= tolerance
+        out[now[converged]] = 2.0 * estimate[now[converged]]
+        stuck = ~converged & (change <= floor)
+        exhausted = ~converged & ((refinements[now] >= MAX_REFINEMENTS) | (2 * finest + 1 > _MAX_NODES))
+        refinements[now] += 1
+        failing = np.flatnonzero(stuck | exhausted)
+        if failing.size:  # elements after an earlier failure are gone
+            i = int(failing[0])
+            failure = _convergence_error(
+                bool(stuck[i]), tolerance, 2.0 * float(previous[i]), 2.0 * float(estimate[now[i]]), int(now[i])
+            )
+        open_ = np.concatenate([now[~converged], open_[take:]])
+        if failure is not None:
+            # later elements cannot be the first to fail
+            open_ = open_[open_ < failure.index]
+    if failure is not None:
+        raise failure
+    return out
+
+
+def _convergence_error(stuck: bool, tolerance: float, previous: float, last: float, index: int) -> ConvergenceError:
+    """The error of element `index` of an integral call, which cannot improve
+    at the round-off level (stuck) or ran out of refinement rounds or nodes."""
+    reason = (
+        f"entropy integral cannot reach absolute tolerance {tolerance!r}: its error estimate is at the round-off level"
+        if stuck else f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds"
+    )
     return ConvergenceError(f"{reason} (last estimates {previous!r} -> {last!r})", previous, last, index)
 
 
@@ -407,19 +521,21 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
 
     A DiscreteInput takes one noise width, giving a float, or a 1-D array of
     them, each element bit-identical to its call alone; a mirror-symmetric
-    input (see the module docstring) integrates its lower half at half the
-    tolerance, doubled.  An EsduInput or batch broadcasts against sigma: K
-    levels over span S have the rate of the integers 0..K-1 at
-    sigma*(K - 1)/S (one level, or a span under MIN_SPAN_SIGMAS, is one atom
-    at sigma), each distinct scaled rate integrated once, in order of first
-    need.  Either way one lockstep call (see _mi_lockstep) integrates every
-    rate the call needs.
+    input (see the module docstring) integrates its lower half by the
+    trapezoid rule, doubled, and any other input its whole support by
+    G7/K15.  An EsduInput or batch broadcasts against sigma: K levels over
+    span S have the rate of the integers 0..K-1 at sigma*(K - 1)/S (one
+    level, or a span under MIN_SPAN_SIGMAS, is one atom at sigma), each
+    distinct scaled rate integrated once, in order of first need, by the
+    trapezoid rule.  Either way one lockstep call (see _mi_lockstep)
+    integrates every rate the call needs.
 
     sigma and the span cap are checked on the caller's values, and the
     tolerance, in bits, before any panel.  A ConvergenceError names the first
     failing element, in flat order, as its `index`.  The value is not
-    clamped; a deterministic input comes back as a residual of quadrature
-    size (|I| <= tolerance) rather than an exact 0.
+    clamped: a one-atom input gives exactly 0, but any other deterministic
+    input (all mass on one atom) comes back as a residual of quadrature size
+    (|I| <= tolerance).
     """
     _check_sigma(sigma)
     if isinstance(inp, EsduInput):
@@ -455,34 +571,58 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
 
 def _mi_lockstep(inputs: list[DiscreteInput], sigmas: np.ndarray, tolerance: float, mirrored: bool) -> np.ndarray:
     """The rate of inputs[j] at sigmas[j] for every element j, in one
-    _adaptive_integrals call; the span cap is the caller's to check, and so is
-    whether every input is its own mirror image.  A round's rows go to
-    mixture_log_pdf by input, in a stable order: one call per distinct input
-    (by identity) among the round's elements."""
+    lockstep call; the span cap is the caller's to check, and so is whether
+    every input is its own mirror image.
+
+    Mirror images go to _mirrored_integrals over [first - SUPPORT_PADDING *
+    sigma, midpoint], in any number of alphabets: a round's nodes go to
+    mixture_log_pdf by input, in a stable order, one call per distinct input
+    (by identity) among the round's elements.  Otherwise every element is the
+    one input inputs[0] at its own width, integrated by _adaptive_integrals
+    over its padded support."""
+    if not mirrored:
+        inp = inputs[0]
+        lo, hi = inp.atoms[0] - SUPPORT_PADDING * sigmas, inp.atoms[-1] + SUPPORT_PADDING * sigmas
+
+        def integrand(y: np.ndarray, which: np.ndarray) -> np.ndarray:
+            return _entropy_terms(mixture_log_pdf(inp, sigmas[which, None], y))
+
+        return _adaptive_integrals(integrand, lo, hi, sigmas, tolerance) - noise_entropy(sigmas)
     alphabets = list(dict.fromkeys(inputs))
     number = {inp: i for i, inp in enumerate(alphabets)}
     group = np.array([number[inp] for inp in inputs], dtype=np.intp)
     first = np.array([inp.atoms[0] for inp in alphabets])[group]
     last = np.array([inp.atoms[-1] for inp in alphabets])[group]
-    lo = first - SUPPORT_PADDING * sigmas
-    hi = 0.5 * (first + last) if mirrored else last + SUPPORT_PADDING * sigmas
+    # the smallest and largest gap between adjacent atoms, both 0 for one atom
+    gaps = np.array(
+        [(d.min(), d.max()) if d.size else (0.0, 0.0) for d in (np.diff(inp.atoms) for inp in alphabets)]
+    ).reshape(-1, 2)[group]
 
-    def integrand(y: np.ndarray, which: np.ndarray) -> np.ndarray:
+    def grouped(y: np.ndarray, which: np.ndarray) -> np.ndarray:
         owners = group[which]
         order = np.argsort(owners, kind="stable")
         lp = np.empty_like(y)
         for rows in np.split(order, np.flatnonzero(np.diff(owners[order])) + 1):
-            lp[rows] = mixture_log_pdf(alphabets[owners[rows[0]]], sigmas[which[rows], None], y[rows])
-        p = np.exp(lp)
-        # -p * lp * log2(e) in place, 0 where p underflows
-        with np.errstate(invalid="ignore"):
-            lp *= p
-        lp *= -_LOG2_E
-        lp[~(p > 0.0)] = 0.0
-        return lp
+            lp[rows] = mixture_log_pdf(alphabets[owners[rows[0]]], sigmas[which[rows]], y[rows])
+        return _entropy_terms(lp)
 
-    h_out = _adaptive_integrals(integrand, lo, hi, sigmas, tolerance, 2 if mirrored else 1)
-    return h_out - noise_entropy(sigmas)
+    lo, mid = first - SUPPORT_PADDING * sigmas, 0.5 * (first + last)
+    h_out = _mirrored_integrals(grouped, lo, mid, _start_steps(gaps[:, 0], gaps[:, 1], sigmas), tolerance)
+    rates = h_out - noise_entropy(sigmas)
+    # one atom carries nothing: its rate is 0, not the rounding residual of
+    # h(Y) - h(Z), whose sign would add a vertex at r1 = 4e-16 to a region
+    rates[last == first] = 0.0
+    return rates
+
+
+def _entropy_terms(lp: np.ndarray) -> np.ndarray:
+    """-p * log2(p) from lp = log(p), in place, 0 where p underflows."""
+    p = np.exp(lp)
+    with np.errstate(invalid="ignore"):
+        lp *= p
+    lp *= -_LOG2_E
+    lp[~(p > 0.0)] = 0.0
+    return lp
 
 
 def _mirrored(inp: DiscreteInput) -> bool:

@@ -4,13 +4,17 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import esdurate.cli
 import esdurate.esdu
+from esdurate.esdu import EsduInput, f1, f2, f3, f_lower, g_upper, owb
+from esdurate.oracle import TOLERANCE, mi_discrete
 from esdurate.region import BcChannel, SplitConfig, exact_inner_point
+from esdurate.uniform import P2pChannel, c_lower, c_upper, e_cap
 from esdurate.cli import (
     EXIT_BROKEN_PIPE,
     EXIT_NUMERICAL,
@@ -125,6 +129,25 @@ class TestP2pBounds:
         assert out == ""
         assert flag in err
 
+    def test_table_is_one_batch_equal_to_its_rows(self, capsys, monkeypatch):
+        calls = []
+        inner = esdurate.cli.mi_discrete
+        monkeypatch.setattr(esdurate.cli, "mi_discrete", lambda *a: calls.append(a) or inner(*a))
+        argv = ["p2p-bounds", "--peak-db=-3,0,7.5,20", "--delta0", "0.5", "--sigma", "1.5", "--format", "json"]
+        code, out, _ = run_cli(capsys, argv + TS)
+        assert code == EXIT_OK
+        assert len(calls) == 1
+        rows = json.loads(out)["data"]["rows"]
+        assert [row[0] for row in rows] == [-3, 0, 7.5, 20]
+        for db, levels, *rates, entropy in rows:
+            peak = esdurate.cli._peak_from_db(db, 1.5, "--peak-db")
+            ch, inp = P2pChannel(peak, 1.5), EsduInput(peak, levels)
+            alone = [bound(ch) for bound in (c_lower, c_upper, e_cap)]
+            alone += [bound(inp, 1.5) for bound in (f1, f2, f3, f_lower, g_upper, owb)]
+            # bit for bit: JSON prints every float exactly
+            assert rates == alone + [inner(inp, 1.5, TOLERANCE)]
+            assert entropy == math.log2(levels)
+
     def test_csv_shape(self, capsys):
         _, out, _ = run_cli(capsys, ["p2p-bounds", "--peak-db", "5"] + TS)
         lines = out.splitlines()
@@ -181,6 +204,23 @@ class TestEsduRate:
         assert row["xi"] == row["owb"] == ""
         assert float(row["f_lower"]) == 0.0
         assert float(row["g_upper"]) == 0.0
+
+    def test_widest_three_level_input_settles_or_fails_within_bounded_memory(self, capsys):
+        # 99,999 noise widths between three atoms: the G7/K15 rule's panel
+        # error reached the round-off level; the trapezoid rule's first round
+        # is 133,361 nodes at 0.75 sigma, about 14 MB traced
+        argv = ["esdu-rate", "--span", "99999", "--levels", "3"] + TS
+        run_cli(capsys, argv)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code in (EXIT_OK, EXIT_NUMERICAL)
+        if code == EXIT_OK:
+            assert float(parse_csv(out)[1][0]["mi_exact"]) == pytest.approx(math.log2(3), abs=TOLERANCE)
+        assert peak < 24e6
 
     @pytest.mark.parametrize(
         "argv,flag",

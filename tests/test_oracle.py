@@ -301,14 +301,15 @@ class TestEsduInputs:
         assert abs(one_atom) <= TOLERANCE
 
     def test_batch_error_carries_the_flat_index_of_the_first_failing_element(self, monkeypatch):
-        # with no refinement, (5, 11) at 0.15 and (10, 21) at 0.3 fail; K = 21
-        # is integrated first, but the K = 11 element comes first in flat order
+        # with no refinement at tolerance 1e-12, (5, 11) and (10, 21) at 1.0
+        # (scaled width 2) fail, and at 0.3 settle; K = 21 is integrated
+        # first, but the K = 11 element comes first in flat order
         monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
         inp = EsduInput(np.array([[10.0, 5.0], [10.0, 5.0]]), np.array([[21, 11], [21, 11]]))
         with pytest.raises(ConvergenceError) as batch:
-            mi_discrete(inp, np.array([[1.0, 0.15], [0.3, 1.0]]))
+            mi_discrete(inp, np.array([[0.3, 1.0], [1.0, 0.3]]), 1e-12)
         with pytest.raises(ConvergenceError) as alone:
-            mi_discrete(EsduInput(5.0, 11), 0.15)
+            mi_discrete(EsduInput(5.0, 11), 1.0, 1e-12)
         assert batch.value.index == 1
         assert str(batch.value) == str(alone.value)
         assert batch.value.last_estimate == alone.value.last_estimate
@@ -320,7 +321,7 @@ class TestEsduInputs:
         span, levels, sigma = (np.array(column) for column in zip(*elements))
         batch = mi_discrete(EsduInput(span, levels), sigma)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(oracle, "_ROUND_PANELS", 16)  # rounds that split the alphabets
+            patch.setattr(oracle, "_ROUND_NODES", 240)  # rounds that split the alphabets
             assert mi_discrete(EsduInput(span, levels), sigma).tolist() == batch.tolist()
         for value, (s, k, g) in zip(batch.tolist(), elements):
             assert value == mi_discrete(EsduInput(s, k), g)
@@ -328,7 +329,7 @@ class TestEsduInputs:
 
     def test_one_lockstep_call_makes_one_density_call_per_alphabet_in_a_round(self, monkeypatch):
         rounds = []
-        integrate, density = oracle._adaptive_integrals, oracle.mixture_log_pdf
+        integrate, density = oracle._mirrored_integrals, oracle.mixture_log_pdf
 
         def recording_integrals(f, *args):
             def recording_f(y, which):
@@ -340,15 +341,16 @@ class TestEsduInputs:
             rounds[-1][1].append((inp.atoms.size, y.shape[0]))
             return density(inp, sigma, y)
 
-        monkeypatch.setattr(oracle, "_adaptive_integrals", recording_integrals)
+        monkeypatch.setattr(oracle, "_mirrored_integrals", recording_integrals)
         monkeypatch.setattr(oracle, "mixture_log_pdf", recording_density)
         inp = EsduInput(np.array([10.0, 5.0, 0.0, 10.0]), np.array([21, 11, 1, 21]))
         want = [mi_discrete(EsduInput(float(s), int(k)), 0.4) for s, k in zip(inp.span, inp.levels)]
         rounds.clear()
         assert mi_discrete(inp, 0.4).tolist() == want
-        # K in order of first need, each with its first-round panels: the
-        # scaled width is 0.8 for K = 21 and K = 11, and 0.4 for K = 1
-        assert rounds[0][1] == [(21, 12), (11, 9), (1, 5)]
+        # K in order of first need, each with its first-round nodes: the
+        # scaled width is 0.8 for K = 21 and K = 11 (start step 0.53 of it),
+        # and 0.4 for K = 1 (start step 0.75 of it)
+        assert rounds[0][1] == [(21, 87), (11, 63), (1, 29)]
         for rows, calls in rounds:
             sizes = [k for k, _ in calls]
             assert len(sizes) == len(set(sizes)) and sum(n for _, n in calls) == rows
@@ -513,8 +515,11 @@ class TestMiDiscrete:
             )
 
     def test_single_atom_is_zero(self):
+        # exactly: not the rounding residual of h(Y) - h(Z), on either path
         di = DiscreteInput(np.array([3.0]), np.array([1.0]))
-        assert abs(mi_discrete(di, 2.0)) <= 1e-10
+        assert mi_discrete(di, 2.0) == 0.0
+        assert mi_discrete(di, np.array([0.5, 2.0, 7.0])).tolist() == [0.0] * 3
+        assert mi_discrete(EsduInput(np.array([0.0, 4.0]), np.array([1, 5])), np.array([1.0, 2.0]))[0] == 0.0
 
     def test_against_scipy_integrator(self):
         for atoms, sigma in [([0.0, 0.5, 1.0], 1.0), ([0.0, 2.0, 5.0, 9.0], 1.3)]:
@@ -606,12 +611,14 @@ class TestSigmaBatch:
             mi_discrete(DiscreteInput.from_esdu(EsduInput(1.0, 3)), np.ones((2, 2)))
 
     def test_fails_at_its_first_failing_element(self, monkeypatch):
-        # with no refinement, 0.3 and 0.2 fail; 1.0 and 2.0 settle in one round
+        # G7/K15 over the full support of an asymmetric input (the last of 21
+        # atoms a quarter step out): with no refinement, 0.3 and 0.2 fail;
+        # 1.0 and 2.5 settle in one round
         monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
-        di = DiscreteInput.from_esdu(EsduInput(10.0, 21))
-        assert mi_discrete(di, np.array([1.0, 2.0])).tolist() == [mi_discrete(di, 1.0), mi_discrete(di, 2.0)]
+        di = DiscreteInput(np.append(np.arange(20) * 0.5, 10.25), np.full(21, 1 / 21))
+        assert mi_discrete(di, np.array([1.0, 2.5])).tolist() == [mi_discrete(di, 1.0), mi_discrete(di, 2.5)]
         with pytest.raises(ConvergenceError) as batch:
-            mi_discrete(di, np.array([1.0, 0.3, 2.0, 0.2]))
+            mi_discrete(di, np.array([1.0, 0.3, 2.5, 0.2]))
         with pytest.raises(ConvergenceError) as alone:
             mi_discrete(di, 0.3)
         assert batch.value.index == 1
@@ -619,38 +626,57 @@ class TestSigmaBatch:
         assert math.isnan(batch.value.previous_estimate) and math.isnan(alone.value.previous_estimate)
         assert batch.value.last_estimate == alone.value.last_estimate
 
+    def test_mirrored_input_fails_at_its_first_failing_element(self, monkeypatch):
+        # the trapezoid rule: with no refinement at tolerance 1e-12, 1.0 and
+        # 2.0 (s = 2 and 4) fail; 0.3 and 0.2 settle in one round
+        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        di = DiscreteInput.from_esdu(EsduInput(10.0, 21))
+        settled = mi_discrete(di, np.array([0.3, 0.2]), 1e-12).tolist()
+        assert settled == [mi_discrete(di, 0.3, 1e-12), mi_discrete(di, 0.2, 1e-12)]
+        with pytest.raises(ConvergenceError, match="did not converge within 0 refinement rounds") as batch:
+            mi_discrete(di, np.array([0.3, 1.0, 0.2, 2.0]), 1e-12)
+        with pytest.raises(ConvergenceError) as alone:
+            mi_discrete(di, 1.0, 1e-12)
+        assert batch.value.index == 1
+        assert str(batch.value) == str(alone.value)
+        # its first round gives two estimates, T_n and T_2n
+        assert (batch.value.previous_estimate, batch.value.last_estimate) == (
+            alone.value.previous_estimate, alone.value.last_estimate
+        )
+        assert abs(batch.value.last_estimate - batch.value.previous_estimate) > 1e-12
+
     def test_budget_splits_a_batch_without_changing_any_element(self, monkeypatch):
         di = DiscreteInput.from_esdu(EsduInput(30.0, 31))
-        sigmas = np.array([0.5, 1.0, 2.0, 0.7])  # 20, 13, 9 and 16 first-round panels
+        sigmas = np.array([0.5, 1.0, 2.0, 0.7])  # 241, 77, 49 and 137 first-round nodes
         want = mi_discrete(di, sigmas)
         rounds = []
         inner = oracle.mixture_log_pdf
         monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: rounds.append(len(y)) or inner(inp, s, y))
-        monkeypatch.setattr(oracle, "_ROUND_PANELS", 40)
+        monkeypatch.setattr(oracle, "_ROUND_NODES", 320)
         assert mi_discrete(di, sigmas).tolist() == want.tolist()
-        # rounds of at most 40 panels: the first two elements, then what is left
-        assert rounds[0] == 33 and max(rounds) <= 40
+        # rounds of at most 320 nodes: the first two elements, then what is left
+        assert rounds[0] == 318 and max(rounds) <= 320
 
     def test_element_wider_than_the_round_budget_runs_alone(self, monkeypatch):
         di = DiscreteInput.from_esdu(EsduInput(30.0, 31))
-        sigmas = np.array([1.0, 0.5, 2.0])  # 13, 20 and 9 first-round panels
+        sigmas = np.array([1.0, 0.5, 2.0])  # 77, 241 and 49 first-round nodes
         want = mi_discrete(di, sigmas)
         rounds = []
         inner = oracle.mixture_log_pdf
         monkeypatch.setattr(
             oracle, "mixture_log_pdf", lambda inp, s, y: rounds.append(set(np.ravel(s).tolist())) or inner(inp, s, y)
         )
-        monkeypatch.setattr(oracle, "_ROUND_PANELS", 8)
+        monkeypatch.setattr(oracle, "_ROUND_NODES", 40)
         assert mi_discrete(di, sigmas).tolist() == want.tolist()
-        # no element fits 8 panels: every round holds the first open element alone
+        # no element fits 40 nodes: every round holds the first open element alone
         assert rounds[0] == {1.0}
         assert all(len(widths) == 1 for widths in rounds)
 
     def test_element_over_the_backstop_fails_though_it_runs_alone(self, monkeypatch):
         # rounds of 4 panels hold one element each; the 0.02-wide spike then
-        # grows past 8 open panels and fails as it would alone
-        monkeypatch.setattr(oracle, "_ROUND_PANELS", 4)
-        monkeypatch.setattr(oracle, "_MAX_PANELS", 8)
+        # grows past 8 open panels (120 nodes) and fails as it would alone
+        monkeypatch.setattr(oracle, "_ROUND_NODES", 4 * 15)
+        monkeypatch.setattr(oracle, "_MAX_NODES", 8 * 15)
 
         def integrate(widths):
             n = len(widths)
@@ -665,7 +691,7 @@ class TestSigmaBatch:
 
     def test_element_over_the_backstop_fails_as_it_would_alone(self, monkeypatch):
         # the 0.02-wide spike needs more than 8 panels; the wide ones do not
-        monkeypatch.setattr(oracle, "_MAX_PANELS", 8)
+        monkeypatch.setattr(oracle, "_MAX_NODES", 8 * 15)
 
         def integrate(widths):
             n = len(widths)
@@ -751,9 +777,77 @@ class TestKronrodRule:
 
         monkeypatch.setattr(oracle, "mixture_log_pdf", counting)
         mi_discrete(DiscreteInput.from_esdu(EsduInput(10.0, 21)), 1.0)
-        # the input is its own mirror image: 8 panels of 1.875 sigma over the
-        # lower half [-10, 5], all accepted in the first round
-        assert sum(nodes) == 8 * 15
+        # the input is its own mirror image: over the lower half [-10, 5], at
+        # the start step of 0.75 sigma, the first round's 41 nodes give T_20
+        # and T_40, which are accepted
+        assert sum(nodes) == 41
+
+
+class TestTrapezoidRule:
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(st.integers(2, 300), st.floats(math.log(0.01), math.log(5.0)).map(math.exp))
+    @example(3, 0.1)  # EsduInput(2.0, 3) at 0.1: a flat 0.75-sigma start step stopped 3e-9 bits off
+    @example(181, 0.0124)
+    def test_agrees_with_the_full_g7k15_integral(self, levels, s):
+        # the integers 0..K-1 at s noise widths per atom spacing, by the ESDU path
+        di = DiscreteInput(np.arange(levels, dtype=float), np.full(levels, 1.0 / levels))
+        lo, hi = -10.0 * s, levels - 1 + 10.0 * s
+        full = _adaptive_integral(entropy_integrand(di, s), lo, hi, s) - noise_entropy(s)
+        assert mi_discrete(EsduInput(float(levels - 1), levels), s) == pytest.approx(full, abs=TOLERANCE)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.floats(0.05, 3.0), min_size=1, max_size=15), st.booleans(), st.integers(0, 2**32 - 1),
+        st.floats(math.log(0.01), math.log(5.0)).map(math.exp),
+    )
+    def test_uneven_mirrored_input_agrees_with_the_full_g7k15_integral(self, gaps, middle, seed, sigma):
+        # atoms and masses mirrored about 0, with or without an atom at 0
+        half = np.cumsum(gaps)
+        atoms = np.concatenate([-half[::-1], [0.0] * middle, half])
+        weights = np.random.default_rng(seed).uniform(0.1, 1.0, half.size + middle)
+        masses = np.concatenate([weights[: half.size][::-1], weights[half.size :], weights[: half.size]])
+        di = DiscreteInput(atoms, masses / masses.sum())
+        assert oracle._mirrored(di)
+        lo, hi = atoms[0] - 10.0 * sigma, atoms[-1] + 10.0 * sigma
+        full = _adaptive_integral(entropy_integrand(di, sigma), lo, hi, sigma) - noise_entropy(sigma)
+        assert mi_discrete(di, sigma) == pytest.approx(full, abs=TOLERANCE)
+
+    @pytest.mark.parametrize(
+        "gaps,sigma,c",
+        [
+            # a lattice: c = min(0.75, 2 pi^2 s / (30 - 1/(8 s^2))) where that denominator is positive, else 0.75
+            ((1.0, 1.0), 1.0, 2 * math.pi**2 / 29.875),
+            ((1.0, 1.0), 0.1, 0.2 * math.pi**2 / 17.5),
+            ((1.0, 1.0), 4.0, 0.75),
+            ((1.0, 1.0), 0.05, 0.75),
+            ((0.0, 0.0), 1.0, 0.75),  # one atom
+            # uneven gaps: the largest, sqrt(80) sigma between them, or the smallest sets c
+            ((0.5, 3.0), 0.5, 2 * math.pi**2 / (6 * (30 - 6**2 / 8))),
+            ((0.5, 3.0), 0.2, 2 * math.pi**2 / (math.sqrt(80) * 20)),
+            ((0.5, 3.0), 0.05, 2 * math.pi**2 / (10 * (30 - 10**2 / 8))),
+            ((0.5, 3.0), 0.01, 0.75),
+        ],
+    )
+    def test_start_step(self, gaps, sigma, c):
+        step = oracle._start_steps(np.array([gaps[0]]), np.array([gaps[1]]), np.array([sigma]))[0]
+        assert step / sigma == pytest.approx(c, rel=1e-15)
+
+    def test_element_over_the_node_backstop_fails_as_it_would_alone(self, monkeypatch):
+        # at tolerance 1e-12, K = 21 at s = 2 needs a second level, which
+        # would bring its 41 nodes to 81; at s = 0.6 the first round's 135
+        # nodes settle, and a first round is never held back
+        monkeypatch.setattr(oracle, "_MAX_NODES", 80)
+
+        def rates(sigmas):
+            return mi_discrete(EsduInput(np.full(len(sigmas), 20.0), 21), np.array(sigmas), 1e-12)
+
+        assert rates([0.6, 0.6]).tolist() == [mi_discrete(EsduInput(20.0, 21), 0.6, 1e-12)] * 2
+        with pytest.raises(ConvergenceError, match="did not converge") as batch:
+            rates([0.6, 2.0, 0.6])
+        with pytest.raises(ConvergenceError) as alone:
+            rates([2.0])
+        assert (batch.value.index, alone.value.index) == (1, 0)
+        assert str(batch.value) == str(alone.value)
 
 
 class TestAdaptiveIntegral:

@@ -156,7 +156,7 @@ class TestInnerPoints:
 
     def test_exact_point_silent_users(self):
         silent1 = exact_inner_point(CH15, SplitConfig(1, 5))
-        assert silent1.r1 <= 1e-10  # quadrature residual of a one-atom input
+        assert silent1.r1 == 0.0  # a one-atom input carries nothing
         silent2 = exact_inner_point(CH15, SplitConfig(5, 1))
         assert silent2.r2 == 0.0  # identical integrals cancel exactly
 
@@ -509,9 +509,9 @@ class TestSweep:
 
     def test_exact_sweep_memory(self):
         # the largest bc-exact channel: 539 cells, 840 distinct rates in one
-        # lockstep call of rounds of at most 2,048 panels, 562 density calls
-        # of at most 49,335 (node, atom) pairs; traced peak 2.8 MB (4.3 MB
-        # with every first-round panel in one round)
+        # lockstep call of trapezoid rounds of at most 30,720 nodes, 377
+        # density calls of at most 23,166 (node, atom) pairs; traced peak
+        # 2.6 MB (4.3 MB with every first round in one round)
         ch = BcChannel(db_to_amplitude_ratio(18.5), 1.0, 10.0)
         sweep_inner(ch, mode="exact")
         tracemalloc.start()
