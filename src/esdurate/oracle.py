@@ -23,26 +23,21 @@ reference for the trapezoid rule.
 mi_discrete takes one noise width or a 1-D array of them: the rates of one
 input at several widths.  It is also the one path to the exact rate of an
 EsduInput (or a batch), taken from its alphabet rescaled to the integers
-0..K-1.  Either way it makes one lockstep call (see _mi_lockstep): every rate
-it needs is an element of that call, whatever its alphabet, and a trapezoid
-round makes one density call per alphabet among its elements.  A round holds
-at most _ROUND_NODES nodes, so its arrays stay small however many rates a
-call needs.
+0..K-1.  Either way every rate it needs, whatever its alphabet, is an
+element of one lockstep integral, whose rounds of at most _ROUND_NODES nodes
+are one density call each.
 
-The mixture density behind h(Y) works in fixed blocks of at most 2^16
-(atom, y) pairs, 512 KiB per float64 temporary, whatever the number of nodes
-or samples, a row per atom, and adds each y's terms in row order, from the
-first atom to the last.  It leaves out atoms more than 40 sigma from a block
-only where their terms provably underflow to 0.0, which would add nothing to
-a row-ordered sum, so the value at each y depends on that y and its sigma
-alone, never on the other values of the call.
+The mixture density works in blocks of at most 2^16 (atom, y) pairs, a row
+per atom, and adds each y's terms in row order.  Each y uses the atoms of
+its alphabet within 40 sigma of it, so its value depends on that y, its
+sigma and its alphabet alone, never on the other values of the call.
 
 A seeded Monte-Carlo estimator provides an independent cross-check of the
 quadrature path.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,11 +80,14 @@ _ROUNDOFF = 50.0 * np.finfo(float).eps
 #: Entries of one (atoms x block) work array in mixture_log_pdf: 512 KiB per
 #: float64 temporary.
 _BLOCK_ELEMENTS = 1 << 16
-#: Atoms farther than this many noise widths from every y of a block are left
-#: out of its log-sum-exp, once the block's peaks show their terms underflow.
+#: Atoms farther than this many noise widths from a y are left out of its
+#: log-sum-exp, once its largest term shows their terms underflow.
 _WINDOW_SIGMAS = 40.0
 #: exp(x) is 0.0 in float64 for every x below about -745.13.
 _UNDERFLOW_EXPONENT = -746.0
+#: Terms further below a value's largest are raised to this before exp,
+#: which is an order of magnitude slower where its result underflows.
+_EXP_FLOOR = -700.0
 
 #: Noise widths integrated beyond the extreme atoms or input edges: each tail
 #: left out holds under Q(10) = 7.6e-24 of the mass and 1e-20 bits of entropy.
@@ -152,7 +150,6 @@ class DiscreteInput:
 
     atoms: np.ndarray
     masses: np.ndarray
-    _log_masses: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         atoms = np.asarray(self.atoms, dtype=float)
@@ -171,19 +168,10 @@ class DiscreteInput:
             raise ValueError(f"masses must sum to 1, got {masses.sum()!r}")
         self.atoms = atoms
         self.masses = masses
-        self._log_masses = _log_masses(masses)
-
-    @classmethod
-    def _integers(cls, integers: np.ndarray, k: int) -> "DiscreteInput":
-        """The uniform input on the integers 0..k-1, bit for bit what
-        DiscreteInput builds, without the checks it passes by construction:
-        its atoms are the first k of `integers` (an np.arange of floats), its
-        masses and log masses read-only views of one value each."""
-        inp = object.__new__(cls)
-        inp.atoms = integers[:k]
-        inp.masses = np.broadcast_to(1.0 / k, (k,))
-        inp._log_masses = np.broadcast_to(_log_masses(np.full(1, 1.0 / k)), (k,))
-        return inp
+        # for mixture_log_pdf: all atoms per value, the largest log mass, and the others less it
+        self._sizes, self._log_mass = atoms.size, np.log(masses.max())
+        log_masses = np.log(masses, out=np.full_like(masses, -np.inf), where=masses > 0.0)
+        self._relative = None if np.all(masses == masses[0]) else log_masses - self._log_mass
 
     @classmethod
     def from_esdu(cls, inp: EsduInput) -> "DiscreteInput":
@@ -196,12 +184,16 @@ class DiscreteInput:
         return cls(atoms, masses)
 
 
-def _log_masses(masses: np.ndarray) -> np.ndarray:
-    """log(masses), -inf where a mass is 0."""
-    return np.log(masses, out=np.full_like(masses, -np.inf), where=masses > 0.0)
+class _Lattices:
+    """A density call's input over ESDU alphabets rescaled to the integers:
+    value j sees the uniform input on 0..sizes[j]-1 as DiscreteInput would."""
+
+    def __init__(self, sizes: np.ndarray):
+        self.atoms = np.arange(sizes.max(), dtype=float)
+        self._sizes, self._log_mass, self._relative = sizes, None, None  # log mass log(1/size)
 
 
-def mixture_log_pdf(inp: DiscreteInput, sigma, y):
+def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     """Natural log of the output density sum_i mass_i * phi(y - atom_i; sigma).
 
     Uses log-sum-exp over the per-atom terms, so the result stays finite for
@@ -209,82 +201,101 @@ def mixture_log_pdf(inp: DiscreteInput, sigma, y):
     the shape of y is preserved.  sigma is one noise width or an array of
     them that broadcasts against y, a width per value.
 
-    The flattened values run in blocks of _BLOCK_ELEMENTS // K values (at
-    least one), which fit the budget even with all K atoms; a block is a row
-    of terms per atom.  It keeps only the atoms within _WINDOW_SIGMAS times
-    its largest sigma of its values when that is exact: every term left out
-    is below exp(-800 + max log mass), more than 746 below the block's
-    smallest kept peak, so its exp(term - peak) is 0.0 in float64.  Otherwise
-    (values far from every atom, zero masses near them) the block keeps every
-    atom.  Each value's terms are added in row order, first atom to last, so
-    the atoms left out would only have added 0.0: the value at each y is the
-    same whatever block, window or call it falls in.
+    Each value keeps its atoms within _WINDOW_SIGMAS of its sigma where each
+    term left out is below exp(-800 + max log mass), 746 below the value's
+    largest, so exp(term - largest) is 0.0, and else (far from every atom,
+    zero masses near it) uses every atom.  Values run in blocks of
+    _BLOCK_ELEMENTS // K, K their largest alphabet, a row per atom from each
+    value's first, added in row order; rows past a value's window add at most
+    exp(_EXP_FLOOR) to a sum of at least 1, which float64 cannot resolve, so
+    its value is the same whatever block or call it is in.
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
     scale = np.asarray(sigma, dtype=float)
     if scale.ndim:
         scale = np.broadcast_to(scale, y_arr.shape).ravel()
-    out = _blocked_log_sum_exp(y_arr.ravel(), scale, inp.atoms, inp._log_masses)
-    out = (out - np.log(scale) - _LOG_SQRT_2PI).reshape(y_arr.shape)
+    out = _blocked_log_pdf(y_arr.ravel(), scale, inp).reshape(y_arr.shape)
     if np.isscalar(y) or np.ndim(y) == 0:
         return float(out)
     return out
 
 
-def _exponents(y: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """The per-atom terms -0.5*((y - atom)/sigma)^2 + log(mass) of 1-D y, a
-    row per atom; sigma is one width for every y or one per y."""
-    z = y - atoms[:, None]
-    z /= sigma
-    exponents = -0.5 * z
-    exponents *= z
-    exponents += log_masses[:, None]
-    return exponents
-
-
-def _log_sum_exp(exponents: np.ndarray, peak: np.ndarray) -> np.ndarray:
-    """log(sum(exp(exponents))) over the atoms (rows), given their maximum
-    `peak`, the rows added first to last.  Overwrites exponents."""
-    exponents -= peak
-    np.exp(exponents, out=exponents)
-    # numpy sums a lone column pairwise, so its order would depend on the block
-    total = np.cumsum(exponents, axis=0)[-1] if exponents.shape[1] == 1 else exponents.sum(axis=0)
-    return peak + np.log(total)
-
-
-def _blocked_log_sum_exp(
-    flat: np.ndarray, scale: np.ndarray, atoms: np.ndarray, log_masses: np.ndarray
-) -> np.ndarray:
-    """_log_sum_exp of the terms of 1-D y with widths `scale`, one or one per
-    value, block by block within the budget."""
-    n, k = flat.size, atoms.size
-    widths = scale.reshape(-1)
-    out = np.empty(n)
-    # no term of an atom outside a block's window exceeds this
-    excluded_top = -0.5 * _WINDOW_SIGMAS**2 + float(np.max(log_masses))
-    columns = max(1, _BLOCK_ELEMENTS // k)  # within the budget even with every atom
-    for start in range(0, n, columns):
-        block = flat[start : start + columns]
-        sigma = widths if widths.size == 1 else widths[start : start + columns]
-        first, last = _window(block, atoms, _WINDOW_SIGMAS * np.max(sigma))
-        if last > first:
-            exponents = _exponents(block, atoms[first:last], log_masses[first:last], sigma)
-            peak = np.max(exponents, axis=0)
-        if last == first or (last - first < k and not excluded_top - np.min(peak) < _UNDERFLOW_EXPONENT):
-            # a dropped atom might not underflow: redo these values with every atom
-            exponents = _exponents(block, atoms, log_masses, sigma)
-            peak = np.max(exponents, axis=0)
-        out[start : start + columns] = _log_sum_exp(exponents, peak)
-        del exponents, peak  # before the next block allocates its own
+def _blocked_log_pdf(flat: np.ndarray, scale: np.ndarray, inp) -> np.ndarray:
+    """mixture_log_pdf of 1-D y with widths `scale`, one or one per value,
+    block by block within the budget."""
+    all_sizes = np.broadcast_to(inp._sizes, flat.shape)
+    out = np.empty(flat.size)
+    start = 0
+    while start < flat.size:
+        ahead = all_sizes[start : start + max(1, _BLOCK_ELEMENTS // int(all_sizes[start]))]
+        block = slice(start, start + max(1, _BLOCK_ELEMENTS // int(ahead.max())))  # fits every atom of each alphabet
+        start = block.stop
+        y, sizes, sigma = flat[block], all_sizes[block], scale if scale.ndim == 0 else scale[block]
+        first, width = _window(y, inp.atoms, _WINDOW_SIGMAS * sigma, sizes)
+        peak, total = _log_sums(y, sigma, first, width, sizes, inp)
+        redo = (width < sizes) & ~(peak > -0.5 * _WINDOW_SIGMAS**2 - _UNDERFLOW_EXPONENT)
+        if redo.any():  # a window left out atoms whose terms might not underflow: those use every atom
+            first[redo], width[redo] = 0, sizes[redo]
+            peak, total = _log_sums(y, sigma, first, width, sizes, inp)
+        log_mass = np.log(1.0 / sizes) if inp._log_mass is None else inp._log_mass
+        out[block] = peak + log_mass + np.log(total) - np.log(sigma) - _LOG_SQRT_2PI
     return out
 
 
-def _window(block: np.ndarray, atoms: np.ndarray, reach: float) -> tuple[int, int]:
-    """Index range of the atoms within `reach` of [min(block), max(block)]."""
-    first = int(np.searchsorted(atoms, np.min(block) - reach, side="left"))
-    last = int(np.searchsorted(atoms, np.max(block) + reach, side="right"))
-    return first, last
+def _window(y: np.ndarray, atoms: np.ndarray, reach, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """The first atom and the number of atoms within `reach` of each y, of
+    the first `sizes` atoms."""
+    if y.max() - reach.min() <= atoms[0] and y.min() + reach.min() >= atoms[sizes.max() - 1]:
+        return np.zeros_like(sizes), sizes  # every window holds every atom, as searchsorted would find
+    first = np.minimum(np.searchsorted(atoms, y - reach, side="left"), sizes)
+    return first, np.minimum(np.searchsorted(atoms, y + reach, side="right"), sizes) - first
+
+
+def _log_sums(y, sigma, first: np.ndarray, width: np.ndarray, sizes, inp):
+    """Each value's largest term and sum of exp(term - largest), from atom
+    first on, over the widest window's rows; -inf and 0 if no window has any."""
+    depth = int(width.max())
+    if depth == 0:
+        return np.full(y.size, -np.inf), np.zeros(y.size)
+    exponents = _exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative)
+    peak = np.max(exponents, axis=0)
+    exponents -= np.maximum(peak, np.finfo(float).min)  # a column of -inf stays -inf
+    if exponents.min() < _EXP_FLOOR:
+        np.maximum(exponents, _EXP_FLOOR, out=exponents)
+    np.exp(exponents, out=exponents)
+    # numpy sums a lone column pairwise, so its order would depend on the block
+    total = np.cumsum(exponents, axis=0)[-1] if exponents.shape[1] == 1 else exponents.sum(axis=0)
+    return peak, total
+
+
+def _exponents(y, sigma, first: np.ndarray, depth: int, sizes, atoms: np.ndarray, relative) -> np.ndarray:
+    """The terms -0.5*((y - atom)/sigma)^2 + relative log mass of atoms first_j
+    on, depth rows of them, for each value j; -inf past its sizes_j atoms."""
+    shared = first.min() == first.max()
+    if shared:  # one window start: a slice, no gather
+        rows = slice(first[0], first[0] + depth)
+        z = y - atoms[rows, None]
+        log_masses = None if relative is None else relative[rows, None]
+    else:
+        index = first + np.arange(depth)[:, None]
+        z = np.take(atoms, index, mode="clip")
+        np.subtract(y, z, out=z)
+        log_masses = None if relative is None else np.take(relative, index, mode="clip")
+    z /= sigma
+    z *= z
+    z *= -0.5
+    if log_masses is not None:
+        z += log_masses
+    limit = sizes - first  # the rows value j may use
+    if np.any(limit < depth):
+        if not shared:
+            z[np.arange(depth)[:, None] >= limit] = -np.inf
+        else:  # values in runs of one alphabet size: a slice per run
+            starts = np.flatnonzero(np.diff(limit, prepend=-1)).tolist()
+            for a, b in zip(starts, [*starts[1:], limit.size]):
+                z[limit[a] :, a:b] = -np.inf
+    return z
 
 
 def _check_tolerance(tolerance: float) -> None:
@@ -407,7 +418,7 @@ def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray) -
     return 2.0 * math.pi**2 / np.maximum(g * (_STEP_EXPONENT - 0.125 * g * g), floor) * sigma
 
 
-def _mirrored_integrals(f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, tolerance: float) -> np.ndarray:
+def _mirrored_integrals(f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, tolerance: float, order: np.ndarray):
     """Twice the integral of f over each [lo[j], mid[j]], for an integrand
     that is its own mirror image about mid[j] and negligible at lo[j], by
     the nested composite trapezoid rule, every element j in lockstep.
@@ -426,10 +437,10 @@ def _mirrored_integrals(f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, to
     Each element keeps its own level and sums, adding each level's values in
     node order, so its result or error is what it would be alone, and reruns
     are bit-identical.  A round takes the next level of the first open
-    elements whose nodes fit _ROUND_NODES together, or of the first alone;
-    the others wait.  Raises ConvergenceError for the first element, in
-    order, that fails, with its index, and ValueError, before any node is
-    built, for a tolerance that is not finite and > 0.
+    elements, taken in `order`, whose nodes fit _ROUND_NODES together, or of
+    the first alone; the others wait.  Raises ConvergenceError for the
+    failing element of smallest index, with that index, and ValueError,
+    before any node is built, for a tolerance that is not finite and > 0.
     """
     _check_tolerance(tolerance)
     width = mid - lo
@@ -438,7 +449,7 @@ def _mirrored_integrals(f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, to
     estimate, magnitude = np.zeros(lo.size), np.zeros(lo.size)
     refinements = np.zeros(lo.size, dtype=np.int64)
     out = np.zeros(lo.size)
-    open_ = np.arange(lo.size)
+    open_ = order
     failure = None
     while open_.size:
         fresh = intervals[open_] == 0
@@ -474,14 +485,14 @@ def _mirrored_integrals(f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, to
         exhausted = ~converged & ((refinements[now] >= MAX_REFINEMENTS) | (2 * finest + 1 > _MAX_NODES))
         refinements[now] += 1
         failing = np.flatnonzero(stuck | exhausted)
-        if failing.size:  # elements after an earlier failure are gone
-            i = int(failing[0])
+        if failing.size:  # elements of larger index than an earlier failure are gone
+            i = int(failing[np.argmin(now[failing])])
             failure = _convergence_error(
                 bool(stuck[i]), tolerance, 2.0 * float(previous[i]), 2.0 * float(estimate[now[i]]), int(now[i])
             )
         open_ = np.concatenate([now[~converged], open_[take:]])
         if failure is not None:
-            # later elements cannot be the first to fail
+            # elements of larger index cannot be the first to fail
             open_ = open_[open_ < failure.index]
     if failure is not None:
         raise failure
@@ -527,8 +538,8 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     span S have the rate of the integers 0..K-1 at sigma*(K - 1)/S (one
     level, or a span under MIN_SPAN_SIGMAS, is one atom at sigma), each
     distinct scaled rate integrated once, in order of first need, by the
-    trapezoid rule.  Either way one lockstep call (see _mi_lockstep)
-    integrates every rate the call needs.
+    trapezoid rule (see _mi_lockstep).  Either way one lockstep integral
+    takes every rate the call needs.
 
     sigma and the span cap are checked on the caller's values, and the
     tolerance, in bits, before any panel.  A ConvergenceError names the first
@@ -543,8 +554,19 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     sigmas = np.asarray(sigma, dtype=float)
     if sigmas.ndim > 1:
         raise ValueError(f"sigma must be a number or a 1-D array, got shape {sigmas.shape}")
-    _padded_support(inp.atoms[0], inp.atoms[-1], sigmas)  # the span cap
-    rates = _mi_lockstep([inp] * sigmas.size, sigmas.reshape(-1), tolerance, mirrored=_mirrored(inp))
+    sigmas = sigmas.reshape(-1)
+    first, last = inp.atoms[0], inp.atoms[-1]
+    lo, hi = _padded_support(first, last, sigmas)  # and the span cap
+    if _mirrored(inp):
+        gaps = np.diff(inp.atoms) if inp.atoms.size > 1 else np.zeros(1)
+        rates = _mirrored_rates(
+            lambda y, which: mixture_log_pdf(inp, sigmas[which], y), first, last, gaps.min(), gaps.max(), sigmas,
+            tolerance, np.arange(sigmas.size),
+        )
+    else:
+        rates = _adaptive_integrals(
+            lambda y, which: _entropy_terms(mixture_log_pdf(inp, sigmas[which, None], y)), lo, hi, sigmas, tolerance
+        ) - noise_entropy(sigmas)
     return float(rates[0]) if np.ndim(sigma) == 0 else rates
 
 
@@ -556,12 +578,8 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
     scaled = np.where(live, sigmas * (levels - 1) / np.where(live, span, 1.0), sigmas)
     keys = list(zip(np.where(live, levels, 1).ravel().tolist(), scaled.ravel().tolist()))
     distinct = list(dict.fromkeys(keys))  # in order of first need
-    integers = np.arange(max((k for k, _ in distinct), default=0), dtype=float)
-    alphabets = {k: DiscreteInput._integers(integers, k) for k in dict.fromkeys(k for k, _ in distinct)}
     try:
-        rates = _mi_lockstep(
-            [alphabets[k] for k, _ in distinct], np.array([s for _, s in distinct]), tolerance, mirrored=True
-        )
+        rates = _mi_lockstep(np.array([k for k, _ in distinct], "i4"), np.array([s for _, s in distinct]), tolerance)
     except ConvergenceError as exc:
         exc.index = keys.index(distinct[exc.index])
         raise
@@ -569,45 +587,26 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
     return as_result(np.array([rate_of[key] for key in keys]).reshape(span.shape))
 
 
-def _mi_lockstep(inputs: list[DiscreteInput], sigmas: np.ndarray, tolerance: float, mirrored: bool) -> np.ndarray:
-    """The rate of inputs[j] at sigmas[j] for every element j, in one
-    lockstep call; the span cap is the caller's to check, and so is whether
-    every input is its own mirror image.
+def _mi_lockstep(sizes: np.ndarray, sigmas: np.ndarray, tolerance: float) -> np.ndarray:
+    """The rate of the integers 0..sizes[j]-1 at sigmas[j] for every element
+    j, the span cap the caller's to check: each round is one density call
+    (see _Lattices), and takes the largest alphabets first, so that a
+    density block seldom mixes sizes."""
+    gap = np.minimum(sizes - 1, 1)  # a lattice's gap is 1; one atom has none
+    return _mirrored_rates(
+        lambda y, which: mixture_log_pdf(_Lattices(sizes[which]), sigmas[which], y), 0.0, sizes - 1.0, gap, gap,
+        sigmas, tolerance, np.argsort(-sizes, kind="stable"),
+    )
 
-    Mirror images go to _mirrored_integrals over [first - SUPPORT_PADDING *
-    sigma, midpoint], in any number of alphabets: a round's nodes go to
-    mixture_log_pdf by input, in a stable order, one call per distinct input
-    (by identity) among the round's elements.  Otherwise every element is the
-    one input inputs[0] at its own width, integrated by _adaptive_integrals
-    over its padded support."""
-    if not mirrored:
-        inp = inputs[0]
-        lo, hi = inp.atoms[0] - SUPPORT_PADDING * sigmas, inp.atoms[-1] + SUPPORT_PADDING * sigmas
 
-        def integrand(y: np.ndarray, which: np.ndarray) -> np.ndarray:
-            return _entropy_terms(mixture_log_pdf(inp, sigmas[which, None], y))
-
-        return _adaptive_integrals(integrand, lo, hi, sigmas, tolerance) - noise_entropy(sigmas)
-    alphabets = list(dict.fromkeys(inputs))
-    number = {inp: i for i, inp in enumerate(alphabets)}
-    group = np.array([number[inp] for inp in inputs], dtype=np.intp)
-    first = np.array([inp.atoms[0] for inp in alphabets])[group]
-    last = np.array([inp.atoms[-1] for inp in alphabets])[group]
-    # the smallest and largest gap between adjacent atoms, both 0 for one atom
-    gaps = np.array(
-        [(d.min(), d.max()) if d.size else (0.0, 0.0) for d in (np.diff(inp.atoms) for inp in alphabets)]
-    ).reshape(-1, 2)[group]
-
-    def grouped(y: np.ndarray, which: np.ndarray) -> np.ndarray:
-        owners = group[which]
-        order = np.argsort(owners, kind="stable")
-        lp = np.empty_like(y)
-        for rows in np.split(order, np.flatnonzero(np.diff(owners[order])) + 1):
-            lp[rows] = mixture_log_pdf(alphabets[owners[rows[0]]], sigmas[which[rows]], y[rows])
-        return _entropy_terms(lp)
-
+def _mirrored_rates(density, first, last, smallest, largest, sigmas: np.ndarray, tolerance: float, order: np.ndarray):
+    """The rate at sigmas[j] of every mirror-image element j, from atom
+    `first` to `last`, its gaps from `smallest` to `largest` (one or one per
+    element), by _mirrored_integrals in `order` from SUPPORT_PADDING widths
+    below `first`; density(y, which) is the log density of which[i] at y[i]."""
     lo, mid = first - SUPPORT_PADDING * sigmas, 0.5 * (first + last)
-    h_out = _mirrored_integrals(grouped, lo, mid, _start_steps(gaps[:, 0], gaps[:, 1], sigmas), tolerance)
+    steps = _start_steps(smallest, largest, sigmas)
+    h_out = _mirrored_integrals(lambda y, which: _entropy_terms(density(y, which)), lo, mid, steps, tolerance, order)
     rates = h_out - noise_entropy(sigmas)
     # one atom carries nothing: its rate is 0, not the rounding residual of
     # h(Y) - h(Z), whose sign would add a vertex at r1 = 4e-16 to a region

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -73,14 +74,18 @@ def reference_log_pdf(di, sigma, y):
 def left_to_right_log_pdf(di, sigma, y):
     """mixture_log_pdf of 1-D y with every atom in every sum, each value's
     terms added from the first atom to the last (np.cumsum is sequential),
-    in the operation order of the oracle's kernel."""
+    in the operation order of the oracle's kernel: (y - atom)/sigma,
+    squared, halved, plus each log mass less the largest, which is added
+    to each value's largest term."""
+    log_masses = np.log(di.masses, out=np.full_like(di.masses, -np.inf), where=di.masses > 0.0)
+    top, sigma = log_masses.max(), np.float64(sigma)
     out = []
     for part in np.array_split(y, max(1, y.size // 256)):
         z = (part - di.atoms[:, None]) / sigma
-        exponents = -0.5 * z * z + di._log_masses[:, None]
+        exponents = -0.5 * (z * z) + (log_masses - top)[:, None]
         peak = exponents.max(axis=0)
         total = np.cumsum(np.exp(exponents - peak), axis=0)[-1]
-        out.append(peak + np.log(total) - np.log(np.float64(sigma)) - oracle._LOG_SQRT_2PI)
+        out.append(peak + top + np.log(total) - np.log(sigma) - oracle._LOG_SQRT_2PI)
     return np.concatenate(out)
 
 
@@ -174,12 +179,17 @@ class TestDiscreteInput:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 7, 150, 2001])
     def test_integer_alphabet_equals_the_checked_one(self, k):
-        # atoms sliced from a longer arange, as one mi_discrete call shares it
-        trusted = DiscreteInput._integers(np.arange(2001, dtype=float), k)
+        # a lattice batch mixes alphabets, as one trapezoid round does: each
+        # value of size k is the checked alphabet's value, bit for bit, near
+        # the atoms or far out, where it uses every atom
+        rng = np.random.default_rng(k)
+        sizes = rng.choice([1, 4, k, 2001], 900)
+        sigma = rng.uniform(0.05, 3.0, sizes.size)
+        y = np.where(rng.random(sizes.size) < 0.8, rng.uniform(-10.0, k + 9.0, sizes.size), -60.0 * sigma)
+        batch = mixture_log_pdf(oracle._Lattices(sizes), sigma, y)
+        mine = sizes == k
         checked = DiscreteInput(np.arange(k, dtype=float), np.full(k, 1.0 / k))
-        for name in ("atoms", "masses", "_log_masses"):
-            mine, theirs = getattr(trusted, name), getattr(checked, name)
-            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert batch[mine].tobytes() == mixture_log_pdf(checked, sigma[mine], y[mine]).tobytes()
 
     @pytest.mark.parametrize(
         "atoms,masses",
@@ -227,6 +237,26 @@ def test_rejects_inputs_wider_than_the_cap_before_integrating(call, monkeypatch)
     monkeypatch.setattr(oracle, "_adaptive_integral", lambda *a, **k: pytest.fail("integral started"))
     with pytest.raises(ValueError, match=r"span/sigma = .* is more than the 100000 the oracle integrates"):
         call()
+
+
+@st.composite
+def lattice_batches(draw):
+    """(sizes, sigmas, y) of one density call over 1 to 4 alphabets of 1 to
+    300 integers at 1e-3 to 50 noise widths each: values across [-10 sigma,
+    the midpoint], and 40 sigma from an atom or an ulp inside that, in runs
+    per alphabet or shuffled."""
+    sizes, sigmas, ys = [], [], []
+    for _ in range(draw(st.integers(1, 4))):
+        k, s = draw(st.integers(1, 300)), draw(st.floats(math.log(1e-3), math.log(50.0)).map(math.exp))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        edges = rng.integers(0, k, 20) + 40.0 * s * rng.choice([-1.0, 1.0], 20)
+        y = np.concatenate([rng.uniform(-10.0 * s, 0.5 * (k - 1), 200), edges, np.nextafter(edges, rng.integers(0, k, 20))])
+        sizes.append(np.full(y.size, k))
+        sigmas.append(np.full(y.size, s))
+        ys.append(y)
+    sizes, sigmas, ys = np.concatenate(sizes), np.concatenate(sigmas), np.concatenate(ys)
+    order = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(ys.size)
+    return (sizes[order], sigmas[order], ys[order]) if draw(st.booleans()) else (sizes, sigmas, ys)
 
 
 @st.composite
@@ -313,6 +343,13 @@ class TestEsduInputs:
         assert batch.value.index == 1
         assert str(batch.value) == str(alone.value)
         assert batch.value.last_estimate == alone.value.last_estimate
+        # rounds take the largest alphabets first: with one element per
+        # round, the K = 21 element fails a round before the K = 11 one
+        monkeypatch.setattr(oracle, "_ROUND_NODES", 40)
+        with pytest.raises(ConvergenceError) as per_round:
+            mi_discrete(inp, np.array([[0.3, 1.0], [1.0, 0.3]]), 1e-12)
+        assert per_round.value.index == 1
+        assert str(per_round.value) == str(alone.value)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(fused_esdu_batches())
@@ -327,7 +364,7 @@ class TestEsduInputs:
             assert value == mi_discrete(EsduInput(s, k), g)
             assert value == pytest.approx(mi_discrete(DiscreteInput.from_esdu(EsduInput(s, k)), g), abs=1e-12)
 
-    def test_one_lockstep_call_makes_one_density_call_per_alphabet_in_a_round(self, monkeypatch):
+    def test_one_lockstep_call_makes_one_density_call_per_round(self, monkeypatch):
         rounds = []
         integrate, density = oracle._mirrored_integrals, oracle.mixture_log_pdf
 
@@ -338,7 +375,7 @@ class TestEsduInputs:
             return integrate(recording_f, *args)
 
         def recording_density(inp, sigma, y):
-            rounds[-1][1].append((inp.atoms.size, y.shape[0]))
+            rounds[-1][1].append((inp, y.shape[0]))
             return density(inp, sigma, y)
 
         monkeypatch.setattr(oracle, "_mirrored_integrals", recording_integrals)
@@ -347,13 +384,30 @@ class TestEsduInputs:
         want = [mi_discrete(EsduInput(float(s), int(k)), 0.4) for s, k in zip(inp.span, inp.levels)]
         rounds.clear()
         assert mi_discrete(inp, 0.4).tolist() == want
+        # each round is one density call, holding exactly the round's nodes
+        assert all(len(calls) == 1 and calls[0][1] == rows for rows, calls in rounds)
         # K in order of first need, each with its first-round nodes: the
         # scaled width is 0.8 for K = 21 and K = 11 (start step 0.53 of it),
-        # and 0.4 for K = 1 (start step 0.75 of it)
-        assert rounds[0][1] == [(21, 87), (11, 63), (1, 29)]
-        for rows, calls in rounds:
-            sizes = [k for k, _ in calls]
-            assert len(sizes) == len(set(sizes)) and sum(n for _, n in calls) == rows
+        # and 0.4 for K = 1 (start step 0.75 of it); the call's atoms are
+        # those of its largest K
+        lattice, _ = rounds[0][1][0]
+        assert lattice._sizes.tolist() == [21] * 87 + [11] * 63 + [1] * 29
+        assert lattice.atoms.tolist() == list(range(21))
+
+    def test_values_with_no_atom_in_their_window_use_every_atom(self):
+        # 3 levels over 99999 noise widths: at the scaled width of 2e-5 most
+        # nodes of the 133,361-node first round lie far from every atom
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                rate = mi_discrete(EsduInput(99999.0, 3), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert caught == []
+        assert rate == pytest.approx(math.log2(3), abs=TOLERANCE)
+        assert peak <= 12.8e6
 
     def test_span_cap_is_checked_on_the_callers_values(self, monkeypatch):
         # 30 widths exactly: the scaled input, (K - 1)/(sigma*(K - 1)/S),
@@ -482,6 +536,17 @@ class TestMixtureLogPdf:
         y = np.random.default_rng(levels).uniform(-5.0, 0.5 * levels + 5.0, 300)
         batch = mixture_log_pdf(di, 1.0, y)
         assert [mixture_log_pdf(di, 1.0, value) for value in y.tolist()] == batch.tolist()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(lattice_batches())
+    def test_lattice_batch_value_equals_its_alphabet_alone(self, batch):
+        sizes, sigmas, y = batch
+        together = mixture_log_pdf(oracle._Lattices(sizes), sigmas, y)
+        for k, s in set(zip(sizes.tolist(), sigmas.tolist())):
+            mine = (sizes == k) & (sigmas == s)
+            di = DiscreteInput(np.arange(k, dtype=float), np.full(k, 1.0 / k))
+            assert together[mine].tobytes() == mixture_log_pdf(di, s, y[mine]).tobytes()
+            np.testing.assert_allclose(together[mine], reference_log_pdf(di, s, y[mine]), rtol=1e-15, atol=1e-15)
 
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round

@@ -175,20 +175,19 @@ class TestInnerPoints:
         calls = []
         inner = oracle._mi_lockstep
 
-        def recording(inputs, sigmas, tolerance, mirrored):
-            calls.append([(inp.atoms.tolist(), s) for inp, s in zip(inputs, sigmas.tolist())])
-            return inner(inputs, sigmas, tolerance, mirrored)
+        def recording(sizes, sigmas, tolerance):
+            calls.append(list(zip(sizes.tolist(), sigmas.tolist())))
+            return inner(sizes, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", recording)
         exact_inner_point(CH15, SplitConfig(np.array([3, 2, 3]), np.array([4, 6, 5])))
         assert len(calls) == 1  # one lockstep call holds every alphabet size
         by_size = {}
-        for atoms, sigma in calls[0]:
-            by_size.setdefault(len(atoms), []).append(sigma)
+        for k, sigma in calls[0]:
+            by_size.setdefault(k, []).append(sigma)
         # K = 3 (splits 0 and 2, at sigma1 then sigma2), K = 12 (one composite
-        # rate shared by splits 0 and 1), K = 2, K = 15; atoms 0..K-1
+        # rate shared by splits 0 and 1), K = 2, K = 15, each the integers 0..K-1
         assert [(k, len(sigmas)) for k, sigmas in by_size.items()] == [(3, 4), (12, 1), (2, 2), (15, 1)]
-        assert all(atoms == list(range(len(atoms))) for atoms, _ in calls[0])
         assert by_size[3] == [CH15.sigma1 * 2 / (2 * CH15.peak / 11), 2 * 2 / (2 * CH15.peak / 11),
                               CH15.sigma1 * 2 / (2 * CH15.peak / 14), 2 * 2 / (2 * CH15.peak / 14)]
         assert len(calls[0]) == 8  # each distinct rate once
@@ -196,17 +195,16 @@ class TestInnerPoints:
     def test_batch_names_the_first_split_that_needs_a_failing_rate(self, monkeypatch):
         inner = oracle._mi_lockstep
 
-        def failing(inputs, sigmas, tolerance, mirrored):
+        def failing(sizes, sigmas, tolerance):
             # K = 3 fails at its third rate (split 2 at sigma1); K = 2 at its
             # first (split 1 at sigma1), though K = 3 goes to the oracle first;
             # the lockstep call reports the first failing element it holds
             seen = {}
-            for j, inp in enumerate(inputs):
-                k = inp.atoms.size
+            for j, k in enumerate(sizes.tolist()):
                 seen[k] = seen.get(k, -1) + 1
                 if {3: 2, 2: 0}.get(k) == seen[k]:
                     raise ConvergenceError(f"K={k} did not settle", 0.1, 0.2, index=j)
-            return inner(inputs, sigmas, tolerance, mirrored)
+            return inner(sizes, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match="^K=2 did not settle") as err:
@@ -446,9 +444,9 @@ class TestSweep:
         calls = []
         inner = oracle._mi_lockstep
 
-        def counting(inputs, sigmas, tolerance, mirrored):
-            calls.extend((tuple(inp.atoms), s) for inp, s in zip(inputs, sigmas.tolist()))
-            return inner(inputs, sigmas, tolerance, mirrored)
+        def counting(sizes, sigmas, tolerance):
+            calls.extend(zip(sizes.tolist(), sigmas.tolist()))
+            return inner(sizes, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", counting)
         region = sweep_inner(CH15, grid, "exact")
@@ -495,12 +493,12 @@ class TestSweep:
         # atoms 0..4: splits (5, 3) at delta0 = 3 and (5, 1) at delta0 = 2
         at_sigma1 = {4.0 / SplitConfig(5, k2).user1_input(CH15.peak).span for k2 in (3, 1)}
 
-        def failing(inputs, sigmas, tolerance, mirrored):
-            pairs = zip(inputs, sigmas.tolist())
-            bad = [j for j, (inp, s) in enumerate(pairs) if inp.atoms.size == 5 and s in at_sigma1]
+        def failing(sizes, sigmas, tolerance):
+            pairs = zip(sizes.tolist(), sigmas.tolist())
+            bad = [j for j, (k, s) in enumerate(pairs) if k == 5 and s in at_sigma1]
             if bad:
                 raise ConvergenceError("did not settle", 0.1, 0.2, index=bad[0])
-            return inner(inputs, sigmas, tolerance, mirrored)
+            return inner(sizes, sigmas, tolerance)
 
         monkeypatch.setattr(oracle, "_mi_lockstep", failing)
         with pytest.raises(ConvergenceError, match=r"^split k1=5, k2=3 \(delta0=3\): did not settle") as err:
@@ -509,9 +507,9 @@ class TestSweep:
 
     def test_exact_sweep_memory(self):
         # the largest bc-exact channel: 539 cells, 840 distinct rates in one
-        # lockstep call of trapezoid rounds of at most 30,720 nodes, 377
-        # density calls of at most 23,166 (node, atom) pairs; traced peak
-        # 2.6 MB (4.3 MB with every first round in one round)
+        # lockstep call of trapezoid rounds of at most 30,720 nodes, 3
+        # density calls (one per round) of at most 30,557 nodes, in blocks
+        # of at most 2^16 (node, atom) pairs; traced peak 2.7 MB
         ch = BcChannel(db_to_amplitude_ratio(18.5), 1.0, 10.0)
         sweep_inner(ch, mode="exact")
         tracemalloc.start()
