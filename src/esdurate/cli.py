@@ -23,8 +23,8 @@ import numpy as np
 from . import __version__
 from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
-    MAX_REFINEMENTS, MC_GENERATOR, MIN_MC_SAMPLES, SUPPORT_PADDING, TOLERANCE, ConvergenceError, DiscreteInput,
-    _check_tolerance, _padded_support, mi_discrete, mi_monte_carlo,
+    MAX_REFINEMENTS, MC_GENERATOR, MIN_MC_SAMPLES, TOLERANCE, ConvergenceError, DiscreteInput,
+    _check_span_cap, _check_tolerance, mi_discrete, mi_monte_carlo, support_padding,
 )
 from .region import (
     DEFAULT_DELTA0_GRID, MAX_RHO_STEPS, RHO_STEPS, BcChannel, RateRegion, SweepLimitError, outer_region,
@@ -161,7 +161,8 @@ def build_manifest(command: str, parameters: dict, *, quad_tol: float | None = N
     }
     if quad_tol is not None:
         manifest["quadrature"] = {
-            "absolute_tolerance": quad_tol, "support_padding": SUPPORT_PADDING, "max_refinements": MAX_REFINEMENTS,
+            "absolute_tolerance": quad_tol, "support_padding": support_padding(quad_tol),
+            "max_refinements": MAX_REFINEMENTS,
         }
     if seed is not None:
         manifest["seed"] = seed
@@ -249,7 +250,7 @@ def _check_sweep(peak: float, delta0_grid, sigma1: float, context: str = "") -> 
 def _check_span(span: float, sigma: float, flags: str) -> None:
     """Usage error naming `flags` for an input wider than the oracle integrates."""
     try:
-        _padded_support(0.0, span, sigma)
+        _check_span_cap(0.0, span, sigma)
     except ValueError as exc:
         raise UsageError(f"{flags}: {exc}") from None
 

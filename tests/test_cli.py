@@ -208,7 +208,7 @@ class TestEsduRate:
     def test_widest_three_level_input_settles_or_fails_within_bounded_memory(self, capsys):
         # 99,999 noise widths between three atoms: the G7/K15 rule's panel
         # error reached the round-off level; the trapezoid rule's first round
-        # is 133,361 nodes at 0.75 sigma, about 14 MB traced
+        # is 133,355 nodes at 0.75 sigma, about 14 MB traced
         argv = ["esdu-rate", "--span", "99999", "--levels", "3"] + TS
         run_cli(capsys, argv)
         tracemalloc.start()
@@ -269,10 +269,10 @@ class TestBcRegion:
         doc = json.loads(out)
         assert doc["manifest"]["command"] == "bc-inner"
         assert doc["manifest"]["quadrature"] == {
-            "absolute_tolerance": 1e-10, "support_padding": 10.0, "max_refinements": 30,
+            "absolute_tolerance": 1e-10, "support_padding": 7.9375, "max_refinements": 30,
         }
         # the bytes too: an int and a float
-        assert '"max_refinements": 30,' in out and '"support_padding": 10.0\n' in out
+        assert '"max_refinements": 30,' in out and '"support_padding": 7.9375\n' in out
         vertices = doc["data"]["vertices"]
         origins = [v["origin"] for v in vertices if v["origin"] is not None]
         assert {(o["k1"], o["k2"]) for o in origins} >= {(2, 6), (5, 3), (12, 1)}

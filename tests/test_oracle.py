@@ -26,6 +26,7 @@ from esdurate.oracle import (
     mi_uniform,
     mixture_log_pdf,
     noise_entropy,
+    support_padding,
     uniform_output_pdf,
 )
 from esdurate.uniform import P2pChannel, c_lower, e_cap
@@ -331,10 +332,13 @@ class TestEsduInputs:
         assert abs(one_atom) <= TOLERANCE
 
     def test_batch_error_carries_the_flat_index_of_the_first_failing_element(self, monkeypatch):
-        # with no refinement at tolerance 1e-12, (5, 11) and (10, 21) at 1.0
-        # (scaled width 2) fail, and at 0.3 settle; K = 21 is integrated
-        # first, but the K = 11 element comes first in flat order
+        # with no refinement at tolerance 1e-12, and start steps of up to
+        # 0.75 sigma without the bound of the lattice's edge zeros, (5, 11)
+        # and (10, 21) at 1.0 (scaled width 2) fail, and at 0.3 settle;
+        # K = 21 is integrated first, but the K = 11 element comes first in
+        # flat order
         monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
         inp = EsduInput(np.array([[10.0, 5.0], [10.0, 5.0]]), np.array([[21, 11], [21, 11]]))
         with pytest.raises(ConvergenceError) as batch:
             mi_discrete(inp, np.array([[0.3, 1.0], [1.0, 0.3]]), 1e-12)
@@ -386,17 +390,19 @@ class TestEsduInputs:
         assert mi_discrete(inp, 0.4).tolist() == want
         # each round is one density call, holding exactly the round's nodes
         assert all(len(calls) == 1 and calls[0][1] == rows for rows, calls in rounds)
-        # K in order of first need, each with its first-round nodes: the
-        # scaled width is 0.8 for K = 21 and K = 11 (start step 0.53 of it),
-        # and 0.4 for K = 1 (start step 0.75 of it); the call's atoms are
-        # those of its largest K
+        # K in order of first need, each with its first-round nodes from
+        # 7.9375 widths below 0: the scaled width is 0.8 for K = 21 and
+        # K = 11 (start step 0.65 of it), and 0.4 for K = 1 (start step 0.69
+        # of it); K = 21 reaches past 6.5, so its edge [-6.35, 6.5] and half
+        # period [6.5, 7] take 51 and 3 nodes; the call's atoms are those of
+        # its largest K
         lattice, _ = rounds[0][1][0]
-        assert lattice._sizes.tolist() == [21] * 87 + [11] * 63 + [1] * 29
+        assert lattice._sizes.tolist() == [21] * 54 + [11] * 45 + [1] * 25
         assert lattice.atoms.tolist() == list(range(21))
 
     def test_values_with_no_atom_in_their_window_use_every_atom(self):
         # 3 levels over 99999 noise widths: at the scaled width of 2e-5 most
-        # nodes of the 133,361-node first round lie far from every atom
+        # nodes of the 133,355-node first round lie far from every atom
         tracemalloc.start()
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -548,6 +554,39 @@ class TestMixtureLogPdf:
             assert together[mine].tobytes() == mixture_log_pdf(di, s, y[mine]).tobytes()
             np.testing.assert_allclose(together[mine], reference_log_pdf(di, s, y[mine]), rtol=1e-15, atol=1e-15)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(lattice_batches())
+    def test_lattice_windows_are_those_searchsorted_finds(self, batch):
+        sizes, sigmas, y = batch
+        reach = oracle._WINDOW_SIGMAS * sigmas
+        first, width = oracle._window(y, oracle._Lattices(sizes), reach, sizes)
+        atoms = np.arange(sizes.max(), dtype=float)
+        assert first.tolist() == np.minimum(np.searchsorted(atoms, y - reach, side="left"), sizes).tolist()
+        assert (first + width).tolist() == np.minimum(np.searchsorted(atoms, y + reach, side="right"), sizes).tolist()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(density_calls() | lattice_batches().map(lambda b: (oracle._Lattices(b[0]), b[1], b[2])))
+    def test_floor_is_skipped_only_where_no_finite_term_needs_it(self, call):
+        # the bound never exceeds a value's least finite term, and flooring
+        # every block, as a bound of -inf would, changes no bit
+        inp, sigma, y = call
+        lowest = oracle._lowest_terms
+
+        def checked(y, sigma, first, depth, sizes, inp):
+            bound = lowest(y, sigma, first, depth, sizes, inp)
+            terms = oracle._exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative)
+            assert np.all(bound <= np.min(terms, axis=0, where=np.isfinite(terms), initial=np.inf))
+            return bound
+
+        try:
+            oracle._lowest_terms = checked
+            got = mixture_log_pdf(inp, sigma, y)
+            oracle._lowest_terms = lambda y, *args: np.full(y.shape, -np.inf)
+            floored = mixture_log_pdf(inp, sigma, y)
+        finally:
+            oracle._lowest_terms = lowest
+        assert np.asarray(got).tobytes() == np.asarray(floored).tobytes()
+
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
         # panels: a dense (nodes x atoms) array would be 122 MB per temporary
@@ -657,7 +696,7 @@ class TestSigmaBatch:
         monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: nodes.append(np.size(y)) or inner(inp, s, y))
         di = DiscreteInput(np.array([0.0, 1.0, 3.0]), np.full(3, 1 / 3))
         mi_discrete(di, 1.0)
-        assert nodes[0] == 12 * 15  # 12 panels over [-10, 13]
+        assert nodes[0] == 10 * 15  # 10 panels over [-7.9375, 10.9375]
 
     def test_symmetry_is_checked_once_per_input_and_never_for_esdu(self, monkeypatch):
         checked = []
@@ -678,12 +717,12 @@ class TestSigmaBatch:
     def test_fails_at_its_first_failing_element(self, monkeypatch):
         # G7/K15 over the full support of an asymmetric input (the last of 21
         # atoms a quarter step out): with no refinement, 0.3 and 0.2 fail;
-        # 1.0 and 2.5 settle in one round
+        # 1.0 and 4.0 settle in one round
         monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
         di = DiscreteInput(np.append(np.arange(20) * 0.5, 10.25), np.full(21, 1 / 21))
-        assert mi_discrete(di, np.array([1.0, 2.5])).tolist() == [mi_discrete(di, 1.0), mi_discrete(di, 2.5)]
+        assert mi_discrete(di, np.array([1.0, 4.0])).tolist() == [mi_discrete(di, 1.0), mi_discrete(di, 4.0)]
         with pytest.raises(ConvergenceError) as batch:
-            mi_discrete(di, np.array([1.0, 0.3, 2.5, 0.2]))
+            mi_discrete(di, np.array([1.0, 0.3, 4.0, 0.2]))
         with pytest.raises(ConvergenceError) as alone:
             mi_discrete(di, 0.3)
         assert batch.value.index == 1
@@ -692,9 +731,12 @@ class TestSigmaBatch:
         assert batch.value.last_estimate == alone.value.last_estimate
 
     def test_mirrored_input_fails_at_its_first_failing_element(self, monkeypatch):
-        # the trapezoid rule: with no refinement at tolerance 1e-12, 1.0 and
-        # 2.0 (s = 2 and 4) fail; 0.3 and 0.2 settle in one round
+        # the trapezoid rule: with no refinement at tolerance 1e-12, and start
+        # steps of up to 0.75 sigma without the bound of the lattice's edge
+        # zeros, 1.0 and 2.0 (s = 2 and 4) fail; 0.3 and 0.2 settle in one
+        # round
         monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
         di = DiscreteInput.from_esdu(EsduInput(10.0, 21))
         settled = mi_discrete(di, np.array([0.3, 0.2]), 1e-12).tolist()
         assert settled == [mi_discrete(di, 0.3, 1e-12), mi_discrete(di, 0.2, 1e-12)]
@@ -712,19 +754,19 @@ class TestSigmaBatch:
 
     def test_budget_splits_a_batch_without_changing_any_element(self, monkeypatch):
         di = DiscreteInput.from_esdu(EsduInput(30.0, 31))
-        sigmas = np.array([0.5, 1.0, 2.0, 0.7])  # 241, 77, 49 and 137 first-round nodes
+        sigmas = np.array([0.5, 1.0, 2.0, 0.7])  # 185, 69, 47 and 105 first-round nodes
         want = mi_discrete(di, sigmas)
         rounds = []
         inner = oracle.mixture_log_pdf
         monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: rounds.append(len(y)) or inner(inp, s, y))
         monkeypatch.setattr(oracle, "_ROUND_NODES", 320)
         assert mi_discrete(di, sigmas).tolist() == want.tolist()
-        # rounds of at most 320 nodes: the first two elements, then what is left
-        assert rounds[0] == 318 and max(rounds) <= 320
+        # rounds of at most 320 nodes: the first three elements, then what is left
+        assert rounds[0] == 301 and max(rounds) <= 320
 
     def test_element_wider_than_the_round_budget_runs_alone(self, monkeypatch):
         di = DiscreteInput.from_esdu(EsduInput(30.0, 31))
-        sigmas = np.array([1.0, 0.5, 2.0])  # 77, 241 and 49 first-round nodes
+        sigmas = np.array([1.0, 0.5, 2.0])  # 69, 185 and 47 first-round nodes
         want = mi_discrete(di, sigmas)
         rounds = []
         inner = oracle.mixture_log_pdf
@@ -769,6 +811,83 @@ class TestSigmaBatch:
             integrate([0.02])
         assert (batch.value.index, alone.value.index) == (1, 0)
         assert str(batch.value) == str(alone.value)
+
+
+class TestSupportPadding:
+    def test_tails_hold_their_share_of_the_tolerance(self):
+        def tails(x):  # both tails of -phi*log2(phi) past x, without the unit's term
+            phi = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+            return (x * phi + 0.5 * math.erfc(x / math.sqrt(2.0))) / math.log(2.0)
+
+        for tolerance in (1e-14, 1e-12, TOLERANCE, 1e-6, 1e-2):
+            x = support_padding(tolerance)
+            assert x * 16 == int(x * 16)
+            assert tails(x) <= oracle._TAIL_SHARE * tolerance < tails(x - 1 / 16)
+        assert support_padding(TOLERANCE) == 7.9375
+        assert support_padding(1e3) == 0.0
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mi_discrete(EsduInput(1000.0, 2001), 1.0),  # a periodic interior
+            lambda: mi_discrete(EsduInput(np.array([10.0, 5.0, 30.0, 100.0]), np.array([21, 11, 31, 401])),
+                                np.array([0.4, 1.0, 0.3, 2.0])),
+            lambda: mi_discrete(
+                DiscreteInput(np.array([-3.0, -1.0, 0.0, 1.0, 3.0]), np.array([0.1, 0.25, 0.3, 0.25, 0.1])),
+                np.array([0.2, 1.0, 5.0]),
+            ),
+            lambda: mi_discrete(DiscreteInput(np.array([0.0, 1.0, 3.0]), np.full(3, 1 / 3)), np.array([0.3, 1.0, 4.0])),
+            lambda: np.array([mi_uniform(P2pChannel(peak, 1.0)) for peak in (0.1, 3.0, 100.0)]),
+        ],
+        ids=["esdu", "esdu-batch", "mirrored", "asymmetric", "uniform"],
+    )
+    def test_rates_stay_within_a_hundredth_of_the_tolerance_of_ten_widths(self, call, monkeypatch):
+        derived = np.asarray(call())
+        monkeypatch.setattr(oracle, "support_padding", lambda tolerance: 10.0)
+        np.testing.assert_allclose(derived, np.asarray(call()), rtol=0.0, atol=0.01 * TOLERANCE)
+
+
+class TestPeriodicInterior:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.floats(math.log(0.1), math.log(40.0)).map(math.exp), st.integers(0, 300),
+        st.floats(math.log(1e-3), math.log(1e4)).map(math.exp),
+    )
+    @example(0.1, 0, 1.0)
+    @example(0.1, 1, 1.0)
+    @example(40.0, 0, 1e4)
+    @example(40.0, 1, 1e-3)
+    def test_equals_the_whole_half_output(self, s, extra, span):
+        # K levels at s noise widths per level spacing, K odd or even and
+        # past twice the edge: the ESDU path takes its edge and one half
+        # period, the input's own atoms its whole half-output
+        levels = 2 * math.ceil(support_padding(TOLERANCE) * s) + 2 + extra
+        sigma = s * span / (levels - 1)
+        elements = []
+        integrate = oracle._mirrored_integrals
+        try:
+            oracle._mirrored_integrals = lambda f, lo, *args: elements.append(lo.size) or integrate(f, lo, *args)
+            periodic = mi_discrete(EsduInput(span, levels), sigma)
+        finally:
+            oracle._mirrored_integrals = integrate
+        assert elements == [2]
+        whole = mi_discrete(DiscreteInput.from_esdu(EsduInput(span, levels)), sigma)
+        assert periodic == pytest.approx(whole, abs=TOLERANCE)
+
+    def test_cost_does_not_grow_with_the_alphabet(self, monkeypatch):
+        # at two noise widths per level spacing the edge [-15.875, 16] takes
+        # 47 nodes at the 1.39 start step and the half period [16, 16.5] 3,
+        # whatever the alphabet; the whole half-output of K = 2001 from 10
+        # widths below 0 at a 1.5 start step took 1,361
+        nodes = []
+        inner = oracle.mixture_log_pdf
+        monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: nodes.append(np.size(y)) or inner(inp, s, y))
+        mi_discrete(EsduInput(1000.0, 2001), 1.0)
+        assert nodes == [50]
+        for levels in (201, 202, 2002, 20001):
+            nodes.clear()
+            mi_discrete(EsduInput(0.5 * (levels - 1), levels), 1.0)
+            assert nodes == [50]
 
 
 class TestMiUniform:
@@ -842,10 +961,10 @@ class TestKronrodRule:
 
         monkeypatch.setattr(oracle, "mixture_log_pdf", counting)
         mi_discrete(DiscreteInput.from_esdu(EsduInput(10.0, 21)), 1.0)
-        # the input is its own mirror image: over the lower half [-10, 5], at
-        # the start step of 0.75 sigma, the first round's 41 nodes give T_20
-        # and T_40, which are accepted
-        assert sum(nodes) == 41
+        # the input is its own mirror image: over the lower half
+        # [-7.9375, 5], at the start step of 0.695 sigma, the first round's 39
+        # nodes give T_19 and T_38, which are accepted
+        assert sum(nodes) == 39
 
 
 class TestTrapezoidRule:
@@ -893,15 +1012,69 @@ class TestTrapezoidRule:
             ((0.5, 3.0), 0.01, 0.75),
         ],
     )
-    def test_start_step(self, gaps, sigma, c):
-        step = oracle._start_steps(np.array([gaps[0]]), np.array([gaps[1]]), np.array([sigma]))[0]
+    def test_start_step(self, gaps, sigma, c, monkeypatch):
+        # the model of the gaps' zeros alone, at its largest exponent, E = 30:
+        # any tolerance from 3.7e-13 down, with no edge bound
+        monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
+        step = oracle._start_steps(np.array([gaps[0]]), np.array([gaps[1]]), np.array([sigma]), 1e-20)[0]
         assert step / sigma == pytest.approx(c, rel=1e-15)
 
+    # the exponent E = ln(4/tolerance) at the default tolerance, and the bound
+    # 2*pi*2.7/E that the zeros of a run's ends put on c
+    E = math.log(4.0 / TOLERANCE)
+    EDGE = 2 * math.pi * 2.7 / E
+
+    @pytest.mark.parametrize(
+        "gaps,sigma,tolerance,c",
+        [
+            # a lattice: c = min(0.75, 2 pi 2.7 / E, 2 pi^2 s / (E - 1/(8 s^2))), the last where its
+            # denominator is positive
+            ((1.0, 1.0), 1.0, TOLERANCE, EDGE),  # 2 pi^2 / (E - 1/8) would be 0.81
+            ((1.0, 1.0), 0.1, TOLERANCE, 0.2 * math.pi**2 / (E - 12.5)),
+            ((1.0, 1.0), 4.0, TOLERANCE, EDGE),
+            ((1.0, 1.0), 0.05, TOLERANCE, EDGE),
+            ((0.0, 0.0), 1.0, TOLERANCE, EDGE),  # one atom
+            ((1.0, 1.0), 1.0, 1e-12, 2 * math.pi * 2.7 / math.log(4e12)),
+            ((1.0, 1.0), 4.0, 1e-6, 0.75),  # the edge bound, 1.12, is past the cap
+            ((1.0, 1.0), 1.0, 8.0, 0.75),  # E is 0, never negative
+            # uneven gaps: the largest, sqrt(8E/3) sigma between them, or the smallest sets c
+            ((0.5, 3.0), 0.5, TOLERANCE, 2 * math.pi**2 / (6 * (E - 6**2 / 8))),
+            ((0.5, 3.0), 0.2, TOLERANCE, 2 * math.pi**2 / (math.sqrt(8 * E / 3) * (2 * E / 3))),
+            ((0.5, 3.0), 0.05, TOLERANCE, 2 * math.pi**2 / (10 * (E - 10**2 / 8))),
+            ((0.5, 3.0), 0.01, TOLERANCE, EDGE),
+            # E stops at 30, from tolerance 3.7e-13 down: the finest start step of any input, 0.11
+            ((0.5, 3.0), 0.2, 1e-20, 2 * math.pi**2 / (math.sqrt(80) * 20)),
+        ],
+    )
+    def test_start_step_follows_the_tolerance(self, gaps, sigma, tolerance, c):
+        step = oracle._start_steps(np.array([gaps[0]]), np.array([gaps[1]]), np.array([sigma]), tolerance)[0]
+        assert step / sigma == pytest.approx(c, rel=1e-15)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 79), st.floats(math.log(0.05), math.log(20.0)).map(math.exp),
+        st.sampled_from([1e-8, TOLERANCE, 1e-12]),
+    )
+    @example(11, 4.0, TOLERANCE)  # 0.75 sigma left T_n 1.2e-10 bits off: a second level
+    @example(3, 0.92, TOLERANCE)  # the nearest edge zero, 2.48 sigma off the axis
+    def test_first_round_settles(self, levels, s, tolerance):
+        # T_n of the start step is within half the tolerance of T_2n, so no
+        # lattice pays a second level, which would raise here
+        refinements = oracle.MAX_REFINEMENTS
+        try:
+            oracle.MAX_REFINEMENTS = 0
+            mi_discrete(EsduInput(float(levels - 1), levels), s, tolerance)
+        finally:
+            oracle.MAX_REFINEMENTS = refinements
+
     def test_element_over_the_node_backstop_fails_as_it_would_alone(self, monkeypatch):
-        # at tolerance 1e-12, K = 21 at s = 2 needs a second level, which
-        # would bring its 41 nodes to 81; at s = 0.6 the first round's 135
-        # nodes settle, and a first round is never held back
-        monkeypatch.setattr(oracle, "_MAX_NODES", 80)
+        # at tolerance 1e-12, with start steps of up to 0.75 sigma without
+        # the bound of the lattice's edge zeros, K = 21 at s = 2 needs a
+        # second level, which would bring its 39 nodes to 77; at s = 0.6 the
+        # first round's 87 edge and 7 half-period nodes settle, and a
+        # first round is never held back
+        monkeypatch.setattr(oracle, "_MAX_NODES", 76)
+        monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
 
         def rates(sigmas):
             return mi_discrete(EsduInput(np.full(len(sigmas), 20.0), 21), np.array(sigmas), 1e-12)

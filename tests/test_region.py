@@ -1,5 +1,7 @@
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -507,8 +509,8 @@ class TestSweep:
 
     def test_exact_sweep_memory(self):
         # the largest bc-exact channel: 539 cells, 840 distinct rates in one
-        # lockstep call of trapezoid rounds of at most 30,720 nodes, 3
-        # density calls (one per round) of at most 30,557 nodes, in blocks
+        # lockstep call of trapezoid rounds of at most 30,720 nodes, 2
+        # density calls (one per round) of at most 30,605 nodes, in blocks
         # of at most 2^16 (node, atom) pairs; traced peak 2.7 MB
         ch = BcChannel(db_to_amplitude_ratio(18.5), 1.0, 10.0)
         sweep_inner(ch, mode="exact")
@@ -519,6 +521,20 @@ class TestSweep:
         finally:
             tracemalloc.stop()
         assert peak < 3e6
+
+    def test_exact_region_at_30_db_keeps_its_vertices(self):
+        # 11,785 of its 12,153 distinct rates have a periodic interior and
+        # integrate only their edge and one half period; the vertices of
+        # whole half-outputs from 10 noise widths below each first atom hold
+        # within 1e-9 bits, with the same origins
+        recorded = json.loads((Path(__file__).parent / "exact_region_30db_ratio2.json").read_text())
+        region = sweep_inner(BcChannel(recorded["peak"], recorded["sigma1"], recorded["sigma2"]), mode="exact")
+        assert len(region.vertices) == len(recorded["vertices"]) == 91
+        for vertex, origin, want in zip(region.vertices, region.origins, recorded["vertices"]):
+            assert vertex.r1 == pytest.approx(want["r1"], abs=1e-9)
+            assert vertex.r2 == pytest.approx(want["r2"], abs=1e-9)
+            got = None if origin is None else {"delta0": origin.delta0, "k1": origin.k1, "k2": origin.k2}
+            assert got == want["origin"]
 
     def test_analytic_sweep_memory(self):
         # 7,221 cells and 4,842 splits at 30 dB; an N x d matrix of the f3
