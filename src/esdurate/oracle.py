@@ -455,9 +455,9 @@ def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray, t
     apart put complex zeros of the density pi*sigma^2/gap from the real
     axis, so c = 2*pi^2 / (g*(E - g^2/8)) where that denominator is
     positive: the error model exp(-g^2/8) * exp(-2*pi^2/(g*c)) <= exp(-E).
-    The ends of a run of atoms put zeros no nearer than _EDGE_ZERO_SIGMAS
-    noise widths, which bounds c by 2*pi*_EDGE_ZERO_SIGMAS/E, and c is at
-    most _MAX_STEP_SIGMAS.
+    The ends of a run of atoms put zeros about _EDGE_ZERO_SIGMAS noise
+    widths off the axis, which bounds c by 2*pi*_EDGE_ZERO_SIGMAS/E, and c
+    is at most _MAX_STEP_SIGMAS.
 
     A lattice, as every ESDU input is, has one gap.  Otherwise the gap that
     needs the smallest c is used: c falls as g*(E - g^2/8) rises, which it
