@@ -47,8 +47,9 @@ TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 #: Most points a start:stop[:step] grid range expands to: 500 times the 20 of
 #: the default --delta0-grid.
 MAX_GRID_POINTS = 10_000
-#: Most --mc-samples: 10 times the 1e6 of the documented cross-check, about
-#: 80 MB per float64 array of samples.
+#: Most --mc-samples: 10 times the 1e6 of the documented cross-check.  The
+#: samples are drawn and evaluated 100,000 at a time, so this bounds run time
+#: (about 2 s at 21 levels), not memory.
 MAX_MC_SAMPLES = 10_000_000
 
 

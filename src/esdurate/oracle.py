@@ -337,7 +337,7 @@ def _exponents(y, sigma, first: np.ndarray, depth: int, sizes, atoms: np.ndarray
         if not shared:
             z[np.arange(depth)[:, None] >= limit] = -np.inf
         else:  # values in runs of one alphabet size: a slice per run
-            starts = np.flatnonzero(np.diff(limit, prepend=-1)).tolist()
+            starts = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist()]
             for a, b in zip(starts, [*starts[1:], limit.size]):
                 z[limit[a] :, a:b] = -np.inf
     return z
@@ -804,27 +804,52 @@ class McEstimate:
     generator: str = MC_GENERATOR
 
 
+def _draw_indices(rng: "np.random.Generator", inp: DiscreteInput, size: int) -> np.ndarray:
+    """rng.choice(K, size, p=inp.masses), index for index, from the same size
+    doubles of rng.  numpy looks each double u up in cdf = cumsum(masses) /
+    its last entry by a binary search; with equal masses u almost always lies
+    in bucket floor(u*K), so that guess is checked against the same cdf and
+    only the few it misses are searched."""
+    if inp._relative is not None:
+        return rng.choice(inp.atoms.size, size=size, p=inp.masses)
+    cdf = np.cumsum(inp.masses)
+    cdf /= cdf[-1]
+    lower = np.concatenate(([0.0], cdf[:-1]))
+    u = rng.random(size)
+    k = (u * cdf.size).astype(np.intp)  # u < 1, so u*K rounds below K
+    off = (u < lower[k]) | (u >= cdf[k])
+    k[off] = cdf.searchsorted(u[off], side="right")
+    return k
+
+
 def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) -> McEstimate:
     """Sample-average estimate of I(X; X+Z), deterministic for a fixed seed.
 
     Averages -log2 p(X_i + Z_i) over seeded draws and subtracts the noise
     entropy.  The per-sample values also yield the standard error of the
     estimator.  Requires at least MIN_MC_SAMPLES samples.
+
+    The seed fixes the stream: the atom indices are what
+    default_rng(seed).choice(K, samples, p=masses) gives, one double each,
+    and the noise is what the same generator draws next, from PCG64(seed)
+    advanced past those samples doubles.  Both are drawn, and the density
+    evaluated, one block of 100,000 samples at a time, so memory does not
+    grow with samples; each block's values are summed as one group.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"mi_monte_carlo needs at least {MIN_MC_SAMPLES} samples")
     _check_sigma(sigma)
-    rng = np.random.default_rng(seed)
-    # noise added in place: two arrays of the sample size live at once, not four
-    ys = inp.atoms[rng.choice(inp.atoms.size, size=samples, p=inp.masses)]
-    ys += rng.normal(0.0, sigma, size=samples)
+    indices = np.random.default_rng(seed)
+    noise = np.random.Generator(np.random.PCG64(seed).advance(samples))
 
-    chunk = 100_000  # bounds the per-chunk lp and vals arrays
+    chunk = 100_000
     total = 0.0
     total_sq = 0.0
     for start in range(0, samples, chunk):
-        lp = mixture_log_pdf(inp, sigma, ys[start : start + chunk])
-        vals = -lp * _LOG2_E
+        block = min(chunk, samples - start)
+        ys = inp.atoms[_draw_indices(indices, inp, block)]
+        ys += noise.normal(0.0, sigma, size=block)
+        vals = -mixture_log_pdf(inp, sigma, ys) * _LOG2_E
         total += vals.sum()
         total_sq += (vals * vals).sum()
     mean = total / samples

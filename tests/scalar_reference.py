@@ -3,10 +3,14 @@ math module only: the scalar formulas of esdurate.uniform and esdurate.esdu
 as they stood before those modules worked on numpy arrays, plus the defining
 double sum of f3.  The batched bounds are checked against these element by
 element.  Also the general convex hull region.frontier_hull used before it
-walked only the down-set frontier.  Nothing here imports the package.
+walked only the down-set frontier, and the one-shot Monte Carlo estimate
+(numpy's generator and the density passed in) oracle.mi_monte_carlo made
+before it drew block by block.  Nothing here imports the package.
 """
 
 import math
+
+import numpy as np
 
 TWO_PI_E = 2.0 * math.pi * math.e
 SQRT_TWO_PI_E = math.sqrt(TWO_PI_E)
@@ -111,3 +115,22 @@ def frontier_hull(points):
     hull = chains[0] + chains[1]
     start = hull.index((0.0, 0.0))
     return hull[start:] + hull[:start]
+
+
+def monte_carlo(atoms, masses, sigma, samples, seed, log_pdf):
+    """The sample mean of -log2 p(X + Z) and its standard error, with every
+    atom index drawn by one rng.choice, then all the noise from the same
+    generator, then the values summed in groups of 100,000; log_pdf(y) is the
+    natural log of the output density."""
+    rng = np.random.default_rng(seed)
+    ys = atoms[rng.choice(atoms.size, size=samples, p=masses)]
+    ys += rng.normal(0.0, sigma, size=samples)
+    total = 0.0
+    total_sq = 0.0
+    for start in range(0, samples, 100_000):
+        vals = -log_pdf(ys[start : start + 100_000]) * math.log2(math.e)
+        total += vals.sum()
+        total_sq += (vals * vals).sum()
+    mean = total / samples
+    variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
+    return mean, math.sqrt(variance / samples)

@@ -626,6 +626,16 @@ class TestOutPath:
         assert (proc.returncode, err) == (EXIT_BROKEN_PIPE, b"")
 
 
+class TestStartup:
+    def test_commands_start_without_numpy_random(self):
+        # numpy.random costs every command about 6 MB of RSS and 15 ms of
+        # import; only a Monte Carlo call needs it, and loads it when called
+        src = str(Path(esdurate.cli.__file__).resolve().parents[1])
+        code = "import sys, esdurate.cli; esdurate.cli.build_parser(); sys.exit('numpy.random' in sys.modules)"
+        fresh = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src}, check=False)
+        assert fresh.returncode == 0
+
+
 class TestParser:
     def test_every_numeric_flag_checks_its_domain(self):
         # a bare float or int type takes nan, inf or any integer; each numeric

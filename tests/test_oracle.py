@@ -31,6 +31,7 @@ from esdurate.oracle import (
 )
 from esdurate.uniform import P2pChannel, c_lower, e_cap
 
+import scalar_reference as ref
 from anchors import MI_HALF_SIGMA_DB
 
 
@@ -1145,3 +1146,57 @@ class TestMonteCarlo:
         di = DiscreteInput.from_esdu(EsduInput(2.0, 4))
         with pytest.raises(ValueError):
             mi_monte_carlo(di, 1.0, 9_999, 0)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        levels=st.integers(1, 64),
+        equal=st.booleans(),
+        weight_seed=st.integers(0, 2**31 - 1),
+        sigma=st.floats(0.05, 5.0),
+        samples=st.integers(10_000, 350_001),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    @example(levels=64, equal=False, weight_seed=1, sigma=0.3, samples=350_001, seed=2**31 - 1)
+    @example(levels=21, equal=True, weight_seed=0, sigma=1.0, samples=300_000, seed=7)
+    @example(levels=1, equal=True, weight_seed=0, sigma=1.0, samples=100_001, seed=0)
+    def test_matches_one_shot_reference(self, levels, equal, weight_seed, sigma, samples, seed):
+        # block-by-block draws from the advanced noise generator, and the
+        # equal-mass index lookup, reproduce the one-shot stream bit for bit
+        atoms = np.arange(levels) * 0.8
+        weights = np.ones(levels) if equal else np.random.default_rng(weight_seed).uniform(0.1, 1.0, levels)
+        di = DiscreteInput(atoms, weights / weights.sum())
+        est = mi_monte_carlo(di, sigma, samples, seed)
+        mean, stderr = ref.monte_carlo(di.atoms, di.masses, sigma, samples, seed,
+                                       lambda y: mixture_log_pdf(di, sigma, y))
+        assert est.value == mean - noise_entropy(sigma)
+        assert est.standard_error == stderr
+
+    @pytest.mark.parametrize("levels", [1, 7, 21, 1000])
+    def test_equal_mass_draw_at_bucket_edges(self, levels):
+        # random draws almost never land where floor(u*K) misses numpy's
+        # bucket; doubles at and beside every edge do, for K = 7, 21, 1000
+        cdf = np.cumsum(np.full(levels, 1.0 / levels))
+        cdf /= cdf[-1]
+        edges = np.concatenate([cdf[:-1], np.arange(1, levels) / levels])
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, 1.0 - 2.0**-53]])
+
+        class Doubles:
+            def random(self, size):
+                assert size == u.size
+                return u.copy()
+
+        di = DiscreteInput(np.arange(levels, dtype=float), np.full(levels, 1.0 / levels))
+        np.testing.assert_array_equal(oracle._draw_indices(Doubles(), di, u.size), cdf.searchsorted(u, side="right"))
+
+    def test_memory_does_not_grow_with_samples(self):
+        di = DiscreteInput.from_esdu(EsduInput(10.0, 21))
+        peaks = []
+        for samples in (200_000, 1_000_000):
+            tracemalloc.start()
+            try:
+                mi_monte_carlo(di, 1.0, samples, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 8e6
+        assert peaks[1] <= 1.1 * peaks[0]
