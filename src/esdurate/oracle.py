@@ -804,6 +804,8 @@ class McEstimate:
     generator: str = MC_GENERATOR
 
 
+# the annotation is a string: evaluated, np.random would load numpy.random
+# (about 6 MB) when any command imports this module
 def _draw_indices(rng: "np.random.Generator", inp: DiscreteInput, size: int) -> np.ndarray:
     """rng.choice(K, size, p=inp.masses), index for index, from the same size
     doubles of rng.  numpy looks each double u up in cdf = cumsum(masses) /

@@ -1171,6 +1171,13 @@ class TestMonteCarlo:
         assert est.value == mean - noise_entropy(sigma)
         assert est.standard_error == stderr
 
+    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 18, 20, 24, 1000])
+    def test_equal_mass_draw_matches_choice(self, levels):
+        di = DiscreteInput(np.arange(levels, dtype=float), np.full(levels, 1.0 / levels))
+        for seed in (0, 2**31 - 1):
+            expected = np.random.default_rng(seed).choice(levels, size=200_000, p=di.masses)
+            np.testing.assert_array_equal(oracle._draw_indices(np.random.default_rng(seed), di, 200_000), expected)
+
     @pytest.mark.parametrize("levels", [1, 7, 21, 1000])
     def test_equal_mass_draw_at_bucket_edges(self, levels):
         # random draws almost never land where floor(u*K) misses numpy's
