@@ -804,26 +804,6 @@ class McEstimate:
     generator: str = MC_GENERATOR
 
 
-# the annotation is a string: evaluated, np.random would load numpy.random
-# (about 6 MB) when any command imports this module
-def _draw_indices(rng: "np.random.Generator", inp: DiscreteInput, size: int) -> np.ndarray:
-    """rng.choice(K, size, p=inp.masses), index for index, from the same size
-    doubles of rng.  numpy looks each double u up in cdf = cumsum(masses) /
-    its last entry by a binary search; with equal masses u almost always lies
-    in bucket floor(u*K), so that guess is checked against the same cdf and
-    only the few it misses are searched."""
-    if inp._relative is not None:
-        return rng.choice(inp.atoms.size, size=size, p=inp.masses)
-    cdf = np.cumsum(inp.masses)
-    cdf /= cdf[-1]
-    lower = np.concatenate(([0.0], cdf[:-1]))
-    u = rng.random(size)
-    k = (u * cdf.size).astype(np.intp)  # u < 1, so u*K rounds below K
-    off = (u < lower[k]) | (u >= cdf[k])
-    k[off] = cdf.searchsorted(u[off], side="right")
-    return k
-
-
 def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) -> McEstimate:
     """Sample-average estimate of I(X; X+Z), deterministic for a fixed seed.
 
@@ -849,7 +829,7 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
     total_sq = 0.0
     for start in range(0, samples, chunk):
         block = min(chunk, samples - start)
-        ys = inp.atoms[_draw_indices(indices, inp, block)]
+        ys = inp.atoms[indices.choice(inp.atoms.size, size=block, p=inp.masses)]
         ys += noise.normal(0.0, sigma, size=block)
         vals = -mixture_log_pdf(inp, sigma, ys) * _LOG2_E
         total += vals.sum()

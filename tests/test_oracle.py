@@ -1160,8 +1160,8 @@ class TestMonteCarlo:
     @example(levels=21, equal=True, weight_seed=0, sigma=1.0, samples=300_000, seed=7)
     @example(levels=1, equal=True, weight_seed=0, sigma=1.0, samples=100_001, seed=0)
     def test_matches_one_shot_reference(self, levels, equal, weight_seed, sigma, samples, seed):
-        # block-by-block draws from the advanced noise generator, and the
-        # equal-mass index lookup, reproduce the one-shot stream bit for bit
+        # block-by-block draws, the noise from the advanced generator,
+        # reproduce the one-shot stream bit for bit
         atoms = np.arange(levels) * 0.8
         weights = np.ones(levels) if equal else np.random.default_rng(weight_seed).uniform(0.1, 1.0, levels)
         di = DiscreteInput(atoms, weights / weights.sum())
@@ -1170,30 +1170,6 @@ class TestMonteCarlo:
                                        lambda y: mixture_log_pdf(di, sigma, y))
         assert est.value == mean - noise_entropy(sigma)
         assert est.standard_error == stderr
-
-    @pytest.mark.parametrize("levels", [1, 2, 3, 7, 18, 20, 24, 1000])
-    def test_equal_mass_draw_matches_choice(self, levels):
-        di = DiscreteInput(np.arange(levels, dtype=float), np.full(levels, 1.0 / levels))
-        for seed in (0, 2**31 - 1):
-            expected = np.random.default_rng(seed).choice(levels, size=200_000, p=di.masses)
-            np.testing.assert_array_equal(oracle._draw_indices(np.random.default_rng(seed), di, 200_000), expected)
-
-    @pytest.mark.parametrize("levels", [1, 7, 21, 1000])
-    def test_equal_mass_draw_at_bucket_edges(self, levels):
-        # random draws almost never land where floor(u*K) misses numpy's
-        # bucket; doubles at and beside every edge do, for K = 7, 21, 1000
-        cdf = np.cumsum(np.full(levels, 1.0 / levels))
-        cdf /= cdf[-1]
-        edges = np.concatenate([cdf[:-1], np.arange(1, levels) / levels])
-        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), [0.0, 1.0 - 2.0**-53]])
-
-        class Doubles:
-            def random(self, size):
-                assert size == u.size
-                return u.copy()
-
-        di = DiscreteInput(np.arange(levels, dtype=float), np.full(levels, 1.0 / levels))
-        np.testing.assert_array_equal(oracle._draw_indices(Doubles(), di, u.size), cdf.searchsorted(u, side="right"))
 
     def test_memory_does_not_grow_with_samples(self):
         di = DiscreteInput.from_esdu(EsduInput(10.0, 21))
