@@ -14,23 +14,22 @@ edges, as far as leaves a thousandth of the tolerance in the tails, and the
 trapezoid rule starts at the step its error model expects to settle in one
 round (see _start_steps).
 
-An input that is its own mirror image (masses equal to their reverse, atom
-sums atoms[i] + atoms[-1-i] all equal in float64), as every ESDU input is,
-has an output density symmetric about its midpoint.  Its entropy integral
-runs over the lower half by the nested composite trapezoid rule (see
-_mirrored_integrals), and is doubled: the integrand is Gaussian-smoothed and
-every odd derivative vanishes at the mirror point, so the rule converges
-exponentially.  Any other input, and the continuous-uniform input, is
-integrated over its whole padded support by adaptive composite Gauss-Kronrod
-quadrature (G7/K15 panels, bisection refinement; see _adaptive_integrals),
-which is also the tests' reference for the trapezoid rule.
+Every output entropy is integrated by one rule, the nested composite
+trapezoid rule (see _trapezoid_integrals).  An input that is its own mirror
+image (masses equal to their reverse, atom sums atoms[i] + atoms[-1-i] all
+equal in float64), as every ESDU input and the continuous-uniform input are,
+has an output density symmetric about its midpoint: its integral runs over
+the lower half and is doubled.  Any other input's runs over its whole padded
+output.  The integrand is Gaussian-smoothed, and every odd derivative
+vanishes at a mirror point or is negligible at a padded end, so the rule
+converges exponentially.
 
 mi_discrete takes one noise width or a 1-D array of them: the rates of one
 input at several widths.  It is also the one path to the exact rate of an
 EsduInput (or a batch), taken from its alphabet rescaled to the integers
 0..K-1, whose half-output is periodic past an edge of about twice the
 padding: such a rate integrates its edge and one half period, whatever its K
-(see _mirrored_rates).  Either way every rate it needs, whatever its
+(see _output_rates).  Either way every rate it needs, whatever its
 alphabet, is an element of one lockstep integral, whose rounds of at most
 _ROUND_NODES nodes are one density call each.
 
@@ -54,34 +53,8 @@ from .special import TWO_PI_E, _check_sigma, as_result, every, q_function
 _LOG2_E = math.log2(math.e)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# QUADPACK's QK15 rule (Piessens et al. 1983): the 15-point Kronrod extension
-# of the 7-point Gauss-Legendre rule on [-1, 1].  Abscissae in [0, 1] are
-# listed in decreasing order; every other one (ending at 0) is a Gauss node.
-_XGK = np.array([
-    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
-    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
-    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
-    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
-])
-_WGK = np.array([
-    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
-    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
-    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
-    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
-])
-_WG = np.array([
-    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
-    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
-])
-# The 15 nodes on [-1, 1] in increasing order, their K15 weights, and the G7
-# weights on the same nodes (zero at the 8 Kronrod-only nodes).
-_K15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
-_K15_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_G7_WEIGHTS = np.zeros(15)
-_G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
-_K15_MINUS_G7 = _K15_WEIGHTS - _G7_WEIGHTS
 #: QUADPACK's round-off level of a quadrature sum, in units of the same sum
-#: over |f| (a G7/K15 panel's half * sum |w_k f_k|, a trapezoid level's).
+#: over |f| (here a trapezoid level's).
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 #: Entries of one (atoms x block) work array in mixture_log_pdf: 512 KiB per
@@ -100,11 +73,12 @@ _EXP_FLOOR = -700.0
 #: hold (see support_padding).
 _TAIL_SHARE = 1e-3
 #: Widest input, in noise widths, whose output entropy is integrated: 100
-#: times the 1000 of a 30 dB peak.  An asymmetric input's first G7/K15 round
-#: then holds about 50,010 panels (750,150 nodes, 6 MB per float64 node
-#: array), and a mirrored input's first trapezoid round at most about 907,000
-#: nodes (7.3 MB), at the smallest start step, 0.11 sigma (see
-#: _MAX_STEP_EXPONENT), for the padding of any tolerance down to 1e-30.
+#: times the 1000 of a 30 dB peak.  At the smallest start step, 0.11 sigma
+#: (see _MAX_STEP_EXPONENT), and the padding of any tolerance down to 1e-30,
+#: a first round then holds at most about 907,000 nodes over a mirrored
+#: input's half output, and 1,813,000 over an asymmetric input's whole
+#: output: about 90 MB traced, at the 49 bytes per node of [0, 1, 99999] at
+#: sigma 1 (1.33 M nodes at a 0.15-sigma step, 66 MB).
 MAX_SPAN_SIGMAS = 1e5
 #: Narrowest ESDU input, in noise widths, that mi_discrete scales to the
 #: integers: a narrower one, of rate under 0.5*log2(1 + 1e-16/4) < 2e-17
@@ -112,17 +86,17 @@ MAX_SPAN_SIGMAS = 1e5
 MIN_SPAN_SIGMAS = 1e-8
 #: Default absolute tolerance, in bits, of the output-entropy integral.
 TOLERANCE = 1e-10
-#: Refinement rounds before an integral gives up: 30 halvings take a 2-sigma
-#: panel or a trapezoid step below 1e-8 sigma, yet typical calls settle in
-#: the first round.
+#: Refinement rounds before an integral gives up: 30 halvings take a
+#: trapezoid step below 1e-9 sigma, yet typical calls settle in the first
+#: round.
 MAX_REFINEMENTS = 30
-#: Backstop on the working set of one integral call: an element that needs
-#: more than this many nodes (open G7/K15 panels of 15 nodes, or trapezoid
-#: nodes in all) fails.
+#: Backstop on the working set of one integral call: an element whose next
+#: level would bring its trapezoid nodes past this many fails, so no level
+#: evaluates more than 15 M nodes (about 735 MB at 49 bytes per node).
 _MAX_NODES = 30_000_000
 #: Nodes of one round of a lockstep call: the round takes the first elements
 #: whose nodes fit together, or the first element alone if its nodes do not
-#: fit.  30,720 nodes (2,048 G7/K15 panels) are 240 KiB per float64 array.
+#: fit.  30,720 nodes are 240 KiB per float64 array.
 _ROUND_NODES = 30_720
 #: The trapezoid rule's start step, in noise widths, is at most this, and
 #: aims the first round's coarser sum at an error of tolerance/_STEP_MARGIN,
@@ -349,101 +323,6 @@ def _check_tolerance(tolerance: float) -> None:
         raise ValueError("absolute_tolerance must be finite and > 0")
 
 
-def _adaptive_integral(f, lo: float, hi: float, resolution: float, tolerance: float = TOLERANCE) -> float:
-    """Integrate f over [lo, hi]: _adaptive_integrals for one element, f
-    taking the nodes alone."""
-    values = _adaptive_integrals(
-        lambda y, _: f(y), np.array([lo]), np.array([hi]), np.array([resolution]), tolerance
-    )
-    return float(values[0])
-
-
-def _adaptive_integrals(f, lo: np.ndarray, hi: np.ndarray, resolution: np.ndarray, tolerance: float) -> np.ndarray:
-    """The integral of f over each [lo[j], hi[j]], by adaptive G7/K15 panel
-    bisection, every element j in lockstep.
-
-    f(y, which) takes the nodes of a round, a row of 15 per panel, and the
-    element of each row.  Element j starts from uniform panels no wider than
-    twice resolution[j] (the smoothing scale of its integrand).  Each panel
-    costs one 15-node evaluation: the K15 value is accepted once |K15 - G7|
-    is within the panel's proportional share of tolerance; otherwise the
-    panel is bisected.  A panel whose error is still above its share but
-    already at QUADPACK's round-off level cannot improve, so that ends its
-    element at once.
-
-    Each element keeps its own panels, estimates and refinement count, and
-    adds its panels in a fixed order, so its result or error is what it
-    would be alone, and repeated runs are bit-identical.  A round takes the
-    open panels of the first elements whose nodes fit _ROUND_NODES together,
-    or of the first element alone if they do not fit; the others wait.  An
-    element with more than _MAX_NODES nodes in open panels fails.  Raises
-    ConvergenceError for the first element, in order, that fails, with its
-    index, and ValueError, before any panel is built, for a tolerance that is
-    not finite and > 0.
-    """
-    _check_tolerance(tolerance)
-    width = hi - lo
-    count = np.where(width > 0.0, np.maximum(4, np.ceil(width / (2.0 * resolution))), 0).astype(np.int64)
-    # np.linspace(lo, hi, count + 1) of every element, end to end
-    owner = np.repeat(np.arange(lo.size), count)
-    index = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
-    step = width[owner] / count[owner]
-    lower = index * step + lo[owner]
-    upper = np.where(index + 1 == count[owner], hi[owner], (index + 1) * step + lo[owner])
-    share = tolerance / np.where(width > 0.0, width, 1.0)
-    settled = np.zeros(lo.size)
-    previous, last = np.full(lo.size, math.nan), np.full(lo.size, math.nan)
-    rounds = np.zeros(lo.size, dtype=np.int64)
-    round_panels = _ROUND_NODES // _K15_NODES.size
-    failure = None
-    while owner.size:
-        size = owner.size
-        if size > round_panels:
-            # owner is sorted: the panels of the first elements that fit together
-            held = np.cumsum(np.bincount(owner))
-            fit = int(np.searchsorted(held, round_panels, side="right"))
-            size = max(int(held[fit - 1]) if fit else 0, int(np.searchsorted(owner, owner[0], side="right")))
-        low, up, which = lower[:size], upper[:size], owner[:size]
-        half = 0.5 * (up - low)
-        values = f(half[:, None] * _K15_NODES + (low + half)[:, None], which)
-        # row sums, not a matrix product, so a row's bits do not depend on the rows beside it
-        kronrod = half * (values * _K15_WEIGHTS).sum(axis=1)
-        error = np.abs(half * (values * _K15_MINUS_G7).sum(axis=1))
-        converged = error <= share[which] * (up - low)
-        todo = ~converged
-        magnitude = (np.abs(values[todo]) * _K15_WEIGHTS).sum(axis=1)
-        del values  # before the next round's f builds its own
-        settled += np.bincount(which, np.where(converged, kronrod, 0.0), lo.size)
-        if converged.all():  # every element of the round is done
-            lower, upper, owner = lower[size:], upper[size:], owner[size:]
-            continue
-        stepped = np.unique(which)
-        unsettled = np.bincount(which, np.where(converged, 0.0, kronrod), lo.size)
-        previous[stepped], last[stepped] = last[stepped], settled[stepped] + unsettled[stepped]
-        rounds[stepped] += 1
-        roundoff = _ROUNDOFF * half[todo] * magnitude
-        stuck = np.unique(which[todo][error[todo] <= roundoff])
-        mid = low[todo] + half[todo]
-        lower = np.concatenate([np.column_stack([low[todo], mid]).ravel(), lower[size:]])
-        upper = np.concatenate([np.column_stack([mid, up[todo]]).ravel(), upper[size:]])
-        owner = np.concatenate([np.repeat(which[todo], 2), owner[size:]])
-        open_nodes = _K15_NODES.size * np.bincount(owner, minlength=lo.size)
-        exhausted = stepped[(open_nodes[stepped] > 0) & (
-            (rounds[stepped] > MAX_REFINEMENTS) | (open_nodes[stepped] > _MAX_NODES)
-        )]
-        failing = np.union1d(stuck, exhausted)
-        if failing.size:  # elements after an earlier failure are gone
-            j = int(failing[0])
-            failure = _convergence_error(j in stuck, tolerance, float(previous[j]), float(last[j]), j)
-        if failure is not None:
-            # later elements cannot be the first to fail
-            keep = owner < failure.index
-            lower, upper, owner = lower[keep], upper[keep], owner[keep]
-    if failure is not None:
-        raise failure
-    return settled
-
-
 def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray, tolerance: float) -> np.ndarray:
     """The trapezoid rule's start step c*sigma for an input whose gaps
     between adjacent atoms run from `smallest` to `largest` (both 0 for one
@@ -470,17 +349,18 @@ def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray, t
     return 2.0 * math.pi**2 / np.maximum(g * (exponent - 0.125 * g * g), floor) * sigma
 
 
-def _mirrored_integrals(
+def _trapezoid_integrals(
     f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, tolerance: float, order: np.ndarray, weight: np.ndarray
 ):
-    """Twice the integral of f over each [lo[j], mid[j]], for an integrand
-    that is its own mirror image about mid[j] and either negligible at lo[j]
-    or its own mirror image about lo[j] too, by the nested composite
-    trapezoid rule, every element j in lockstep.
+    """Twice the integral of f over each [lo[j], mid[j]], by the nested
+    composite trapezoid rule, every element j in lockstep, for an integrand
+    negligible at lo[j] or its own mirror image about it, and its own mirror
+    image about mid[j] or negligible there too.
 
     f(y, which) takes the 1-D nodes of a round and the element of each node.
-    Every odd derivative of such an integrand vanishes at mid[j], so no
-    Euler-Maclaurin correction applies and the rule converges exponentially.
+    Every odd derivative of such an integrand vanishes, or is negligible, at
+    both ends, so no Euler-Maclaurin correction applies and the rule
+    converges exponentially (Trefethen and Weideman, SIAM Review 2014).
     Element j's first round evaluates 2n + 1 nodes, n = ceil((mid - lo) /
     step[j]), for T_n and T_2n; its estimate 2*T_2n is accepted once
     2*|T_2n - T_n|, floored at the round-off level of its sum of |f|, is
@@ -495,8 +375,9 @@ def _mirrored_integrals(
     are bit-identical.  A round takes the next level of the first open
     elements, taken in `order`, whose nodes fit _ROUND_NODES together, or of
     the first alone; the others wait.  Raises ConvergenceError for the
-    failing element of smallest index, with that index, and ValueError,
-    before any node is built, for a tolerance that is not finite and > 0.
+    failing element of smallest index, with that index and its last two
+    estimates times weight, and ValueError, before any node is built, for a
+    tolerance that is not finite and > 0.
     """
     _check_tolerance(tolerance)
     width = mid - lo
@@ -543,8 +424,9 @@ def _mirrored_integrals(
         failing = np.flatnonzero(stuck | exhausted)
         if failing.size:  # elements of larger index than an earlier failure are gone
             i = int(failing[np.argmin(now[failing])])
+            scale = 2.0 * weight[now[i]]
             failure = _convergence_error(
-                bool(stuck[i]), tolerance, 2.0 * float(previous[i]), 2.0 * float(estimate[now[i]]), int(now[i])
+                bool(stuck[i]), tolerance, scale * float(previous[i]), scale * float(estimate[now[i]]), int(now[i])
             )
         open_ = np.concatenate([now[~converged], open_[take:]])
         if failure is not None:
@@ -612,17 +494,16 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
 
     A DiscreteInput takes one noise width, giving a float, or a 1-D array of
     them, each element bit-identical to its call alone; a mirror-symmetric
-    input (see the module docstring) integrates its lower half by the
-    trapezoid rule, doubled, and any other input its whole support by
-    G7/K15.  An EsduInput or batch broadcasts against sigma: K levels over
-    span S have the rate of the integers 0..K-1 at sigma*(K - 1)/S (one
-    level, or a span under MIN_SPAN_SIGMAS, is one atom at sigma), each
-    distinct scaled rate integrated once, in order of first need, by the
-    trapezoid rule (see _mi_lockstep).  Either way one lockstep integral
-    takes every rate the call needs.
+    input (see the module docstring) integrates the lower half of its output,
+    doubled, and any other input its whole output.  An EsduInput or batch
+    broadcasts against sigma: K levels over span S have the rate of the
+    integers 0..K-1 at sigma*(K - 1)/S (one level, or a span under
+    MIN_SPAN_SIGMAS, is one atom at sigma), each distinct scaled rate
+    integrated once, in order of first need (see _mi_lockstep).  Either way
+    one lockstep trapezoid integral takes every rate the call needs.
 
     sigma and the span cap are checked on the caller's values, and the
-    tolerance, in bits, before any panel.  A ConvergenceError names the first
+    tolerance, in bits, before any node.  A ConvergenceError names the first
     failing element, in flat order, as its `index`.  The value is not
     clamped: a one-atom input gives exactly 0, but any other deterministic
     input (all mass on one atom) comes back as a residual of quadrature size
@@ -637,18 +518,11 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     sigmas = sigmas.reshape(-1)
     first, last = inp.atoms[0], inp.atoms[-1]
     _check_span_cap(first, last, sigmas)
-    if _mirrored(inp):
-        gaps = np.diff(inp.atoms) if inp.atoms.size > 1 else np.zeros(1)
-        rates = _mirrored_rates(
-            lambda y, which: mixture_log_pdf(inp, sigmas[which], y), first, last, gaps.min(), gaps.max(), sigmas,
-            tolerance, np.arange(sigmas.size),
-        )
-    else:
-        padding = support_padding(tolerance)
-        rates = _adaptive_integrals(
-            lambda y, which: _entropy_terms(mixture_log_pdf(inp, sigmas[which, None], y)),
-            first - padding * sigmas, last + padding * sigmas, sigmas, tolerance,
-        ) - noise_entropy(sigmas)
+    gaps = np.diff(inp.atoms) if inp.atoms.size > 1 else np.zeros(1)
+    rates = _output_rates(
+        lambda y, which: mixture_log_pdf(inp, sigmas[which], y), first, last, gaps.min(), gaps.max(), sigmas,
+        tolerance, np.arange(sigmas.size), "mirrored" if _mirrored(inp) else "whole",
+    )
     return float(rates[0]) if np.ndim(sigma) == 0 else rates
 
 
@@ -676,24 +550,29 @@ def _mi_lockstep(sizes: np.ndarray, sigmas: np.ndarray, tolerance: float) -> np.
     density block seldom mixes sizes.
 
     Each half-output is periodic from the first integer or half-integer at
-    least support_padding noise widths above 0 (see _mirrored_rates)."""
+    least support_padding noise widths above 0 (see _output_rates)."""
     gap = np.minimum(sizes - 1, 1)  # a lattice's gap is 1; one atom has none
-    return _mirrored_rates(
+    return _output_rates(
         lambda y, which: mixture_log_pdf(_Lattices(sizes[which]), sigmas[which], y), 0.0, sizes - 1.0, gap, gap,
-        sigmas, tolerance, np.argsort(-sizes, kind="stable"), lattice=True,
+        sigmas, tolerance, np.argsort(-sizes, kind="stable"), "lattice",
     )
 
 
-def _mirrored_rates(
-    density, first, last, smallest, largest, sigmas: np.ndarray, tolerance: float, order: np.ndarray, lattice=False
+def _output_rates(
+    density, first, last, smallest, largest, sigmas: np.ndarray, tolerance: float, order: np.ndarray, layout: str
 ):
-    """The rate at sigmas[j] of every mirror-image input j, from atom
-    `first` to `last`, its gaps from `smallest` to `largest` (one or one per
-    input), by _mirrored_integrals in `order` from x = support_padding
-    noise widths below `first`; density(y, which) is the log density of
-    input which[i] at y[i].
+    """The rate at sigmas[j] of every input j, from atom or edge `first` to
+    `last`, its gaps from `smallest` to `largest` (one or one per input), by
+    _trapezoid_integrals in `order` from x = support_padding noise widths
+    below `first`; density(y, which) is the log density of input which[i] at
+    y[i].
 
-    The integers 0..K-1 (`lattice`) pay only for their edge.  From the first
+    A "mirrored" input, its own mirror image, is integrated up to its
+    midpoint, and the result doubled.  Any other ("whole") is one element
+    from lo to x noise widths above `last`, weighted 1/2: the rule returns
+    twice that integral, and accepts it within the tolerance of its half.
+
+    The integers 0..K-1 ("lattice") pay only for their edge.  From the first
     integer or half-integer m at least x noise widths above 0 to the
     midpoint, the density is that of the whole integer lattice but for the
     atoms missing below 0, which change it there by a share of about Q(x) at
@@ -708,17 +587,18 @@ def _mirrored_rates(
     vanishes at m and at both ends of the half period."""
     _check_tolerance(tolerance)
     padding = support_padding(tolerance)
-    lo, mid = first - padding * sigmas, np.broadcast_to(0.5 * (first + last), sigmas.shape)
-    cut = np.minimum(np.ceil(2.0 * padding * sigmas) / 2.0, mid) if lattice else mid
+    lo = first - padding * sigmas
+    mid = np.broadcast_to(last + padding * sigmas if layout == "whole" else 0.5 * (first + last), sigmas.shape)
+    cut = np.minimum(np.ceil(2.0 * padding * sigmas) / 2.0, mid) if layout == "lattice" else mid
     # each element's input, an input's [lo, cut] before its half period; int32,
     # as is the order, so that a round's copy of either per node is half the bytes
     owner = np.repeat(np.arange(sigmas.size, dtype=np.int32), np.where(cut < mid, 2, 1))
     period = np.concatenate([[False], owner[1:] == owner[:-1]])
-    weight = np.where(period, 2.0 * (mid - cut)[owner], 1.0)
+    weight = np.where(period, 2.0 * (mid - cut)[owner], 0.5 if layout == "whole" else 1.0)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     try:
-        parts = _mirrored_integrals(
+        parts = _trapezoid_integrals(
             lambda y, which: _entropy_terms(density(y, owner[which])),
             np.where(period, cut[owner], lo[owner]), np.where(period, cut[owner] + 0.5, cut[owner]),
             _start_steps(smallest, largest, sigmas, tolerance)[owner], tolerance,
@@ -776,21 +656,20 @@ def uniform_output_pdf(ch, y):
 
 def mi_uniform(ch, tolerance: float = TOLERANCE) -> float:
     """Mutual information in bits of a continuous-uniform input over [0, peak];
-    the tolerance is checked even at peak 0, where nothing is integrated."""
+    the tolerance is checked even at peak 0, where nothing is integrated.  The
+    output density is its own mirror image about peak/2, so it is integrated
+    as a mirrored input from 0 to peak with no gaps (see _output_rates)."""
     _check_tolerance(tolerance)
     if ch.peak == 0.0:
         return 0.0
-    s = ch.sigma
-    _check_span_cap(0.0, ch.peak, s)
-    padding = support_padding(tolerance)
+    sigmas = np.array([float(ch.sigma)])
+    _check_span_cap(0.0, ch.peak, sigmas)
 
-    def integrand(y: np.ndarray) -> np.ndarray:
-        p = uniform_output_pdf(ch, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(p > 0.0, -p * np.log2(p), 0.0)
+    def log_density(y: np.ndarray, which) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return np.log(uniform_output_pdf(ch, y))
 
-    h_out = _adaptive_integral(integrand, -padding * s, ch.peak + padding * s, s, tolerance)
-    return float(h_out - noise_entropy(s))
+    return float(_output_rates(log_density, 0.0, ch.peak, 0.0, 0.0, sigmas, tolerance, np.arange(1), "mirrored")[0])
 
 
 @dataclass(frozen=True)

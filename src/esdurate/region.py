@@ -92,11 +92,6 @@ class SplitConfig:
         span = (self.k1 - 1) * peak / (self.total_levels - 1)
         return EsduInput(span, self.k1)
 
-    def user2_input(self, peak: float) -> EsduInput:
-        """Coarse sub-alphabet: k2 levels strided by k1 composite spacings."""
-        span = (self.k2 - 1) * self.k1 * peak / (self.total_levels - 1)
-        return EsduInput(span, self.k2)
-
     def composite_input(self, peak: float) -> EsduInput:
         return EsduInput(peak, self.total_levels)
 

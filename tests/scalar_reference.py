@@ -3,9 +3,12 @@ math module only: the scalar formulas of esdurate.uniform and esdurate.esdu
 as they stood before those modules worked on numpy arrays, plus the defining
 double sum of f3.  The batched bounds are checked against these element by
 element.  Also the general convex hull region.frontier_hull used before it
-walked only the down-set frontier, and the one-shot Monte Carlo estimate
+walked only the down-set frontier, the one-shot Monte Carlo estimate
 (numpy's generator and the density passed in) oracle.mi_monte_carlo made
-before it drew block by block.  Nothing here imports the package.
+before it drew block by block, and the adaptive G7/K15 quadrature the oracle
+used for asymmetric and continuous-uniform inputs before the trapezoid rule
+took every output entropy: the oracle's reference integrator.  Nothing here
+imports the package.
 """
 
 import math
@@ -15,6 +18,34 @@ import numpy as np
 TWO_PI_E = 2.0 * math.pi * math.e
 SQRT_TWO_PI_E = math.sqrt(TWO_PI_E)
 OWB_GAP = 0.5 * math.log2(TWO_PI_E / 12.0)
+
+# QUADPACK's QK15 rule (Piessens et al. 1983): the 15-point Kronrod extension
+# of the 7-point Gauss-Legendre rule on [-1, 1].  Abscissae in [0, 1] are
+# listed in decreasing order; every other one (ending at 0) is a Gauss node.
+_XGK = np.array([
+    0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245, 0.000000000000000000000000000000000,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975, 0.417959183673469387755102040816327,
+])
+# The 15 nodes on [-1, 1] in increasing order, their K15 weights, and the G7
+# weights on the same nodes (zero at the 8 Kronrod-only nodes).
+K15_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+K15_WEIGHTS = np.concatenate([_WGK[:-1], _WGK[::-1]])
+G7_WEIGHTS = np.zeros(15)
+G7_WEIGHTS[1::2] = np.concatenate([_WG, _WG[-2::-1]])
+# QUADPACK's round-off level of a panel's sum, in units of its sum over |f|
+ROUNDOFF = 50.0 * np.finfo(float).eps
 
 
 def q(x):
@@ -134,3 +165,46 @@ def monte_carlo(atoms, masses, sigma, samples, seed, log_pdf):
     mean = total / samples
     variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
     return mean, math.sqrt(variance / samples)
+
+
+class NotConverged(ArithmeticError):
+    """adaptive_integral gave up: its last two estimates of the integral."""
+
+    def __init__(self, message, previous_estimate, last_estimate):
+        super().__init__(message)
+        self.previous_estimate = previous_estimate
+        self.last_estimate = last_estimate
+
+
+def adaptive_integral(f, lo, hi, resolution, tolerance=1e-10, max_refinements=30, max_panels=1_000_000):
+    """The integral of f over [lo, hi] by adaptive G7/K15 panel bisection; f
+    takes a (panels, 15) array of nodes.
+
+    Panels start uniform and no wider than twice resolution.  A panel's K15
+    value is accepted once |K15 - G7| is within its share of tolerance, in
+    proportion to its width; otherwise the panel is bisected.  Raises
+    NotConverged once a panel still refused has an error at the round-off
+    level of its sum, which cannot improve; after max_refinements rounds of
+    bisection; or past max_panels open panels."""
+    edges = np.linspace(lo, hi, max(4, math.ceil((hi - lo) / (2.0 * resolution))) + 1)
+    lower, upper = edges[:-1], edges[1:]
+    share = tolerance / (hi - lo)
+    settled, previous, last = 0.0, math.nan, math.nan
+    for _ in range(max_refinements + 1):
+        half = 0.5 * (upper - lower)
+        values = f(half[:, None] * K15_NODES + (lower + half)[:, None])
+        kronrod = half * (values * K15_WEIGHTS).sum(axis=1)
+        error = np.abs(half * (values * (K15_WEIGHTS - G7_WEIGHTS)).sum(axis=1))
+        todo = error > share * (upper - lower)
+        settled += kronrod[~todo].sum()
+        if not todo.any():
+            return settled
+        previous, last = last, settled + kronrod[todo].sum()
+        roundoff = ROUNDOFF * half * (np.abs(values) * K15_WEIGHTS).sum(axis=1)
+        if np.any(error[todo] <= roundoff[todo]):
+            raise NotConverged(f"error at the round-off level (last estimates {previous!r} -> {last!r})", previous, last)
+        middle = (lower + half)[todo]
+        lower, upper = np.concatenate([lower[todo], middle]), np.concatenate([middle, upper[todo]])
+        if lower.size > max_panels:
+            raise NotConverged(f"more than {max_panels} open panels", previous, last)
+    raise NotConverged(f"did not converge within {max_refinements} refinement rounds", previous, last)

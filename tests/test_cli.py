@@ -206,9 +206,9 @@ class TestEsduRate:
         assert float(row["g_upper"]) == 0.0
 
     def test_widest_three_level_input_settles_or_fails_within_bounded_memory(self, capsys):
-        # 99,999 noise widths between three atoms: the G7/K15 rule's panel
-        # error reached the round-off level; the trapezoid rule's first round
-        # is 133,355 nodes at 0.75 sigma, about 14 MB traced
+        # 99,999 noise widths between three atoms, the integers 0, 1, 2 at a
+        # noise width of 2e-5: the trapezoid rule takes the edge and the half
+        # period in 71,975 and 71,951 nodes at a 0.695-sigma step
         argv = ["esdu-rate", "--span", "99999", "--levels", "3"] + TS
         run_cli(capsys, argv)
         tracemalloc.start()

@@ -12,15 +12,10 @@ from scipy.special import logsumexp
 from esdurate import oracle
 from esdurate.esdu import EsduInput
 from esdurate.oracle import (
-    _G7_WEIGHTS,
-    _K15_NODES,
-    _K15_WEIGHTS,
     MIN_SPAN_SIGMAS,
     TOLERANCE,
     ConvergenceError,
     DiscreteInput,
-    _adaptive_integral,
-    _adaptive_integrals,
     mi_discrete,
     mi_monte_carlo,
     mi_uniform,
@@ -35,13 +30,13 @@ import scalar_reference as ref
 from anchors import MI_HALF_SIGMA_DB
 
 
-def scipy_mi(atoms, sigma):
+def scipy_mi(atoms, masses, sigma):
     """Independent exact-rate oracle: same integral, different integrator."""
     atoms = np.asarray(atoms, dtype=float)
-    weight = 1.0 / (len(atoms) * sigma * math.sqrt(2.0 * math.pi))
+    weights = np.asarray(masses, dtype=float) / (sigma * math.sqrt(2.0 * math.pi))
 
     def pdf(y):
-        return weight * sum(math.exp(-0.5 * ((y - a) / sigma) ** 2) for a in atoms)
+        return sum(w * math.exp(-0.5 * ((y - a) / sigma) ** 2) for a, w in zip(atoms, weights))
 
     def integrand(y):
         p = pdf(y)
@@ -144,7 +139,7 @@ def rate_inputs(draw):
 
 
 def entropy_integrand(di, sigma):
-    """-p log2 p of the output density, for _adaptive_integral."""
+    """-p log2 p of the output density, for the reference G7/K15 integral."""
     def integrand(y):
         lp = mixture_log_pdf(di, sigma, y)
         p = np.exp(lp)
@@ -152,12 +147,9 @@ def entropy_integrand(di, sigma):
     return integrand
 
 
-def spikes(widths):
-    """Unit-mass Gaussians of the given widths, one per element."""
-    widths = np.asarray(widths)
-    return lambda y, which: np.exp(-0.5 * (y / widths[which, None]) ** 2) / (
-        widths[which, None] * math.sqrt(2 * math.pi)
-    )
+def asymmetric_input():
+    """21 atoms half a unit apart, but the last a quarter step further out."""
+    return DiscreteInput(np.append(np.arange(20) * 0.5, 10.25), np.full(21, 1 / 21))
 
 
 class TestDiscreteInput:
@@ -236,7 +228,7 @@ def test_rejects_nonfinite_or_nonpositive_sigma(call, sigma):
     ids=["wide-span", "narrow-sigma", "esdu-wide-span", "esdu-narrow-sigma", "uniform"],
 )
 def test_rejects_inputs_wider_than_the_cap_before_integrating(call, monkeypatch):
-    monkeypatch.setattr(oracle, "_adaptive_integral", lambda *a, **k: pytest.fail("integral started"))
+    monkeypatch.setattr(oracle, "_trapezoid_integrals", lambda *a, **k: pytest.fail("integral started"))
     with pytest.raises(ValueError, match=r"span/sigma = .* is more than the 100000 the oracle integrates"):
         call()
 
@@ -371,7 +363,7 @@ class TestEsduInputs:
 
     def test_one_lockstep_call_makes_one_density_call_per_round(self, monkeypatch):
         rounds = []
-        integrate, density = oracle._mirrored_integrals, oracle.mixture_log_pdf
+        integrate, density = oracle._trapezoid_integrals, oracle.mixture_log_pdf
 
         def recording_integrals(f, *args):
             def recording_f(y, which):
@@ -383,7 +375,7 @@ class TestEsduInputs:
             rounds[-1][1].append((inp, y.shape[0]))
             return density(inp, sigma, y)
 
-        monkeypatch.setattr(oracle, "_mirrored_integrals", recording_integrals)
+        monkeypatch.setattr(oracle, "_trapezoid_integrals", recording_integrals)
         monkeypatch.setattr(oracle, "mixture_log_pdf", recording_density)
         inp = EsduInput(np.array([10.0, 5.0, 0.0, 10.0]), np.array([21, 11, 1, 21]))
         want = [mi_discrete(EsduInput(float(s), int(k)), 0.4) for s, k in zip(inp.span, inp.levels)]
@@ -403,7 +395,8 @@ class TestEsduInputs:
 
     def test_values_with_no_atom_in_their_window_use_every_atom(self):
         # 3 levels over 99999 noise widths: at the scaled width of 2e-5 most
-        # nodes of the 133,355-node first round lie far from every atom
+        # of the 143,926 nodes of the edge and the half period lie far from
+        # every atom
         tracemalloc.start()
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -627,9 +620,33 @@ class TestMiDiscrete:
         assert mi_discrete(EsduInput(np.array([0.0, 4.0]), np.array([1, 5])), np.array([1.0, 2.0]))[0] == 0.0
 
     def test_against_scipy_integrator(self):
-        for atoms, sigma in [([0.0, 0.5, 1.0], 1.0), ([0.0, 2.0, 5.0, 9.0], 1.3)]:
-            mine = mi_discrete(DiscreteInput(np.array(atoms), np.full(len(atoms), 1 / len(atoms))), sigma)
-            assert mine == pytest.approx(scipy_mi(atoms, sigma), abs=1e-9)
+        cases = [([0.0, 0.5, 1.0], [1 / 3] * 3, 1.0), ([0.0, 2.0, 5.0, 9.0], [0.25] * 4, 1.3)]
+        # asymmetric inputs, integrated over their whole output: 2 to 39
+        # atoms over up to 40, random masses, noise widths from 0.05 to 5
+        rng = np.random.default_rng(20)
+        for k in rng.integers(2, 40, 12).tolist():
+            atoms = np.sort(rng.uniform(-20.0, 20.0, k) * rng.uniform(0.05, 1.0))
+            weights = rng.uniform(0.1, 1.0, k)
+            cases.append((atoms, weights / weights.sum(), math.exp(rng.uniform(math.log(0.05), math.log(5.0)))))
+        for atoms, masses, sigma in cases:
+            mine = mi_discrete(DiscreteInput(np.array(atoms), np.array(masses)), sigma)
+            assert mine == pytest.approx(scipy_mi(atoms, masses, sigma), abs=1e-9)
+
+    def test_widest_asymmetric_input_settles_within_bounded_memory(self):
+        # 99,999 noise widths from the second atom to the third: the whole
+        # output is one element of 1.33 M first-round nodes at a 0.15-sigma
+        # step.  The far atom's output is disjoint from the other two, so the
+        # rate is H_b(1/3) + (2/3)*I(binary {0, 1}).
+        binary = scipy_mi([0.0, 1.0], [0.5, 0.5], 1.0)
+        want = -math.log2(1 / 3) / 3 - 2 * math.log2(2 / 3) / 3 + 2 * binary / 3
+        tracemalloc.start()
+        try:
+            rate = mi_discrete(DiscreteInput(np.array([0.0, 1.0, 99999.0]), np.full(3, 1 / 3)), 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rate == pytest.approx(want, abs=1e-12)
+        assert peak <= 72e6
 
     def test_nonnegative_and_capped(self):
         for levels in (2, 5, 13):
@@ -688,7 +705,7 @@ class TestSigmaBatch:
     def test_half_support_agrees_with_the_full_integral(self, span, levels, sigma):
         di = DiscreteInput.from_esdu(EsduInput(span if levels > 1 else 0.0, levels))
         lo, hi = di.atoms[0] - 10.0 * sigma, di.atoms[-1] + 10.0 * sigma
-        full = _adaptive_integral(entropy_integrand(di, sigma), lo, hi, sigma) - noise_entropy(sigma)
+        full = ref.adaptive_integral(entropy_integrand(di, sigma), lo, hi, sigma) - noise_entropy(sigma)
         assert mi_discrete(di, sigma) == pytest.approx(full, abs=TOLERANCE)
 
     def test_asymmetric_input_integrates_its_full_support(self, monkeypatch):
@@ -697,7 +714,9 @@ class TestSigmaBatch:
         monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: nodes.append(np.size(y)) or inner(inp, s, y))
         di = DiscreteInput(np.array([0.0, 1.0, 3.0]), np.full(3, 1 / 3))
         mi_discrete(di, 1.0)
-        assert nodes[0] == 10 * 15  # 10 panels over [-7.9375, 10.9375]
+        # [-7.9375, 10.9375] at the 0.413-sigma start step of gaps 1 and 2:
+        # the first round's 93 nodes give T_46 and T_92, which are accepted
+        assert nodes == [93]
 
     def test_symmetry_is_checked_once_per_input_and_never_for_esdu(self, monkeypatch):
         checked = []
@@ -716,20 +735,26 @@ class TestSigmaBatch:
             mi_discrete(DiscreteInput.from_esdu(EsduInput(1.0, 3)), np.ones((2, 2)))
 
     def test_fails_at_its_first_failing_element(self, monkeypatch):
-        # G7/K15 over the full support of an asymmetric input (the last of 21
-        # atoms a quarter step out): with no refinement, 0.3 and 0.2 fail;
-        # 1.0 and 4.0 settle in one round
+        # the trapezoid rule over the whole output of an asymmetric input:
+        # with no refinement at tolerance 1e-12, and start steps of up to
+        # 0.75 sigma without the bound of the run's edge zeros, 1.0 and 2.0
+        # fail; 0.3 and 0.5 settle in one round
         monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
-        di = DiscreteInput(np.append(np.arange(20) * 0.5, 10.25), np.full(21, 1 / 21))
-        assert mi_discrete(di, np.array([1.0, 4.0])).tolist() == [mi_discrete(di, 1.0), mi_discrete(di, 4.0)]
-        with pytest.raises(ConvergenceError) as batch:
-            mi_discrete(di, np.array([1.0, 0.3, 4.0, 0.2]))
+        monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
+        di = asymmetric_input()
+        settled = mi_discrete(di, np.array([0.3, 0.5]), 1e-12).tolist()
+        assert settled == [mi_discrete(di, 0.3, 1e-12), mi_discrete(di, 0.5, 1e-12)]
+        with pytest.raises(ConvergenceError, match="did not converge within 0 refinement rounds") as batch:
+            mi_discrete(di, np.array([0.3, 1.0, 0.5, 2.0]), 1e-12)
         with pytest.raises(ConvergenceError) as alone:
-            mi_discrete(di, 0.3)
+            mi_discrete(di, 1.0, 1e-12)
         assert batch.value.index == 1
         assert str(batch.value) == str(alone.value)
-        assert math.isnan(batch.value.previous_estimate) and math.isnan(alone.value.previous_estimate)
-        assert batch.value.last_estimate == alone.value.last_estimate
+        # its first round gives two estimates, T_n and T_2n
+        assert (batch.value.previous_estimate, batch.value.last_estimate) == (
+            alone.value.previous_estimate, alone.value.last_estimate
+        )
+        assert abs(batch.value.last_estimate - batch.value.previous_estimate) > 1e-12
 
     def test_mirrored_input_fails_at_its_first_failing_element(self, monkeypatch):
         # the trapezoid rule: with no refinement at tolerance 1e-12, and start
@@ -780,36 +805,35 @@ class TestSigmaBatch:
         assert rounds[0] == {1.0}
         assert all(len(widths) == 1 for widths in rounds)
 
+    @staticmethod
+    def backstop_rates(sigmas):
+        # at tolerance 1e-12, with start steps of up to 0.75 sigma without the
+        # bound of the run's edge zeros, the asymmetric input at 1.0 needs a
+        # second level, which would bring its 75 nodes to 149; at 0.5 its
+        # first round of 167 nodes settles, and a first round is never held
+        # back
+        return mi_discrete(asymmetric_input(), np.array(sigmas), 1e-12)
+
     def test_element_over_the_backstop_fails_though_it_runs_alone(self, monkeypatch):
-        # rounds of 4 panels hold one element each; the 0.02-wide spike then
-        # grows past 8 open panels (120 nodes) and fails as it would alone
-        monkeypatch.setattr(oracle, "_ROUND_NODES", 4 * 15)
-        monkeypatch.setattr(oracle, "_MAX_NODES", 8 * 15)
-
-        def integrate(widths):
-            n = len(widths)
-            return _adaptive_integrals(spikes(widths), np.full(n, -1.0), np.full(n, 1.0), np.ones(n), 1e-12)
-
+        # rounds of 40 nodes hold one element each
+        monkeypatch.setattr(oracle, "_ROUND_NODES", 40)
+        monkeypatch.setattr(oracle, "_MAX_NODES", 148)
+        monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
         with pytest.raises(ConvergenceError, match="did not converge") as batch:
-            integrate([1.0, 0.02, 1.0])
+            self.backstop_rates([0.5, 1.0, 0.5])
         with pytest.raises(ConvergenceError) as alone:
-            integrate([0.02])
+            self.backstop_rates([1.0])
         assert (batch.value.index, alone.value.index) == (1, 0)
         assert str(batch.value) == str(alone.value)
 
     def test_element_over_the_backstop_fails_as_it_would_alone(self, monkeypatch):
-        # the 0.02-wide spike needs more than 8 panels; the wide ones do not
-        monkeypatch.setattr(oracle, "_MAX_NODES", 8 * 15)
-
-        def integrate(widths):
-            n = len(widths)
-            return _adaptive_integrals(spikes(widths), np.full(n, -1.0), np.full(n, 1.0), np.ones(n), 1e-12)
-
-        assert integrate([1.0, 1.0]).tolist() == integrate([1.0]).tolist() * 2
+        monkeypatch.setattr(oracle, "_MAX_NODES", 148)
+        monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
+        assert self.backstop_rates([0.5, 0.5]).tolist() == self.backstop_rates([0.5]).tolist() * 2
         with pytest.raises(ConvergenceError, match="did not converge") as batch:
-            integrate([1.0, 0.02, 1.0])
+            self.backstop_rates([0.5, 1.0, 0.5])
         with pytest.raises(ConvergenceError) as alone:
-            integrate([0.02])
+            self.backstop_rates([1.0])
         assert (batch.value.index, alone.value.index) == (1, 0)
         assert str(batch.value) == str(alone.value)
 
@@ -865,12 +889,12 @@ class TestPeriodicInterior:
         levels = 2 * math.ceil(support_padding(TOLERANCE) * s) + 2 + extra
         sigma = s * span / (levels - 1)
         elements = []
-        integrate = oracle._mirrored_integrals
+        integrate = oracle._trapezoid_integrals
         try:
-            oracle._mirrored_integrals = lambda f, lo, *args: elements.append(lo.size) or integrate(f, lo, *args)
+            oracle._trapezoid_integrals = lambda f, lo, *args: elements.append(lo.size) or integrate(f, lo, *args)
             periodic = mi_discrete(EsduInput(span, levels), sigma)
         finally:
-            oracle._mirrored_integrals = integrate
+            oracle._trapezoid_integrals = integrate
         assert elements == [2]
         whole = mi_discrete(DiscreteInput.from_esdu(EsduInput(span, levels)), sigma)
         assert periodic == pytest.approx(whole, abs=TOLERANCE)
@@ -899,6 +923,19 @@ class TestMiUniform:
         ch = P2pChannel(4.0, 1.5)
         mass, _ = scipy_quad(lambda y: uniform_output_pdf(ch, y), -20.0, 24.0, epsabs=1e-12, limit=500)
         assert mass == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("db", [-10, 0, 10, 20, 30])
+    def test_agrees_with_the_g7k15_reference(self, db):
+        # the mirrored trapezoid rule over [-7.9375, peak/2], against G7/K15
+        # over the whole output
+        ch = P2pChannel(10 ** (db / 10), 1.0)
+
+        def integrand(y):
+            p = uniform_output_pdf(ch, y)
+            return np.where(p > 0.0, -p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
+
+        full = ref.adaptive_integral(integrand, -10.0, ch.peak + 10.0, 1.0) - noise_entropy(1.0)
+        assert mi_uniform(ch) == pytest.approx(full, abs=TOLERANCE)
 
     def test_within_closed_form_sandwich(self):
         for ratio in (0.1, 1.0, 3.1623, 10.0, 31.623):
@@ -930,28 +967,32 @@ class TestTolerance:
 
 
 class TestKronrodRule:
+    """The tables of the reference G7/K15 integrator."""
+
     @staticmethod
     def legendre_moment(d):
         return 0.0 if d % 2 else 2.0 / (d + 1)
 
     def test_k15_integrates_degree_22_exactly(self):
         for d in range(23):
-            assert np.dot(_K15_WEIGHTS, _K15_NODES**d) == pytest.approx(
+            assert np.dot(ref.K15_WEIGHTS, ref.K15_NODES**d) == pytest.approx(
                 self.legendre_moment(d), abs=1e-14
             )
 
     def test_g7_integrates_degree_13_exactly(self):
         for d in range(14):
-            assert np.dot(_G7_WEIGHTS, _K15_NODES**d) == pytest.approx(
+            assert np.dot(ref.G7_WEIGHTS, ref.K15_NODES**d) == pytest.approx(
                 self.legendre_moment(d), abs=1e-14
             )
 
     def test_g7_is_gauss_legendre(self):
         nodes, weights = np.polynomial.legendre.leggauss(7)
-        assert np.allclose(_K15_NODES[1::2], nodes, rtol=0.0, atol=1e-15)
-        assert np.allclose(_G7_WEIGHTS[1::2], weights, rtol=0.0, atol=1e-15)
-        assert not _G7_WEIGHTS[0::2].any()
+        assert np.allclose(ref.K15_NODES[1::2], nodes, rtol=0.0, atol=1e-15)
+        assert np.allclose(ref.G7_WEIGHTS[1::2], weights, rtol=0.0, atol=1e-15)
+        assert not ref.G7_WEIGHTS[0::2].any()
 
+
+class TestTrapezoidRule:
     def test_mi_discrete_cost_is_pinned(self, monkeypatch):
         nodes = []
         inner = oracle.mixture_log_pdf
@@ -967,8 +1008,6 @@ class TestKronrodRule:
         # nodes give T_19 and T_38, which are accepted
         assert sum(nodes) == 39
 
-
-class TestTrapezoidRule:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(st.integers(2, 300), st.floats(math.log(0.01), math.log(5.0)).map(math.exp))
     @example(3, 0.1)  # EsduInput(2.0, 3) at 0.1: a flat 0.75-sigma start step stopped 3e-9 bits off
@@ -977,7 +1016,7 @@ class TestTrapezoidRule:
         # the integers 0..K-1 at s noise widths per atom spacing, by the ESDU path
         di = DiscreteInput(np.arange(levels, dtype=float), np.full(levels, 1.0 / levels))
         lo, hi = -10.0 * s, levels - 1 + 10.0 * s
-        full = _adaptive_integral(entropy_integrand(di, s), lo, hi, s) - noise_entropy(s)
+        full = ref.adaptive_integral(entropy_integrand(di, s), lo, hi, s) - noise_entropy(s)
         assert mi_discrete(EsduInput(float(levels - 1), levels), s) == pytest.approx(full, abs=TOLERANCE)
 
     @settings(max_examples=20, deadline=None, derandomize=True)
@@ -994,7 +1033,7 @@ class TestTrapezoidRule:
         di = DiscreteInput(atoms, masses / masses.sum())
         assert oracle._mirrored(di)
         lo, hi = atoms[0] - 10.0 * sigma, atoms[-1] + 10.0 * sigma
-        full = _adaptive_integral(entropy_integrand(di, sigma), lo, hi, sigma) - noise_entropy(sigma)
+        full = ref.adaptive_integral(entropy_integrand(di, sigma), lo, hi, sigma) - noise_entropy(sigma)
         assert mi_discrete(di, sigma) == pytest.approx(full, abs=TOLERANCE)
 
     @pytest.mark.parametrize(
@@ -1088,18 +1127,36 @@ class TestTrapezoidRule:
         assert (batch.value.index, alone.value.index) == (1, 0)
         assert str(batch.value) == str(alone.value)
 
+    @pytest.mark.parametrize("tolerance", [1e-14, 1e-30])
+    def test_fails_fast_at_the_round_off_level(self, tolerance, monkeypatch):
+        # T_n and T_2n of the first round already agree to within the
+        # round-off level of their sum, about 50 eps times 4.4 bits: no
+        # refinement can reach the tolerance, so the first round is the last
+        nodes = []
+        inner = oracle.mixture_log_pdf
+        monkeypatch.setattr(oracle, "mixture_log_pdf", lambda inp, s, y: nodes.append(np.size(y)) or inner(inp, s, y))
+        with pytest.raises(ConvergenceError, match="round-off level") as err:
+            mi_discrete(asymmetric_input(), np.array([0.5, 1.0]), tolerance)
+        assert err.value.index == 0
+        assert len(nodes) == 1
+        assert abs(err.value.last_estimate - err.value.previous_estimate) <= 50 * np.finfo(float).eps * 5.0
+
+
+def spike(y):
+    """A unit-mass Gaussian 0.02 wide, far narrower than a 2-wide panel."""
+    return np.exp(-0.5 * (y / 0.02) ** 2) / (0.02 * math.sqrt(2 * math.pi))
+
 
 class TestAdaptiveIntegral:
+    """The reference G7/K15 integrator's refinement and its ways to give up."""
+
     def test_refines_a_spike(self):
         # density much narrower than the resolution hint: must refine, then hit it
-        spike = lambda y: np.exp(-0.5 * (y / 0.02) ** 2) / (0.02 * math.sqrt(2 * math.pi))
-        assert _adaptive_integral(spike, -1.0, 1.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-9)
+        assert ref.adaptive_integral(spike, -1.0, 1.0, 1.0, 1e-12) == pytest.approx(1.0, abs=1e-9)
 
-    def test_convergence_error_carries_estimates(self, monkeypatch):
-        spike = lambda y: np.exp(-0.5 * (y / 0.02) ** 2) / (0.02 * math.sqrt(2 * math.pi))
-        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 1)
-        with pytest.raises(ConvergenceError, match="within 1 refinement rounds") as err:
-            _adaptive_integral(spike, -1.0, 1.0, 1.0, 1e-12)
+    def test_convergence_error_carries_estimates(self):
+        with pytest.raises(ref.NotConverged, match="within 1 refinement rounds") as err:
+            ref.adaptive_integral(spike, -1.0, 1.0, 1.0, 1e-12, max_refinements=1)
         assert math.isfinite(err.value.last_estimate)
         assert math.isfinite(err.value.previous_estimate)
         assert err.value.last_estimate != err.value.previous_estimate
@@ -1111,9 +1168,14 @@ class TestAdaptiveIntegral:
             panels.append(y.shape[0])
             return np.exp(-0.5 * y * y)
 
-        with pytest.raises(ConvergenceError, match="round-off"):
-            _adaptive_integral(gaussian, -10.0, 10.0, 1.0, 1e-30)
+        with pytest.raises(ref.NotConverged, match="round-off"):
+            ref.adaptive_integral(gaussian, -10.0, 10.0, 1.0, 1e-30)
         assert sum(panels) <= 300
+
+    def test_backstop_ends_the_refinement(self):
+        # the spike needs more than 8 open panels
+        with pytest.raises(ref.NotConverged, match="more than 8 open panels"):
+            ref.adaptive_integral(spike, -1.0, 1.0, 1.0, 1e-12, max_panels=8)
 
 
 class TestMonteCarlo:

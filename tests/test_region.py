@@ -90,11 +90,9 @@ class TestTypes:
     def test_sub_alphabets_tile_the_composite(self):
         for k1, k2 in [(2, 6), (5, 3), (3, 4), (4, 1), (1, 7), (6, 2)]:
             split = SplitConfig(k1, k2)
-            sums = sorted(
-                a + b
-                for a in split.user1_input(PEAK15).atoms()
-                for b in split.user2_input(PEAK15).atoms()
-            )
+            # the coarse sub-alphabet: k2 levels strided by k1 composite spacings
+            stride = k1 * PEAK15 / (split.total_levels - 1)
+            sums = sorted(a + j * stride for a in split.user1_input(PEAK15).atoms() for j in range(k2))
             composite = split.composite_input(PEAK15).atoms()
             assert len(sums) == len(composite)
             assert max(abs(x - y) for x, y in zip(sums, composite)) <= 1e-12
