@@ -32,7 +32,7 @@ from .region import (
 )
 from .special import db_to_amplitude_ratio
 from .uniform import P2pChannel, c_lower, c_upper, e_cap
-from .verify import run_verification
+from .verify import CONTAINMENT_TOL, DOMINANCE_TOL, SANDWICH_TOL, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -493,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--sigma-ratios", default="2,10")
     ver.add_argument("--delta0-grid", default="0.5,1,3,6")
     ver.add_argument("--rho-steps", type=rho_steps, default=RHO_STEPS)
-    ver.add_argument("--sandwich-tol", type=_nonnegative, default=1e-6)
-    ver.add_argument("--dominance-tol", type=_nonnegative, default=1e-9)
-    ver.add_argument("--containment-tol", type=_nonnegative, default=1e-6)
+    ver.add_argument("--sandwich-tol", type=_nonnegative, default=SANDWICH_TOL)
+    ver.add_argument("--dominance-tol", type=_nonnegative, default=DOMINANCE_TOL)
+    ver.add_argument("--containment-tol", type=_nonnegative, default=CONTAINMENT_TOL)
     _add_common(ver, formats=False)
     ver.set_defaults(func=cmd_verify)
 

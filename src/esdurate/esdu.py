@@ -31,14 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import TWO_PI_E, _check_sigma, as_result, binary_entropy, every, is_integer, q_function
+from .special import TWO_PI_E, _check_sigma, as_result, binary_entropy, every, is_integer, q_elementwise
 from .uniform import P2pChannel, c_lower, c_upper, e_cap
 
 # constant term of the OWB bound, 0.5*log2(2*pi*e/12)
 _OWB_GAP = 0.5 * math.log2(TWO_PI_E / 12.0)
 _SQRT_E_HALF = math.sqrt(0.5 * math.e)
-#: Q elementwise, through special.q_function.
-_Q = np.vectorize(q_function, otypes=[float])
 #: Differences d of the f3 sum evaluated per step: at most _F3_STEP for each
 #: element still summing, and at least one, within _F3_ENTRIES terms in all
 #: unless more elements than that are summing.  One input then takes a few
@@ -128,7 +126,7 @@ def xi(inp: EsduInput, sigma: float) -> float:
     _require_multilevel(inp, "xi")
     _check_sigma(sigma)
     k = inp.levels
-    return as_result(2.0 * (k - 1) / k * _Q(inp.spacing / (2.0 * sigma)))
+    return as_result(2.0 * (k - 1) / k * q_elementwise(inp.spacing / (2.0 * sigma)))
 
 
 def f1(inp: EsduInput, sigma: float) -> float:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .esdu import EsduInput
-from .special import TWO_PI_E, _check_sigma, as_result, every, q_function
+from .special import TWO_PI_E, _check_sigma, as_result, every, q_elementwise, q_function
 
 _LOG2_E = math.log2(math.e)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -195,29 +195,22 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     the shape of y is preserved.  sigma is one noise width or an array of
     them that broadcasts against y, a width per value.
 
-    Each value keeps its atoms within _WINDOW_SIGMAS of its sigma where each
-    term left out is below exp(-800 + max log mass), 746 below the value's
-    largest, so exp(term - largest) is 0.0, and else (far from every atom,
-    zero masses near it) uses every atom.  Values run in blocks of
-    _BLOCK_ELEMENTS // K, K their largest alphabet, a row per atom from each
-    value's first, added in row order; rows past a value's window add at most
-    exp(_EXP_FLOOR) to a sum of at least 1, which float64 cannot resolve, so
-    its value is the same whatever block or call it is in.
+    Each value keeps its atoms within _WINDOW_SIGMAS of its sigma, found by
+    searchsorted (see _window), where each term left out is below exp(-800 +
+    max log mass), 746 below the value's largest, so exp(term - largest) is
+    0.0, and else (far from every atom, zero masses near it) uses every atom.
+    Values run in blocks of _BLOCK_ELEMENTS // K, K their largest alphabet, a
+    row per atom from each value's first, added in row order.  Every block is
+    floored (see _log_sums), so a row past a value's window adds at most
+    exp(_EXP_FLOOR) to a sum of at least 1, which float64 cannot resolve: a
+    value is the same whatever block or call it is in.
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
+    flat = y_arr.ravel()
     scale = np.asarray(sigma, dtype=float)
     if scale.ndim:
         scale = np.broadcast_to(scale, y_arr.shape).ravel()
-    out = _blocked_log_pdf(y_arr.ravel(), scale, inp).reshape(y_arr.shape)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return float(out)
-    return out
-
-
-def _blocked_log_pdf(flat: np.ndarray, scale: np.ndarray, inp) -> np.ndarray:
-    """mixture_log_pdf of 1-D y with widths `scale`, one or one per value,
-    block by block within the budget."""
     all_sizes = np.broadcast_to(inp._sizes, flat.shape)
     out = np.empty(flat.size)
     start = 0
@@ -234,58 +227,36 @@ def _blocked_log_pdf(flat: np.ndarray, scale: np.ndarray, inp) -> np.ndarray:
             peak, total = _log_sums(y, sigma, first, width, sizes, inp)
         log_mass = np.log(1.0 / sizes) if inp._log_mass is None else inp._log_mass
         out[block] = peak + log_mass + np.log(total) - np.log(sigma) - _LOG_SQRT_2PI
-    return out
+    return as_result(out.reshape(y_arr.shape))
 
 
 def _window(y: np.ndarray, inp, reach, sizes) -> tuple[np.ndarray, np.ndarray]:
     """The first atom and the number of atoms within `reach` of each y, of
-    the first `sizes` atoms of `inp`."""
+    the first `sizes` atoms of `inp`: searchsorted's, whatever the input."""
     atoms = inp.atoms
     if y.max() - reach.min() <= atoms[0] and y.min() + reach.min() >= atoms[sizes.max() - 1]:
         return np.zeros_like(sizes), sizes  # every window holds every atom, as searchsorted would find
-    if isinstance(inp, _Lattices):  # the atoms are 0, 1, ...: what searchsorted would find, by arithmetic
-        first = np.clip(np.ceil(y - reach), 0, sizes).astype(np.int64)
-        return first, np.clip(np.floor(y + reach) + 1, 0, sizes).astype(np.int64) - first
     first = np.minimum(np.searchsorted(atoms, y - reach, side="left"), sizes)
     return first, np.minimum(np.searchsorted(atoms, y + reach, side="right"), sizes) - first
 
 
 def _log_sums(y, sigma, first: np.ndarray, width: np.ndarray, sizes, inp):
     """Each value's largest term and sum of exp(term - largest), from atom
-    first on, over the widest window's rows; -inf and 0 if no window has any."""
+    first on, over the widest window's rows; -inf and 0 if no window has any.
+    Every block floors its terms at _EXP_FLOOR below each value's largest: a
+    term of at most exp(_EXP_FLOOR) cannot move a float64 sum of at least 1
+    (Blanchard, Higham and Higham, IMA J. Numer. Anal. 2021)."""
     depth = int(width.max())
     if depth == 0:
         return np.full(y.size, -np.inf), np.zeros(y.size)
-    lowest = _lowest_terms(y, sigma, first, depth, sizes, inp)  # its temporaries freed before the terms exist
     exponents = _exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative)
     peak = np.max(exponents, axis=0)
-    shift = np.maximum(peak, np.finfo(float).min)  # a column of -inf stays -inf
-    exponents -= shift
-    # exp(-inf) is 0.0 at full speed: only a finite term can need the floor
-    lowest -= shift
-    if not np.all(lowest >= _EXP_FLOOR):
-        np.maximum(exponents, _EXP_FLOOR, out=exponents)
+    exponents -= np.maximum(peak, np.finfo(float).min)  # a column of -inf stays -inf
+    np.maximum(exponents, _EXP_FLOOR, out=exponents)
     np.exp(exponents, out=exponents)
     # numpy sums a lone column pairwise, so its order would depend on the block
     total = np.cumsum(exponents, axis=0)[-1] if exponents.shape[1] == 1 else exponents.sum(axis=0)
     return peak, total
-
-
-def _lowest_terms(y, sigma, first: np.ndarray, depth: int, sizes, inp) -> np.ndarray:
-    """No more than the least finite term _exponents gives each value: the
-    term of the farther of its end rows' atoms, in the same float64
-    operations, plus the least finite relative log mass."""
-    last = np.minimum(first + depth, sizes) - 1
-    if isinstance(inp, _Lattices):  # atom i is i
-        z = np.maximum(y - first, last - y)
-    else:
-        z = np.maximum(y - np.take(inp.atoms, first, mode="clip"), inp.atoms[last] - y)
-    z /= sigma
-    z *= z
-    z *= -0.5
-    if inp._relative is not None:
-        z += np.min(inp._relative, where=np.isfinite(inp._relative), initial=0.0)
-    return z
 
 
 def _exponents(y, sigma, first: np.ndarray, depth: int, sizes, atoms: np.ndarray, relative) -> np.ndarray:
@@ -376,10 +347,8 @@ def _trapezoid_integrals(
     elements, taken in `order`, whose nodes fit _ROUND_NODES together, or of
     the first alone; the others wait.  Raises ConvergenceError for the
     failing element of smallest index, with that index and its last two
-    estimates times weight, and ValueError, before any node is built, for a
-    tolerance that is not finite and > 0.
+    estimates times weight; _output_rates has checked the tolerance.
     """
-    _check_tolerance(tolerance)
     width = mid - lo
     base = np.maximum(1, np.ceil(width / step)).astype(np.int64)
     intervals = np.zeros(lo.size, dtype=np.int64)  # of the finest level so far; 0 before the first round
@@ -641,17 +610,12 @@ def uniform_output_pdf(ch, y):
     y_arr = np.asarray(y, dtype=float)
     u = y_arr / s
     v = (y_arr - a) / s
-    tail = np.vectorize(q_function, otypes=[float])
     left = y_arr < 0.5 * a
     # below the midpoint: Q(-u) - Q(-v); above: Q(v) - Q(u); both subtract the
     # far (negligible) tail from the near one.
     near = np.where(left, -u, v)
     far = np.where(left, -v, u)
-    p = (tail(near) - tail(far)) / a
-    out = np.maximum(p, 0.0)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        return float(out)
-    return out
+    return as_result(np.maximum((q_elementwise(near) - q_elementwise(far)) / a, 0.0))
 
 
 def mi_uniform(ch, tolerance: float = TOLERANCE) -> float:

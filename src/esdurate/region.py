@@ -206,12 +206,9 @@ def split_schedule(
     kmaxes = sweep_alphabet_sizes(peak, delta0_grid, sigma1)
     cells: list[tuple[float, int, int]] = []
     for delta0, kmax in zip(map(float, delta0_grid), kmaxes):
-        ratio = peak / (delta0 * sigma1)
-        for k1 in range(1, kmax + 1):
-            k2 = max(1, math.ceil((ratio + 1.0) / k1))
-            if k1 * k2 < 2:
-                k2 = 2
-            cells.append((delta0, k1, k2))
+        k1 = np.arange(1, kmax + 1)
+        k2 = np.maximum(np.ceil((peak / (delta0 * sigma1) + 1.0) / k1), np.where(k1 == 1, 2, 1))  # k1*k2 >= 2
+        cells += zip([delta0] * kmax, k1.tolist(), k2.astype(np.int64).tolist())
     return cells
 
 

@@ -5,8 +5,8 @@ appear inside exponent conversions and are noted where they do.
 
 binary_entropy and _check_sigma work elementwise on numpy arrays as well as
 on scalars; as_result turns a zero-dimensional result back into a float.
-q_function takes one float; callers that need it elementwise wrap it in
-np.vectorize rather than evaluate the tail a second way.
+q_function takes one float; q_elementwise is the same function over an
+array, so that no caller evaluates the tail a second way.
 """
 
 import math
@@ -27,6 +27,10 @@ def q_function(x: float) -> float:
     if not math.isfinite(x):
         raise ValueError(f"q_function requires a finite argument, got {x!r}")
     return 0.5 * math.erfc(x / SQRT2)
+
+
+#: q_function elementwise: a float array of its argument's shape.
+q_elementwise = np.vectorize(q_function, otypes=[float])
 
 
 def as_result(value):

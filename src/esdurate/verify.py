@@ -14,6 +14,11 @@ import numpy as np
 from . import esdu, oracle, region, uniform
 from .special import db_to_amplitude_ratio
 
+#: Default tolerance of each suite: the most a margin may fall below 0.
+SANDWICH_TOL = 1e-6
+DOMINANCE_TOL = 1e-9
+CONTAINMENT_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -44,7 +49,7 @@ def _esdu_cells(db_grid, delta0_grid) -> tuple[esdu.EsduInput, list[str]]:
 
 
 def sandwich_checks(
-    db_grid, inp, labels, lower, tolerance: float = 1e-6, quad_tol: float = oracle.TOLERANCE
+    db_grid, inp, labels, lower, tolerance: float = SANDWICH_TOL, quad_tol: float = oracle.TOLERANCE
 ) -> list[CheckResult]:
     """The continuous-uniform sandwich c_lower <= exact rate <= e_cap at each
     peak, then f_lower (given as lower) <= exact rate <= g_upper for that
@@ -68,7 +73,7 @@ def sandwich_checks(
     return results
 
 
-def dominance_checks(inp, labels, lower, tolerance: float = 1e-9) -> list[CheckResult]:
+def dominance_checks(inp, labels, lower, tolerance: float = DOMINANCE_TOL) -> list[CheckResult]:
     """f_lower (given as lower) >= owb wherever owb is defined, for the ESDU
     cells inp and labels as _esdu_cells gives them."""
     margins = (lower - esdu.owb(inp, 1.0)).tolist()
@@ -76,7 +81,7 @@ def dominance_checks(inp, labels, lower, tolerance: float = 1e-9) -> list[CheckR
 
 
 def containment_checks(
-    db_grid, sigma_ratios, delta0_grid, tolerance: float = 1e-6, rho_steps: int = region.RHO_STEPS
+    db_grid, sigma_ratios, delta0_grid, tolerance: float = CONTAINMENT_TOL, rho_steps: int = region.RHO_STEPS
 ) -> list[CheckResult]:
     """Every analytic inner-bound vertex lies inside the outer bound."""
     results = []
@@ -97,9 +102,9 @@ def run_verification(
     sigma_ratios,
     delta0_grid,
     *,
-    sandwich_tol: float = 1e-6,
-    dominance_tol: float = 1e-9,
-    containment_tol: float = 1e-6,
+    sandwich_tol: float = SANDWICH_TOL,
+    dominance_tol: float = DOMINANCE_TOL,
+    containment_tol: float = CONTAINMENT_TOL,
     quad_tol: float = oracle.TOLERANCE,
     rho_steps: int = region.RHO_STEPS,
 ) -> dict:

@@ -549,37 +549,18 @@ class TestMixtureLogPdf:
             np.testing.assert_allclose(together[mine], reference_log_pdf(di, s, y[mine]), rtol=1e-15, atol=1e-15)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
-    @given(lattice_batches())
-    def test_lattice_windows_are_those_searchsorted_finds(self, batch):
-        sizes, sigmas, y = batch
-        reach = oracle._WINDOW_SIGMAS * sigmas
-        first, width = oracle._window(y, oracle._Lattices(sizes), reach, sizes)
-        atoms = np.arange(sizes.max(), dtype=float)
-        assert first.tolist() == np.minimum(np.searchsorted(atoms, y - reach, side="left"), sizes).tolist()
-        assert (first + width).tolist() == np.minimum(np.searchsorted(atoms, y + reach, side="right"), sizes).tolist()
-
-    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(density_calls() | lattice_batches().map(lambda b: (oracle._Lattices(b[0]), b[1], b[2])))
-    def test_floor_is_skipped_only_where_no_finite_term_needs_it(self, call):
-        # the bound never exceeds a value's least finite term, and flooring
-        # every block, as a bound of -inf would, changes no bit
+    def test_floor_changes_no_bit(self, call):
+        # every block is floored; its raw terms, a floor of -inf, give the same bytes
         inp, sigma, y = call
-        lowest = oracle._lowest_terms
-
-        def checked(y, sigma, first, depth, sizes, inp):
-            bound = lowest(y, sigma, first, depth, sizes, inp)
-            terms = oracle._exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative)
-            assert np.all(bound <= np.min(terms, axis=0, where=np.isfinite(terms), initial=np.inf))
-            return bound
-
+        got = mixture_log_pdf(inp, sigma, y)
+        floor = oracle._EXP_FLOOR
         try:
-            oracle._lowest_terms = checked
-            got = mixture_log_pdf(inp, sigma, y)
-            oracle._lowest_terms = lambda y, *args: np.full(y.shape, -np.inf)
-            floored = mixture_log_pdf(inp, sigma, y)
+            oracle._EXP_FLOOR = -np.inf
+            raw = mixture_log_pdf(inp, sigma, y)
         finally:
-            oracle._lowest_terms = lowest
-        assert np.asarray(got).tobytes() == np.asarray(floored).tobytes()
+            oracle._EXP_FLOOR = floor
+        assert np.asarray(got).tobytes() == np.asarray(raw).tobytes()
 
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
