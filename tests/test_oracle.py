@@ -549,6 +549,16 @@ class TestMixtureLogPdf:
             np.testing.assert_allclose(together[mine], reference_log_pdf(di, s, y[mine]), rtol=1e-15, atol=1e-15)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(lattice_batches())
+    def test_lattice_windows_are_those_searchsorted_finds(self, batch):
+        sizes, sigmas, y = batch
+        reach = oracle._WINDOW_SIGMAS * sigmas
+        first, width = oracle._window(y, oracle._Lattices(sizes), reach, sizes)
+        atoms = np.arange(sizes.max(), dtype=float)
+        assert first.tolist() == np.minimum(np.searchsorted(atoms, y - reach, side="left"), sizes).tolist()
+        assert (first + width).tolist() == np.minimum(np.searchsorted(atoms, y + reach, side="right"), sizes).tolist()
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
     @given(density_calls() | lattice_batches().map(lambda b: (oracle._Lattices(b[0]), b[1], b[2])))
     def test_floor_changes_no_bit(self, call):
         # every block is floored; its raw terms, a floor of -inf, give the same bytes
