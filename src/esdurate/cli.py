@@ -5,9 +5,9 @@ Numeric fields are printed with 15 significant digits, rows end with LF, and
 reruns with an identical manifest (use --timestamp to pin the only
 non-deterministic field) produce byte-identical output.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 verification
-failure, 141 (128 + SIGPIPE, as a shell reports it) when stdout is closed
-before the output is written.
+Exit codes: 0 success, 1 usage or output error, 2 numerical failure, 3
+verification failure, 141 (128 + SIGPIPE, as a shell reports it) when
+stdout is closed before the output is written.
 """
 
 import argparse
@@ -17,6 +17,7 @@ import os
 import re
 import sys
 from datetime import datetime, timezone
+from itertools import chain
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .oracle import (
     _check_span_cap, _check_tolerance, mi_discrete, mi_monte_carlo, support_padding,
 )
 from .region import (
-    DEFAULT_DELTA0_GRID, MAX_RHO_STEPS, RHO_STEPS, BcChannel, RateRegion, SweepLimitError, outer_region,
+    DEFAULT_DELTA0_GRID, MAX_RHO_STEPS, RHO_STEPS, BcChannel, SweepLimitError, outer_region,
     sweep_alphabet_sizes, sweep_inner,
 )
 from .special import db_to_amplitude_ratio
@@ -171,36 +172,11 @@ def build_manifest(command: str, parameters: dict, *, quad_tol: float | None = N
     return manifest
 
 
-def emit_csv(manifest: dict, columns: list[str], rows: list[list], stream) -> None:
-    stream.write(f"# manifest: {json.dumps(manifest, sort_keys=True, separators=(',', ':'))}\n")
-    stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def emit_table(manifest: dict, columns: list[str], rows: list[list], fmt: str, stream) -> None:
-    if fmt == "csv":
-        emit_csv(manifest, columns, rows, stream)
-    else:  # CSV prints a non-finite cell as -inf; JSON has no such numbers (RFC 8259)
-        rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
-        stream.write(canonical_json({"manifest": manifest, "data": {"columns": columns, "rows": rows}}))
-
-
-def region_document(manifest: dict, reg: RateRegion) -> dict:
-    origins = reg.origins or (None,) * len(reg.vertices)
-    vertices = [
-        {"r1": v.r1, "r2": v.r2, "origin": None if o is None else {"delta0": o.delta0, "k1": o.k1, "k2": o.k2}}
-        for v, o in zip(reg.vertices, origins)
-    ]
-    return {"manifest": manifest, "data": {"vertices": vertices}}
-
-
-def emit_region(manifest: dict, reg: RateRegion, fmt: str, stream) -> None:
-    if fmt == "csv":
-        rows = [[v.r1, v.r2] for v in reg.vertices]
-        emit_csv(manifest, ["r1", "r2"], rows, stream)
-    else:
-        stream.write(canonical_json(region_document(manifest, reg)))
+def _table(columns: list[str], rows: list[list]) -> dict:
+    """The JSON data of a table.  CSV prints a non-finite cell as _fmt does
+    (-inf); JSON has no such numbers (RFC 8259), so here it is null."""
+    rows = [[None if isinstance(v, float) and not math.isfinite(v) else v for v in row] for row in rows]
+    return {"columns": columns, "rows": rows}
 
 
 def _parse_grid(text: str, flag: str) -> list[float]:
@@ -279,16 +255,24 @@ def _bc_channel(args) -> tuple[BcChannel, str]:
     return BcChannel(peak, sigma1, sigma2), f"{flag} with --sigma1 {sigma1:g}"
 
 
-def _write(args, writer) -> None:
+def _write(args, manifest: dict, data, rows=()) -> None:
+    """The one output path: write a document to --out, or else to stdout.  CSV is
+    the `# manifest:` line, then `rows`, column names first, each cell through
+    _fmt, a line at a time; JSON is canonical_json of the manifest and `data`.
+    An OSError at open, write or close of --out is a usage error naming it."""
+    if args.format == "json":
+        lines = [canonical_json({"manifest": manifest, "data": data})]
+    else:
+        manifest_line = f"# manifest: {json.dumps(manifest, sort_keys=True, separators=(',', ':'))}\n"
+        lines = chain([manifest_line], (",".join(map(_fmt, row)) + "\n" for row in rows))
     if not args.out:
-        writer(sys.stdout)
+        sys.stdout.writelines(lines)
         return
     try:
-        handle = open(args.out, "w", encoding="utf-8", newline="\n")
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(lines)
     except OSError as exc:
         raise UsageError(f"--out {args.out}: {exc.strerror}") from None
-    with handle:
-        writer(handle)
 
 
 # ---------------------------------------------------------------- commands
@@ -328,7 +312,7 @@ def cmd_p2p_bounds(args) -> int:
     parameters = {"peak": args.peak, "peak_db": args.peak_db, "sigma": sigma, "delta0": args.delta0,
                   "quad_tol": args.quad_tol, "format": args.format}
     manifest = build_manifest("p2p-bounds", parameters, quad_tol=args.quad_tol, timestamp=args.timestamp)
-    _write(args, lambda s: emit_table(manifest, columns, rows, args.format, s))
+    _write(args, manifest, _table(columns, rows), [columns, *rows])
     return EXIT_OK
 
 
@@ -355,7 +339,7 @@ def cmd_esdu_rate(args) -> int:
                   "mc_samples": args.mc_samples, "format": args.format}
     manifest = build_manifest("esdu-rate", parameters, quad_tol=args.quad_tol,
                               seed=None if args.mc_samples is None else args.seed, timestamp=args.timestamp)
-    _write(args, lambda s: emit_table(manifest, columns, [row], args.format, s))
+    _write(args, manifest, _table(columns, [row]), [columns, row])
     return EXIT_OK
 
 
@@ -387,7 +371,10 @@ def cmd_bc_region(args, mode: str) -> int:
         parameters["quad_tol"] = quad_tol = args.quad_tol
     manifest = build_manifest("bc-outer" if mode == "outer" else "bc-inner", parameters,
                               quad_tol=quad_tol, timestamp=args.timestamp)
-    _write(args, lambda s: emit_region(manifest, reg, args.format, s))
+    origins = reg.origins or (None,) * len(reg.vertices)
+    vertices = [{"r1": v.r1, "r2": v.r2, "origin": None if o is None else {"delta0": o.delta0, "k1": o.k1, "k2": o.k2}}
+                for v, o in zip(reg.vertices, origins)]
+    _write(args, manifest, {"vertices": vertices}, [["r1", "r2"], *([v.r1, v.r2] for v in reg.vertices)])
     return EXIT_OK
 
 
@@ -414,7 +401,7 @@ def cmd_verify(args) -> int:
     manifest = build_manifest("verify", parameters, quad_tol=args.quad_tol, timestamp=args.timestamp)
     if "warning" in report:
         print(f"warning: {report['warning']}", file=sys.stderr)
-    _write(args, lambda s: s.write(canonical_json({"manifest": manifest, "data": report})))
+    _write(args, manifest, report)
     return EXIT_OK if report["summary"]["passed"] else EXIT_VERIFICATION
 
 
@@ -497,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--dominance-tol", type=_nonnegative, default=DOMINANCE_TOL)
     ver.add_argument("--containment-tol", type=_nonnegative, default=CONTAINMENT_TOL)
     _add_common(ver, formats=False)
-    ver.set_defaults(func=cmd_verify)
+    ver.set_defaults(func=cmd_verify, format="json")
 
     return parser
 
@@ -509,11 +496,14 @@ def main(argv: list[str] | None = None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
-    except BrokenPipeError:
-        # the reader left (say, `| head -1`): send what is still buffered to
-        # devnull, so the interpreter's own flush at exit stays quiet too
+    except OSError as exc:
+        # the reader left (say, `| head -1`) or stdout failed (a full disk): send what
+        # is still buffered to devnull, so the interpreter's own flush at exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"esdurate: error: stdout: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
     except (UsageError, ValueError) as exc:
         print(f"esdurate: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

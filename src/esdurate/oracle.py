@@ -86,9 +86,10 @@ MAX_SPAN_SIGMAS = 1e5
 MIN_SPAN_SIGMAS = 1e-8
 #: Default absolute tolerance, in bits, of the output-entropy integral.
 TOLERANCE = 1e-10
-#: Refinement rounds before an integral gives up: 30 halvings take a
-#: trapezoid step below 1e-9 sigma, yet typical calls settle in the first
-#: round.
+#: Refinement rounds before an integral gives up.  At the default it never
+#: binds: the finest level of round r (the first is 0) has at least 2^(r+1)
+#: intervals, so _MAX_NODES stops an element by round 23; it binds only
+#: where lowered.  The manifest records it; typical calls settle in round 0.
 MAX_REFINEMENTS = 30
 #: Backstop on the working set of one integral call: an element whose next
 #: level would bring its trapezoid nodes past this many fails, so no level
@@ -267,7 +268,10 @@ def _exponents(y, sigma, first: np.ndarray, depth: int, sizes, atoms: np.ndarray
         rows = slice(first[0], first[0] + depth)
         z = y - atoms[rows, None]
         log_masses = None if relative is None else relative[rows, None]
-    else:
+    else:  # no measured quadrature block comes here; scattered values (Monte
+        # Carlo samples on an alphabet wider than one window) do, and slicing
+        # them from the block's first window took esdu-rate --span 1000 --levels
+        # 2001 --mc-samples 300000 from 1.4 s to 5.6 s (a 2-vCPU Xeon VM)
         index = first + np.arange(depth)[:, None]
         z = np.take(atoms, index, mode="clip")
         np.subtract(y, z, out=z)
@@ -388,14 +392,16 @@ def _trapezoid_integrals(
         converged = 2.0 * weight[now] * np.maximum(change, floor) <= tolerance
         out[now[converged]] = 2.0 * estimate[now[converged]]
         stuck = ~converged & (change <= floor)
-        exhausted = ~converged & ((refinements[now] >= MAX_REFINEMENTS) | (2 * finest + 1 > _MAX_NODES))
+        capped = 2 * finest + 1 > _MAX_NODES
+        exhausted = ~converged & ((refinements[now] >= MAX_REFINEMENTS) | capped)
         refinements[now] += 1
         failing = np.flatnonzero(stuck | exhausted)
         if failing.size:  # elements of larger index than an earlier failure are gone
             i = int(failing[np.argmin(now[failing])])
             scale = 2.0 * weight[now[i]]
             failure = _convergence_error(
-                bool(stuck[i]), tolerance, scale * float(previous[i]), scale * float(estimate[now[i]]), int(now[i])
+                bool(stuck[i]), bool(capped[i]), tolerance,
+                scale * float(previous[i]), scale * float(estimate[now[i]]), int(now[i]),
             )
         open_ = np.concatenate([now[~converged], open_[take:]])
         if failure is not None:
@@ -406,12 +412,15 @@ def _trapezoid_integrals(
     return out
 
 
-def _convergence_error(stuck: bool, tolerance: float, previous: float, last: float, index: int) -> ConvergenceError:
+def _convergence_error(stuck: bool, capped: bool, tolerance: float, previous: float, last: float,
+                       index: int) -> ConvergenceError:
     """The error of element `index` of an integral call, which cannot improve
-    at the round-off level (stuck) or ran out of refinement rounds or nodes."""
+    at the round-off level (stuck), would pass _MAX_NODES (capped), or ran
+    out of refinement rounds."""
     reason = (
         f"entropy integral cannot reach absolute tolerance {tolerance!r}: its error estimate is at the round-off level"
-        if stuck else f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds"
+        if stuck else f"entropy integral did not converge within {_MAX_NODES} nodes"
+        if capped else f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds"
     )
     return ConvergenceError(f"{reason} (last estimates {previous!r} -> {last!r})", previous, last, index)
 

@@ -303,18 +303,16 @@ def outer_corner(ch: BcChannel, rho: float) -> RatePair | tuple[np.ndarray, np.n
 
 def outer_region(ch: BcChannel, rho_steps: int = RHO_STEPS) -> RateRegion:
     """Outer bound: frontier_hull of the rectangle corners at rho_steps evenly
-    spaced rho in [0, 1], cut back by the per-user capacity caps and the
-    strong receiver's sum-rate cap, and hulled again."""
+    spaced rho in [0, 1], cut back by the strong receiver's capacity cap on
+    r1 and on r1 + r2, and hulled again.  The weak receiver's cap needs no
+    cut: every corner has r2 = C2 - c_upper(rho*A, sigma2) <= C2."""
     if not 2 <= rho_steps <= MAX_RHO_STEPS:
         raise ValueError(f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {rho_steps!r}")
     hull = frontier_hull(*outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1)))
-    if len(hull.vertices) < 3:
-        return hull
     verts = [(v.r1, v.r2) for v in hull.vertices]
     cap1 = c_upper(P2pChannel(ch.peak, ch.sigma1))
-    cap2 = c_upper(P2pChannel(ch.peak, ch.sigma2))
-    for a, b, c in ((1.0, 0.0, cap1), (0.0, 1.0, cap2), (1.0, 1.0, cap1)):
-        verts = _clip_halfplane(verts, a, b, c)
+    for a, b in ((1.0, 0.0), (1.0, 1.0)):
+        verts = _clip_halfplane(verts, a, b, cap1)
     # the caps cut a down-set into a down-set; its hull sheds the duplicate
     # and collinear vertices the cuts leave
     return frontier_hull(*np.reshape(verts, (-1, 2)).T)

@@ -403,14 +403,6 @@ class TestBcRegion:
         sums = [float(r["r1"]) + float(r["r2"]) for r in rows]
         assert max(sums) <= 3.11299800861738 + 1e-9
 
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "region.csv"
-        code, out, _ = run_cli(capsys, self.ARGS + ["--out", str(target)])
-        assert code == EXIT_OK
-        assert out == ""
-        text = target.read_text(encoding="utf-8")
-        assert text.startswith("# manifest: {")
-
 
 class TestVerifyCommand:
     FAST = ["--peak-db-grid", "0,10", "--sigma-ratios", "2", "--delta0-grid", "1,3",
@@ -602,7 +594,28 @@ class TestManifest:
         assert build_manifest("esdu-rate", {}, timestamp="")["timestamp"] == ""
 
 
+DOCUMENTS = {
+    "p2p-bounds": ["p2p-bounds", "--peak-db", "0:20:10"],
+    "esdu-rate": ["esdu-rate", "--span", "6", "--levels", "7", "--mc-samples", "10000"],
+    "bc-inner": ["bc-inner", "--peak-db", "15", "--sigma2-ratio", "2", "--delta0-grid", "3"],
+    "bc-outer": ["bc-outer", "--peak-db", "15", "--sigma2-ratio", "2", "--rho-steps", "11"],
+}
+
+
 class TestOutPath:
+    @pytest.mark.parametrize(
+        "argv",
+        [[*argv, "--format", fmt] for argv in DOCUMENTS.values() for fmt in ("csv", "json")]
+        + [["verify", *TestVerifyCommand.FAST]],
+        ids=[f"{name}-{fmt}" for name in DOCUMENTS for fmt in ("csv", "json")] + ["verify"],
+    )
+    def test_file_gets_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, expected, err = run_cli(capsys, argv + TS)
+        assert (code, err) == (EXIT_OK, "")
+        target = tmp_path / "document"
+        assert run_cli(capsys, [*argv, "--out", str(target)] + TS) == (EXIT_OK, "", "")
+        assert target.read_bytes() == expected.encode("utf-8")
+
     @pytest.mark.parametrize("argv", [["bc-inner", "--peak-db", "10", "--sigma2-ratio", "2"],
                                       ["verify", *TestVerifyCommand.FAST]], ids=["bc-inner", "verify"])
     def test_unopenable_out_path_is_a_usage_error(self, capsys, tmp_path, argv):
@@ -612,6 +625,19 @@ class TestOutPath:
         assert err == f"esdurate: error: --out {target}: No such file or directory\n"
         assert not target.parent.exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_out_device_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, DOCUMENTS["p2p-bounds"] + ["--out", "/dev/full"] + TS)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "esdurate: error: --out /dev/full: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_is_an_output_error(self):
+        src = str(Path(esdurate.cli.__file__).resolve().parents[1])
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "esdurate.cli", *DOCUMENTS["p2p-bounds"]], stdout=full,
+                                  stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert (proc.returncode, proc.stderr) == (EXIT_USAGE, b"esdurate: error: stdout: No space left on device\n")
 
     def test_closed_stdout_exits_quietly(self):
         # 240 kB of vertices, more than a pipe holds: the command is still

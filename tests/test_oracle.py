@@ -810,7 +810,7 @@ class TestSigmaBatch:
         monkeypatch.setattr(oracle, "_ROUND_NODES", 40)
         monkeypatch.setattr(oracle, "_MAX_NODES", 148)
         monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
-        with pytest.raises(ConvergenceError, match="did not converge") as batch:
+        with pytest.raises(ConvergenceError, match="did not converge within 148 nodes") as batch:
             self.backstop_rates([0.5, 1.0, 0.5])
         with pytest.raises(ConvergenceError) as alone:
             self.backstop_rates([1.0])
@@ -821,7 +821,7 @@ class TestSigmaBatch:
         monkeypatch.setattr(oracle, "_MAX_NODES", 148)
         monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
         assert self.backstop_rates([0.5, 0.5]).tolist() == self.backstop_rates([0.5]).tolist() * 2
-        with pytest.raises(ConvergenceError, match="did not converge") as batch:
+        with pytest.raises(ConvergenceError, match="did not converge within 148 nodes") as batch:
             self.backstop_rates([0.5, 1.0, 0.5])
         with pytest.raises(ConvergenceError) as alone:
             self.backstop_rates([1.0])
@@ -1111,7 +1111,7 @@ class TestTrapezoidRule:
             return mi_discrete(EsduInput(np.full(len(sigmas), 20.0), 21), np.array(sigmas), 1e-12)
 
         assert rates([0.6, 0.6]).tolist() == [mi_discrete(EsduInput(20.0, 21), 0.6, 1e-12)] * 2
-        with pytest.raises(ConvergenceError, match="did not converge") as batch:
+        with pytest.raises(ConvergenceError, match="did not converge within 76 nodes") as batch:
             rates([0.6, 2.0, 0.6])
         with pytest.raises(ConvergenceError) as alone:
             rates([2.0])
