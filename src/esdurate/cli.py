@@ -24,8 +24,8 @@ import numpy as np
 from . import __version__
 from .esdu import MAX_LEVELS, EsduInput, alphabet_size, f1, f2, f3, f_lower, g_upper, owb, xi
 from .oracle import (
-    MAX_REFINEMENTS, MC_GENERATOR, MIN_MC_SAMPLES, TOLERANCE, ConvergenceError, DiscreteInput,
-    _check_span_cap, _check_tolerance, mi_discrete, mi_monte_carlo, support_padding,
+    MC_GENERATOR, MIN_MC_SAMPLES, TOLERANCE, ConvergenceError, DiscreteInput, _check_span_cap, _check_tolerance,
+    mi_discrete, mi_monte_carlo, support_padding,
 )
 from .region import (
     DEFAULT_DELTA0_GRID, MAX_RHO_STEPS, RHO_STEPS, BcChannel, SweepLimitError, outer_region,
@@ -41,7 +41,7 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 EXIT_BROKEN_PIPE = 141
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 #: The form of the manifest timestamp, and the one --timestamp accepts.
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
@@ -74,7 +74,7 @@ class UsageError(Exception):
 # Each argparse type checks one flag's domain, so a bad value exits 1 naming
 # its flag before any work. A check that needs a second flag stays in the
 # command: sigma2 against sigma1, a span with its levels, a dB figure turned
-# into a peak, and the grid and sweep caps.
+# into a peak, and the grid and sweep caps; those flags take a bare float.
 
 def _parsed(parse, text: str):
     """parse(text), worded as argparse words a bare float or int it cannot parse."""
@@ -82,11 +82,6 @@ def _parsed(parse, text: str):
         return parse(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid {parse.__name__} value: {text!r}") from None
-
-
-def _number(text: str) -> float:
-    """Any float: the type of a flag that its command checks against another flag."""
-    return _parsed(float, text)
 
 
 def _finite(*, strict: bool):
@@ -162,10 +157,7 @@ def build_manifest(command: str, parameters: dict, *, quad_tol: float | None = N
         "timestamp": datetime.now(timezone.utc).strftime(TIMESTAMP_FORMAT) if timestamp is None else timestamp,
     }
     if quad_tol is not None:
-        manifest["quadrature"] = {
-            "absolute_tolerance": quad_tol, "support_padding": support_padding(quad_tol),
-            "max_refinements": MAX_REFINEMENTS,
-        }
+        manifest["quadrature"] = {"absolute_tolerance": quad_tol, "support_padding": support_padding(quad_tol)}
     if seed is not None:
         manifest["seed"] = seed
         manifest["rng"] = MC_GENERATOR
@@ -440,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p2p.set_defaults(func=cmd_p2p_bounds)
 
     esdu_p = sub.add_parser("esdu-rate", help="bounds and exact rate of one ESDU input")
-    esdu_p.add_argument("--span", type=_number, required=True)
+    esdu_p.add_argument("--span", type=float, required=True)
     esdu_p.add_argument("--levels", type=_integer(high=MAX_LEVELS), required=True)
     esdu_p.add_argument("--sigma", type=_positive, default=1.0)
     esdu_p.add_argument("--mc-samples", type=_integer(MIN_MC_SAMPLES, MAX_MC_SAMPLES),
@@ -452,11 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_bc_flags(p):
         peak = p.add_mutually_exclusive_group(required=True)
         peak.add_argument("--peak", type=_nonnegative, help="peak amplitude A (linear)")
-        peak.add_argument("--peak-db", type=_number, help="A/sigma1 in dB")
+        peak.add_argument("--peak-db", type=float, help="A/sigma1 in dB")
         p.add_argument("--sigma1", type=_positive, default=1.0)
         sigma2 = p.add_mutually_exclusive_group(required=True)
-        sigma2.add_argument("--sigma2", type=_number)
-        sigma2.add_argument("--sigma2-ratio", type=_number, help="sigma2 as a multiple of sigma1")
+        sigma2.add_argument("--sigma2", type=float)
+        sigma2.add_argument("--sigma2-ratio", type=float, help="sigma2 as a multiple of sigma1")
         p.add_argument("--delta0-grid", default=",".join(map(str, DEFAULT_DELTA0_GRID)),
                        help="spacing targets in sigma1 units; comma list or range")
 

@@ -31,7 +31,10 @@ EsduInput (or a batch), taken from its alphabet rescaled to the integers
 padding: such a rate integrates its edge and one half period, whatever its K
 (see _output_rates).  Either way every rate it needs, whatever its
 alphabet, is an element of one lockstep integral, whose rounds of at most
-_ROUND_NODES nodes are one density call each.
+_ROUND_NODES nodes are one density call each; a one-atom input carries
+nothing, and its rate is 0 with no integral.  An element stops once its
+error estimate is within the tolerance, or fails once that estimate is at
+the round-off level or its next level would pass _MAX_NODES.
 
 The mixture density works in blocks of at most 2^16 (atom, y) pairs, a row
 per atom, and adds each y's terms in row order.  Each y uses the atoms of
@@ -86,14 +89,11 @@ MAX_SPAN_SIGMAS = 1e5
 MIN_SPAN_SIGMAS = 1e-8
 #: Default absolute tolerance, in bits, of the output-entropy integral.
 TOLERANCE = 1e-10
-#: Refinement rounds before an integral gives up.  At the default it never
-#: binds: the finest level of round r (the first is 0) has at least 2^(r+1)
-#: intervals, so _MAX_NODES stops an element by round 23; it binds only
-#: where lowered.  The manifest records it; typical calls settle in round 0.
-MAX_REFINEMENTS = 30
-#: Backstop on the working set of one integral call: an element whose next
-#: level would bring its trapezoid nodes past this many fails, so no level
-#: evaluates more than 15 M nodes (about 735 MB at 49 bytes per node).
+#: The one backstop on an integral: an element whose next level would bring
+#: its trapezoid nodes past this many fails, so no level evaluates more than
+#: 15 M nodes (about 735 MB at 49 bytes per node).  The finest level of round
+#: r (the first is 0) has at least 2^(r+1) intervals, so it stops an element
+#: by round 23; typical calls settle in round 0.
 _MAX_NODES = 30_000_000
 #: Nodes of one round of a lockstep call: the round takes the first elements
 #: whose nodes fit together, or the first element alone if its nodes do not
@@ -123,7 +123,9 @@ MIN_MC_SAMPLES = 10_000
 
 
 class ConvergenceError(RuntimeError):
-    """Quadrature refinement did not settle within the allowed rounds.
+    """An output-entropy integral cannot reach its tolerance: its error
+    estimate is at the round-off level, or its next level would pass
+    _MAX_NODES.
 
     Carries the last two global estimates so callers can judge how far apart
     the refinement loop still was, and, from a batch of integrals, the index
@@ -300,9 +302,10 @@ def _check_tolerance(tolerance: float) -> None:
 
 def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray, tolerance: float) -> np.ndarray:
     """The trapezoid rule's start step c*sigma for an input whose gaps
-    between adjacent atoms run from `smallest` to `largest` (both 0 for one
-    atom), elementwise, aiming at an error of exp(-E), E = ln(_STEP_MARGIN /
-    tolerance) in [0, _MAX_STEP_EXPONENT], for the first round's T_n.
+    between adjacent atoms run from `smallest` to `largest` (both 0 for the
+    continuous-uniform input), elementwise, aiming at an error of exp(-E),
+    E = ln(_STEP_MARGIN / tolerance) in [0, _MAX_STEP_EXPONENT], for the
+    first round's T_n.
 
     The rule's error on an integrand analytic within a of the real axis
     falls as exp(-2*pi*a/h) for a step h.  With g = gap/sigma, atoms a gap
@@ -316,8 +319,8 @@ def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray, t
     A lattice, as every ESDU input is, has one gap.  Otherwise the gap that
     needs the smallest c is used: c falls as g*(E - g^2/8) rises, which it
     does up to g = sqrt(8E/3), so that point clipped to [smallest, largest]
-    needs the smallest c of any gap.  Written in g, one atom (g = 0) divides
-    nothing by zero."""
+    needs the smallest c of any gap.  Written in g, no gaps (g = 0)
+    divide nothing by zero."""
     exponent = min(max(0.0, math.log(_STEP_MARGIN / tolerance)), _MAX_STEP_EXPONENT)
     g = np.clip(math.sqrt(8.0 * exponent / 3.0), smallest / sigma, largest / sigma)
     floor = max(2.0 * math.pi**2 / _MAX_STEP_SIGMAS, math.pi * exponent / _EDGE_ZERO_SIGMAS)
@@ -327,8 +330,8 @@ def _start_steps(smallest: np.ndarray, largest: np.ndarray, sigma: np.ndarray, t
 def _trapezoid_integrals(
     f, lo: np.ndarray, mid: np.ndarray, step: np.ndarray, tolerance: float, order: np.ndarray, weight: np.ndarray
 ):
-    """Twice the integral of f over each [lo[j], mid[j]], by the nested
-    composite trapezoid rule, every element j in lockstep, for an integrand
+    """The integral of f over each [lo[j], mid[j]], by the nested composite
+    trapezoid rule, every element j in lockstep, for an integrand
     negligible at lo[j] or its own mirror image about it, and its own mirror
     image about mid[j] or negligible there too.
 
@@ -337,13 +340,13 @@ def _trapezoid_integrals(
     both ends, so no Euler-Maclaurin correction applies and the rule
     converges exponentially (Trefethen and Weideman, SIAM Review 2014).
     Element j's first round evaluates 2n + 1 nodes, n = ceil((mid - lo) /
-    step[j]), for T_n and T_2n; its estimate 2*T_2n is accepted once
-    2*|T_2n - T_n|, floored at the round-off level of its sum of |f|, is
+    step[j]), for T_n and T_2n; its estimate T_2n is accepted once
+    |T_2n - T_n|, floored at the round-off level of its sum of |f|, is
     within tolerance once multiplied by weight[j], the factor its result is
-    used with.  Otherwise each later round adds the midpoints of its
-    finest level, for at most MAX_REFINEMENTS levels; an element whose
-    difference is at the round-off level, or whose next level would bring
-    its nodes past _MAX_NODES, fails at once.
+    used with.  Otherwise each later round adds the midpoints of its finest
+    level.  An element stops for one of two reasons only: its difference is
+    at the round-off level, or its next level would bring its nodes past
+    _MAX_NODES; either fails at once.
 
     Each element keeps its own level and sums, adding each level's values in
     node order, so its result or error is what it would be alone, and reruns
@@ -357,7 +360,6 @@ def _trapezoid_integrals(
     base = np.maximum(1, np.ceil(width / step)).astype(np.int64)
     intervals = np.zeros(lo.size, dtype=np.int64)  # of the finest level so far; 0 before the first round
     estimate, magnitude = np.zeros(lo.size), np.zeros(lo.size)
-    refinements = np.zeros(lo.size, dtype=np.int64)
     out = np.zeros(lo.size)
     open_ = order
     failure = None
@@ -389,19 +391,20 @@ def _trapezoid_integrals(
         change = np.abs(estimate[now] - previous)
         # no estimate is better than the round-off level of its sum, as in QUADPACK
         floor = _ROUNDOFF * magnitude[now]
-        converged = 2.0 * weight[now] * np.maximum(change, floor) <= tolerance
-        out[now[converged]] = 2.0 * estimate[now[converged]]
-        stuck = ~converged & (change <= floor)
-        capped = 2 * finest + 1 > _MAX_NODES
-        exhausted = ~converged & ((refinements[now] >= MAX_REFINEMENTS) | capped)
-        refinements[now] += 1
-        failing = np.flatnonzero(stuck | exhausted)
+        converged = weight[now] * np.maximum(change, floor) <= tolerance
+        out[now[converged]] = estimate[now[converged]]
+        stuck = change <= floor
+        failing = np.flatnonzero(~converged & (stuck | (2 * finest + 1 > _MAX_NODES)))
         if failing.size:  # elements of larger index than an earlier failure are gone
             i = int(failing[np.argmin(now[failing])])
-            scale = 2.0 * weight[now[i]]
-            failure = _convergence_error(
-                bool(stuck[i]), bool(capped[i]), tolerance,
-                scale * float(previous[i]), scale * float(estimate[now[i]]), int(now[i]),
+            scale = float(weight[now[i]])
+            before, after = scale * float(previous[i]), scale * float(estimate[now[i]])
+            reason = (
+                f"cannot reach absolute tolerance {tolerance!r}: its error estimate is at the round-off level"
+                if stuck[i] else f"did not converge within {_MAX_NODES} nodes"
+            )
+            failure = ConvergenceError(
+                f"entropy integral {reason} (last estimates {before!r} -> {after!r})", before, after, int(now[i])
             )
         open_ = np.concatenate([now[~converged], open_[take:]])
         if failure is not None:
@@ -410,19 +413,6 @@ def _trapezoid_integrals(
     if failure is not None:
         raise failure
     return out
-
-
-def _convergence_error(stuck: bool, capped: bool, tolerance: float, previous: float, last: float,
-                       index: int) -> ConvergenceError:
-    """The error of element `index` of an integral call, which cannot improve
-    at the round-off level (stuck), would pass _MAX_NODES (capped), or ran
-    out of refinement rounds."""
-    reason = (
-        f"entropy integral cannot reach absolute tolerance {tolerance!r}: its error estimate is at the round-off level"
-        if stuck else f"entropy integral did not converge within {_MAX_NODES} nodes"
-        if capped else f"entropy integral did not converge within {MAX_REFINEMENTS} refinement rounds"
-    )
-    return ConvergenceError(f"{reason} (last estimates {previous!r} -> {last!r})", previous, last, index)
 
 
 def support_padding(tolerance: float) -> float:
@@ -475,10 +465,11 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     input (see the module docstring) integrates the lower half of its output,
     doubled, and any other input its whole output.  An EsduInput or batch
     broadcasts against sigma: K levels over span S have the rate of the
-    integers 0..K-1 at sigma*(K - 1)/S (one level, or a span under
-    MIN_SPAN_SIGMAS, is one atom at sigma), each distinct scaled rate
-    integrated once, in order of first need (see _mi_lockstep).  Either way
-    one lockstep trapezoid integral takes every rate the call needs.
+    integers 0..K-1 at sigma*(K - 1)/S, each distinct scaled rate integrated
+    once, in order of first need (see _mi_lockstep).  Either way one
+    lockstep trapezoid integral takes every rate the call needs but those of
+    one atom (one level, or a span under MIN_SPAN_SIGMAS), which are 0 and
+    never integrated.
 
     sigma and the span cap are checked on the caller's values, and the
     tolerance, in bits, before any node.  A ConvergenceError names the first
@@ -496,42 +487,49 @@ def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERA
     sigmas = sigmas.reshape(-1)
     first, last = inp.atoms[0], inp.atoms[-1]
     _check_span_cap(first, last, sigmas)
-    gaps = np.diff(inp.atoms) if inp.atoms.size > 1 else np.zeros(1)
-    rates = _output_rates(
-        lambda y, which: mixture_log_pdf(inp, sigmas[which], y), first, last, gaps.min(), gaps.max(), sigmas,
-        tolerance, np.arange(sigmas.size), "mirrored" if _mirrored(inp) else "whole",
-    )
+    if inp.atoms.size == 1:  # one atom carries nothing
+        _check_tolerance(tolerance)
+        rates = np.zeros(sigmas.size)
+    else:
+        gaps = np.diff(inp.atoms)
+        rates = _output_rates(
+            lambda y, which: mixture_log_pdf(inp, sigmas[which], y), first, last, gaps.min(), gaps.max(), sigmas,
+            tolerance, np.arange(sigmas.size), "mirrored" if _mirrored(inp) else "whole",
+        )
     return float(rates[0]) if np.ndim(sigma) == 0 else rates
 
 
 def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
-    """mi_discrete of an ESDU input or batch."""
+    """mi_discrete of an ESDU input or batch: only the elements of more than
+    one level over more than MIN_SPAN_SIGMAS noise widths are integrated."""
     span, levels, sigmas = np.broadcast_arrays(inp.span, inp.levels, np.asarray(sigma, dtype=float))
     _check_span_cap(0.0, span, sigmas)
-    live = (levels > 1) & (span > MIN_SPAN_SIGMAS * sigmas)
-    scaled = np.where(live, sigmas * (levels - 1) / np.where(live, span, 1.0), sigmas)
-    keys = list(zip(np.where(live, levels, 1).ravel().tolist(), scaled.ravel().tolist()))
+    live = np.flatnonzero((levels > 1) & (span > MIN_SPAN_SIGMAS * sigmas))
+    sizes = levels.ravel()[live]
+    keys = list(zip(sizes.tolist(), (sigmas.ravel()[live] * (sizes - 1) / span.ravel()[live]).tolist()))
     distinct = list(dict.fromkeys(keys))  # in order of first need
     try:
         rates = _mi_lockstep(np.array([k for k, _ in distinct], "i4"), np.array([s for _, s in distinct]), tolerance)
     except ConvergenceError as exc:
-        exc.index = keys.index(distinct[exc.index])
+        exc.index = int(live[keys.index(distinct[exc.index])])
         raise
     rate_of = dict(zip(distinct, rates.tolist()))
-    return as_result(np.array([rate_of[key] for key in keys]).reshape(span.shape))
+    out = np.zeros(span.size)
+    out[live] = [rate_of[key] for key in keys]
+    return as_result(out.reshape(span.shape))
 
 
 def _mi_lockstep(sizes: np.ndarray, sigmas: np.ndarray, tolerance: float) -> np.ndarray:
     """The rate of the integers 0..sizes[j]-1 at sigmas[j] for every element
-    j, the span cap the caller's to check: each round is one density call
+    j, every size at least 2, lattices of gap 1, the span cap the caller's
+    to check: each round is one density call
     (see _Lattices), and takes the largest alphabets first, so that a
     density block seldom mixes sizes.
 
     Each half-output is periodic from the first integer or half-integer at
     least support_padding noise widths above 0 (see _output_rates)."""
-    gap = np.minimum(sizes - 1, 1)  # a lattice's gap is 1; one atom has none
     return _output_rates(
-        lambda y, which: mixture_log_pdf(_Lattices(sizes[which]), sigmas[which], y), 0.0, sizes - 1.0, gap, gap,
+        lambda y, which: mixture_log_pdf(_Lattices(sizes[which]), sigmas[which], y), 0.0, sizes - 1.0, 1.0, 1.0,
         sigmas, tolerance, np.argsort(-sizes, kind="stable"), "lattice",
     )
 
@@ -545,10 +543,11 @@ def _output_rates(
     below `first`; density(y, which) is the log density of input which[i] at
     y[i].
 
-    A "mirrored" input, its own mirror image, is integrated up to its
-    midpoint, and the result doubled.  Any other ("whole") is one element
-    from lo to x noise widths above `last`, weighted 1/2: the rule returns
-    twice that integral, and accepts it within the tolerance of its half.
+    Each element is weighted by its multiplicity in h(Y), and accepted
+    within the tolerance of what it stands for there.  A "mirrored" input,
+    its own mirror image, is integrated up to its midpoint, weighted 2.  Any
+    other ("whole") is one element from lo to x noise widths above `last`,
+    weighted 1.
 
     The integers 0..K-1 ("lattice") pay only for their edge.  From the first
     integer or half-integer m at least x noise widths above 0 to the
@@ -560,9 +559,10 @@ def _output_rates(
     under a thousandth of the tolerance for K up to 100,000 wherever x >= 4
     (tolerances up to 1 bit).  So an input whose midpoint lies past m is two
     elements of the lockstep call, one after the other in `order`: [lo, m],
-    and [m, m + 1/2] weighted 2*(mid - m), so accepted within the tolerance
-    of the sum it stands for.  Every odd derivative of the integrand
-    vanishes at m and at both ends of the half period."""
+    weighted 2, and [m, m + 1/2], weighted 4*(mid - m), the half periods of
+    both mirrored halves.  Every odd derivative of the integrand vanishes at
+    m and at both ends of the half period.  Every input has two atoms or
+    edges at least: one atom carries nothing and is never integrated."""
     _check_tolerance(tolerance)
     padding = support_padding(tolerance)
     lo = first - padding * sigmas
@@ -572,7 +572,7 @@ def _output_rates(
     # as is the order, so that a round's copy of either per node is half the bytes
     owner = np.repeat(np.arange(sigmas.size, dtype=np.int32), np.where(cut < mid, 2, 1))
     period = np.concatenate([[False], owner[1:] == owner[:-1]])
-    weight = np.where(period, 2.0 * (mid - cut)[owner], 0.5 if layout == "whole" else 1.0)
+    weight = np.where(period, 4.0 * (mid - cut)[owner], 1.0 if layout == "whole" else 2.0)
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     try:
@@ -585,11 +585,7 @@ def _output_rates(
     except ConvergenceError as exc:
         exc.index = int(owner[exc.index])
         raise
-    rates = np.bincount(owner, weight * parts, sigmas.size) - noise_entropy(sigmas)
-    # one atom carries nothing: its rate is 0, not the rounding residual of
-    # h(Y) - h(Z), whose sign would add a vertex at r1 = 4e-16 to a region
-    rates[last == first] = 0.0
-    return rates
+    return np.bincount(owner, weight * parts, sigmas.size) - noise_entropy(sigmas)
 
 
 def _entropy_terms(lp: np.ndarray) -> np.ndarray:

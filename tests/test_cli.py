@@ -268,11 +268,9 @@ class TestBcRegion:
         assert code == EXIT_OK
         doc = json.loads(out)
         assert doc["manifest"]["command"] == "bc-inner"
-        assert doc["manifest"]["quadrature"] == {
-            "absolute_tolerance": 1e-10, "support_padding": 7.9375, "max_refinements": 30,
-        }
+        assert doc["manifest"]["quadrature"] == {"absolute_tolerance": 1e-10, "support_padding": 7.9375}
         # the bytes too: an int and a float
-        assert '"max_refinements": 30,' in out and '"support_padding": 7.9375\n' in out
+        assert '"schema_version": 4,' in out and '"support_padding": 7.9375\n' in out
         vertices = doc["data"]["vertices"]
         origins = [v["origin"] for v in vertices if v["origin"] is not None]
         assert {(o["k1"], o["k2"]) for o in origins} >= {(2, 6), (5, 3), (12, 1)}
@@ -516,6 +514,10 @@ class TestUsageErrors:
             (["esdu-rate", "--span", "2", "--levels", "2.5"], "--levels invalid int value: '2.5'"),
             (["p2p-bounds", "--peak-db", "5", "--delta0", "abc"], "--delta0 invalid float value: 'abc'"),
             (["bc-inner", "--peak-db", "10", "--sigma2-ratio", "x"], "--sigma2-ratio invalid float value: 'x'"),
+            # the bare floats are worded as every converter words a value it cannot parse
+            (["esdu-rate", "--span", "x", "--levels", "3"], "--span invalid float value: 'x'"),
+            (["bc-outer", "--peak-db", "ten", "--sigma2-ratio", "2"], "--peak-db invalid float value: 'ten'"),
+            (["bc-inner", "--peak-db", "10", "--sigma2", "1e"], "--sigma2 invalid float value: '1e'"),
         ],
     )
     def test_names_the_flag_before_any_work(self, capsys, monkeypatch, argv, message):
@@ -560,7 +562,7 @@ class TestManifest:
         assert code == EXIT_OK
         manifest = json.loads(out)["manifest"]
         keys, quadrature = self.SCHEMA[command]
-        assert manifest["schema_version"] == 3
+        assert manifest["schema_version"] == 4
         assert set(manifest["parameters"]) == keys
         assert ("quadrature" in manifest) == quadrature
         assert manifest["timestamp"] == TS[1]
@@ -668,14 +670,19 @@ class TestStartup:
 class TestParser:
     def test_every_numeric_flag_checks_its_domain(self):
         # a bare float or int type takes nan, inf or any integer; each numeric
-        # flag names its domain through one of the cli converters instead
+        # flag names its domain through one of the cli converters instead,
+        # but for the floats whose command checks them against another flag
+        checked_by_command = {"span", "peak_db", "sigma2", "sigma2_ratio"}
         subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         numeric = 0
         for command, parser in subparsers.choices.items():
             for action in parser._actions:
                 if action.type is None and isinstance(action.default, (int, float)):
                     pytest.fail(f"{command} {action.dest}: a numeric default with no type")
-                assert action.type not in (float, int), f"{command} {action.dest} has a bare {action.type.__name__}"
+                assert action.type is not int, f"{command} {action.dest} has a bare int"
+                assert action.type is not float or action.dest in checked_by_command, (
+                    f"{command} {action.dest} has a bare float"
+                )
                 numeric += action.type is not None
         assert numeric >= 20
 
@@ -727,6 +734,31 @@ class TestNumericalFailure:
         assert code == EXIT_NUMERICAL
         assert out == ""
         assert "round-off" in err
+
+    def test_failure_prints_its_estimates_as_plain_floats(self, capsys):
+        code, out, err = run_cli(
+            capsys, ["esdu-rate", "--span", "10", "--levels", "21", "--quad-tol", "1e-16"] + TS
+        )
+        assert (code, out) == (EXIT_NUMERICAL, "")
+        assert err == (
+            "esdurate: numerical failure: entropy integral cannot reach absolute tolerance 1e-16: its error "
+            "estimate is at the round-off level (last estimates 4.637917415813596 -> 4.637917415813598)\n"
+        )
+        assert "np.float64" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["esdu-rate", "--span", "0", "--levels", "1", "--sigma", "2"],
+            ["bc-inner", "--mode", "exact", "--peak-db", "3", "--sigma2-ratio", "2", "--delta0-grid", "3"],
+        ],
+        ids=["esdu-rate", "bc-inner"],
+    )
+    def test_one_atom_rates_need_no_integral(self, capsys, argv):
+        # h(Y) = h(Z) of one atom sits at the round-off level of 3e-14 at
+        # sigma 2: its rate is 0 by definition, not a failing integral
+        code, _, err = run_cli(capsys, argv + ["--quad-tol", "3e-14"] + TS)
+        assert (code, err) == (EXIT_OK, "")
 
 
 def _reject_constant(name):

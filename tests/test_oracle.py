@@ -325,21 +325,24 @@ class TestEsduInputs:
         assert abs(one_atom) <= TOLERANCE
 
     def test_batch_error_carries_the_flat_index_of_the_first_failing_element(self, monkeypatch):
-        # with no refinement at tolerance 1e-12, and start steps of up to
-        # 0.75 sigma without the bound of the lattice's edge zeros, (5, 11)
-        # and (10, 21) at 1.0 (scaled width 2) fail, and at 0.3 settle;
-        # K = 21 is integrated first, but the K = 11 element comes first in
-        # flat order
-        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        # with no second level (no node allowed past the first round) at
+        # tolerance 1e-12, and start steps of up to 0.75 sigma without the
+        # bound of the lattice's edge zeros, (5, 11) and (10, 21) at 1.0
+        # (scaled width 2) fail, and at 0.3 settle; K = 21 is integrated
+        # first, but the K = 11 element comes first in flat order
+        monkeypatch.setattr(oracle, "_MAX_NODES", 0)
         monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
         inp = EsduInput(np.array([[10.0, 5.0], [10.0, 5.0]]), np.array([[21, 11], [21, 11]]))
-        with pytest.raises(ConvergenceError) as batch:
+        with pytest.raises(ConvergenceError, match="did not converge within 0 nodes") as batch:
             mi_discrete(inp, np.array([[0.3, 1.0], [1.0, 0.3]]), 1e-12)
         with pytest.raises(ConvergenceError) as alone:
             mi_discrete(EsduInput(5.0, 11), 1.0, 1e-12)
         assert batch.value.index == 1
         assert str(batch.value) == str(alone.value)
         assert batch.value.last_estimate == alone.value.last_estimate
+        # the estimates are Python floats, printed as such
+        assert type(batch.value.previous_estimate) is type(batch.value.last_estimate) is float
+        assert "np.float64" not in str(batch.value)
         # rounds take the largest alphabets first: with one element per
         # round, the K = 21 element fails a round before the K = 11 one
         monkeypatch.setattr(oracle, "_ROUND_NODES", 40)
@@ -385,12 +388,12 @@ class TestEsduInputs:
         assert all(len(calls) == 1 and calls[0][1] == rows for rows, calls in rounds)
         # K in order of first need, each with its first-round nodes from
         # 7.9375 widths below 0: the scaled width is 0.8 for K = 21 and
-        # K = 11 (start step 0.65 of it), and 0.4 for K = 1 (start step 0.69
-        # of it); K = 21 reaches past 6.5, so its edge [-6.35, 6.5] and half
-        # period [6.5, 7] take 51 and 3 nodes; the call's atoms are those of
-        # its largest K
+        # K = 11 (start step 0.65 of it); K = 21 reaches past 6.5, so its
+        # edge [-6.35, 6.5] and half period [6.5, 7] take 51 and 3 nodes;
+        # K = 1 carries nothing and is not integrated; the call's atoms are
+        # those of its largest K
         lattice, _ = rounds[0][1][0]
-        assert lattice._sizes.tolist() == [21] * 54 + [11] * 45 + [1] * 25
+        assert lattice._sizes.tolist() == [21] * 54 + [11] * 45
         assert lattice.atoms.tolist() == list(range(21))
 
     def test_values_with_no_atom_in_their_window_use_every_atom(self):
@@ -408,6 +411,21 @@ class TestEsduInputs:
         assert caught == []
         assert rate == pytest.approx(math.log2(3), abs=TOLERANCE)
         assert peak <= 12.8e6
+
+    def test_only_alphabets_of_two_levels_or_more_reach_the_lockstep_call(self, monkeypatch):
+        sizes = []
+        inner = oracle._mi_lockstep
+        monkeypatch.setattr(oracle, "_mi_lockstep", lambda k, s, tol: sizes.append(k.tolist()) or inner(k, s, tol))
+        # one level, a zero span, and a span under MIN_SPAN_SIGMAS are each one atom
+        inp = EsduInput(np.array([10.0, 0.0, 0.0, 1e-9, 4.0]), np.array([21, 1, 5, 3, 2]))
+        rates = mi_discrete(inp, 1.0)
+        assert sizes == [[21, 2]]
+        alone = [mi_discrete(EsduInput(10.0, 21), 1.0), mi_discrete(EsduInput(4.0, 2), 1.0)]
+        assert rates.tolist() == [alone[0], 0.0, 0.0, 0.0, alone[1]]
+        # a call of one-atom inputs alone still checks its tolerance, in an empty lockstep call
+        sizes.clear()
+        assert mi_discrete(EsduInput(np.zeros(2), np.array([1, 4])), 1.0).tolist() == [0.0, 0.0]
+        assert sizes == [[]]
 
     def test_span_cap_is_checked_on_the_callers_values(self, monkeypatch):
         # 30 widths exactly: the scaled input, (K - 1)/(sigma*(K - 1)/S),
@@ -610,6 +628,22 @@ class TestMiDiscrete:
         assert mi_discrete(di, np.array([0.5, 2.0, 7.0])).tolist() == [0.0] * 3
         assert mi_discrete(EsduInput(np.array([0.0, 4.0]), np.array([1, 5])), np.array([1.0, 2.0]))[0] == 0.0
 
+    def test_single_atom_is_never_integrated(self, monkeypatch):
+        # h(Y) = h(Z) at sigma 2 and 7 sits at the round-off level of 3e-14,
+        # so an integral of it could not settle; one atom evaluates no density
+        assert mi_discrete(EsduInput(0.0, 1), 2.0, 3e-14) == 0.0
+        monkeypatch.setattr(oracle, "mixture_log_pdf", lambda *args: pytest.fail("a density was evaluated"))
+        di = DiscreteInput(np.array([3.0]), np.array([1.0]))
+        assert mi_discrete(di, np.array([0.5, 2.0, 7.0]), 3e-14).tolist() == [0.0] * 3
+        assert mi_discrete(EsduInput(np.array([0.0, 1e-9]), np.array([1, 3])), 2.0, 3e-14).tolist() == [0.0] * 2
+        # the tolerance is still checked, after the span cap
+        for inp in (di, EsduInput(0.0, 1)):
+            with pytest.raises(ValueError, match="absolute_tolerance must be finite and > 0"):
+                mi_discrete(inp, np.array([1.0]), math.nan)
+        monkeypatch.setattr(oracle, "MAX_SPAN_SIGMAS", 1.0)
+        with pytest.raises(ValueError, match="span/sigma"):
+            mi_discrete(EsduInput(np.array([0.0, 3.0]), np.array([1, 2])), 1.0, math.nan)
+
     def test_against_scipy_integrator(self):
         cases = [([0.0, 0.5, 1.0], [1 / 3] * 3, 1.0), ([0.0, 2.0, 5.0, 9.0], [0.25] * 4, 1.3)]
         # asymmetric inputs, integrated over their whole output: 2 to 39
@@ -727,15 +761,16 @@ class TestSigmaBatch:
 
     def test_fails_at_its_first_failing_element(self, monkeypatch):
         # the trapezoid rule over the whole output of an asymmetric input:
-        # with no refinement at tolerance 1e-12, and start steps of up to
-        # 0.75 sigma without the bound of the run's edge zeros, 1.0 and 2.0
-        # fail; 0.3 and 0.5 settle in one round
-        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        # with no second level (no node allowed past the first round) at
+        # tolerance 1e-12, and start steps of up to 0.75 sigma without the
+        # bound of the run's edge zeros, 1.0 and 2.0 fail; 0.3 and 0.5 settle
+        # in one round
+        monkeypatch.setattr(oracle, "_MAX_NODES", 0)
         monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
         di = asymmetric_input()
         settled = mi_discrete(di, np.array([0.3, 0.5]), 1e-12).tolist()
         assert settled == [mi_discrete(di, 0.3, 1e-12), mi_discrete(di, 0.5, 1e-12)]
-        with pytest.raises(ConvergenceError, match="did not converge within 0 refinement rounds") as batch:
+        with pytest.raises(ConvergenceError, match="did not converge within 0 nodes") as batch:
             mi_discrete(di, np.array([0.3, 1.0, 0.5, 2.0]), 1e-12)
         with pytest.raises(ConvergenceError) as alone:
             mi_discrete(di, 1.0, 1e-12)
@@ -748,16 +783,16 @@ class TestSigmaBatch:
         assert abs(batch.value.last_estimate - batch.value.previous_estimate) > 1e-12
 
     def test_mirrored_input_fails_at_its_first_failing_element(self, monkeypatch):
-        # the trapezoid rule: with no refinement at tolerance 1e-12, and start
-        # steps of up to 0.75 sigma without the bound of the lattice's edge
-        # zeros, 1.0 and 2.0 (s = 2 and 4) fail; 0.3 and 0.2 settle in one
-        # round
-        monkeypatch.setattr(oracle, "MAX_REFINEMENTS", 0)
+        # the trapezoid rule: with no second level (no node allowed past the
+        # first round) at tolerance 1e-12, and start steps of up to 0.75 sigma
+        # without the bound of the lattice's edge zeros, 1.0 and 2.0 (s = 2
+        # and 4) fail; 0.3 and 0.2 settle in one round
+        monkeypatch.setattr(oracle, "_MAX_NODES", 0)
         monkeypatch.setattr(oracle, "_EDGE_ZERO_SIGMAS", math.inf)
         di = DiscreteInput.from_esdu(EsduInput(10.0, 21))
         settled = mi_discrete(di, np.array([0.3, 0.2]), 1e-12).tolist()
         assert settled == [mi_discrete(di, 0.3, 1e-12), mi_discrete(di, 0.2, 1e-12)]
-        with pytest.raises(ConvergenceError, match="did not converge within 0 refinement rounds") as batch:
+        with pytest.raises(ConvergenceError, match="did not converge within 0 nodes") as batch:
             mi_discrete(di, np.array([0.3, 1.0, 0.2, 2.0]), 1e-12)
         with pytest.raises(ConvergenceError) as alone:
             mi_discrete(di, 1.0, 1e-12)
@@ -1091,12 +1126,12 @@ class TestTrapezoidRule:
     def test_first_round_settles(self, levels, s, tolerance):
         # T_n of the start step is within half the tolerance of T_2n, so no
         # lattice pays a second level, which would raise here
-        refinements = oracle.MAX_REFINEMENTS
+        nodes = oracle._MAX_NODES
         try:
-            oracle.MAX_REFINEMENTS = 0
+            oracle._MAX_NODES = 0
             mi_discrete(EsduInput(float(levels - 1), levels), s, tolerance)
         finally:
-            oracle.MAX_REFINEMENTS = refinements
+            oracle._MAX_NODES = nodes
 
     def test_element_over_the_node_backstop_fails_as_it_would_alone(self, monkeypatch):
         # at tolerance 1e-12, with start steps of up to 0.75 sigma without

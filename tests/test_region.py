@@ -452,6 +452,9 @@ class TestSweep:
         region = sweep_inner(CH15, grid, "exact")
         assert calls  # the sweep's rates pass the recorded seam
         assert len(calls) == len(set(calls))
+        # a one-level user carries nothing: its rate is 0, never integrated
+        assert any(k1 == 1 or k2 == 1 for _, k1, k2 in split_schedule(CH15.peak, grid, 1.0))
+        assert min(k for k, _ in calls) > 1
         # the same vertices as splits evaluated one by one, with nothing shared
         splits = {(k1, k2) for _, k1, k2 in split_schedule(CH15.peak, grid, 1.0)}
         assert len(calls) < 3 * len(splits)
