@@ -33,7 +33,7 @@ from .region import (
 )
 from .special import db_to_amplitude_ratio
 from .uniform import P2pChannel, c_lower, c_upper, e_cap
-from .verify import CONTAINMENT_TOL, DOMINANCE_TOL, SANDWICH_TOL, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,7 +41,7 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 EXIT_BROKEN_PIPE = 141
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 #: The form of the manifest timestamp, and the one --timestamp accepts.
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
@@ -381,15 +381,9 @@ def cmd_verify(args) -> int:
         peak = _peak_from_db(db, 1.0, "--peak-db-grid")
         _check_sweep(peak, delta0_grid, 1.0, f"--peak-db-grid entry {db:g} with ")
         _check_span(peak, 1.0, f"--peak-db-grid entry {db:g}")
-    report = run_verification(
-        db_grid, sigma_ratios, delta0_grid,
-        sandwich_tol=args.sandwich_tol, dominance_tol=args.dominance_tol,
-        containment_tol=args.containment_tol, quad_tol=args.quad_tol, rho_steps=args.rho_steps,
-    )
+    report = run_verification(db_grid, sigma_ratios, delta0_grid, quad_tol=args.quad_tol, rho_steps=args.rho_steps)
     parameters = {"peak_db_grid": args.peak_db_grid, "sigma_ratios": args.sigma_ratios,
-                  "delta0_grid": args.delta0_grid, "sandwich_tol": args.sandwich_tol,
-                  "dominance_tol": args.dominance_tol, "containment_tol": args.containment_tol,
-                  "quad_tol": args.quad_tol, "rho_steps": args.rho_steps}
+                  "delta0_grid": args.delta0_grid, "quad_tol": args.quad_tol, "rho_steps": args.rho_steps}
     manifest = build_manifest("verify", parameters, quad_tol=args.quad_tol, timestamp=args.timestamp)
     if "warning" in report:
         print(f"warning: {report['warning']}", file=sys.stderr)
@@ -472,9 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--sigma-ratios", default="2,10")
     ver.add_argument("--delta0-grid", default="0.5,1,3,6")
     ver.add_argument("--rho-steps", type=rho_steps, default=RHO_STEPS)
-    ver.add_argument("--sandwich-tol", type=_nonnegative, default=SANDWICH_TOL)
-    ver.add_argument("--dominance-tol", type=_nonnegative, default=DOMINANCE_TOL)
-    ver.add_argument("--containment-tol", type=_nonnegative, default=CONTAINMENT_TOL)
     _add_common(ver, formats=False)
     ver.set_defaults(func=cmd_verify, format="json")
 

@@ -91,9 +91,10 @@ MIN_SPAN_SIGMAS = 1e-8
 TOLERANCE = 1e-10
 #: The one backstop on an integral: an element whose next level would bring
 #: its trapezoid nodes past this many fails, so no level evaluates more than
-#: 15 M nodes (about 735 MB at 49 bytes per node).  The finest level of round
-#: r (the first is 0) has at least 2^(r+1) intervals, so it stops an element
-#: by round 23; typical calls settle in round 0.
+#: 15 M nodes: about 735 MB at the discrete path's 49 bytes per node, 1.9 GB
+#: at the uniform path's 127 (measured at levels of 1 M and 2 M nodes).  The
+#: finest level of round r (the first is 0) has at least 2^(r+1) intervals,
+#: so it stops an element by round 23; typical calls settle in round 0.
 _MAX_NODES = 30_000_000
 #: Nodes of one round of a lockstep call: the round takes the first elements
 #: whose nodes fit together, or the first element alone if its nodes do not
@@ -609,10 +610,18 @@ def uniform_output_pdf(ch, y):
 
     Equals (Phi(y/sigma) - Phi((y-A)/sigma))/A.  Both tails are evaluated as
     differences of small upper-tail probabilities, avoiding the cancellation a
-    direct CDF difference would suffer far outside [0, A].
+    direct CDF difference would suffer far outside [0, A].  That difference
+    still cancels once A << sigma, so an input under 1e-3 sigma wide takes the
+    density's Taylor series about the midpoint, with m = (y - A/2)/sigma:
+    phi(m)/sigma * (1 + (m^2-1) a^2/24 + (m^4-6m^2+3) a^4/1920), a = A/sigma,
+    whose next term is under 1e-17 relative for |m| <= 9.
     """
     a, s = ch.peak, ch.sigma
     y_arr = np.asarray(y, dtype=float)
+    if a < 1e-3 * s:
+        m2, w2 = ((y_arr - 0.5 * a) / s) ** 2, (a / s) ** 2
+        series = 1.0 + (m2 - 1.0) * w2 / 24.0 + ((m2 - 6.0) * m2 + 3.0) * w2 * w2 / 1920.0
+        return as_result(np.exp(-0.5 * m2 - _LOG_SQRT_2PI) / s * series)
     u = y_arr / s
     v = (y_arr - a) / s
     left = y_arr < 0.5 * a

@@ -46,8 +46,8 @@ def every(ok) -> bool:
 
 
 def is_integer(value) -> bool:
-    """Whether value is a Python int or a numpy array of integers."""
-    return isinstance(value, int) or (isinstance(value, np.ndarray) and value.dtype.kind in "iu")
+    """Whether value is a Python or numpy integer, or a numpy array of integers."""
+    return isinstance(value, (int, np.integer)) or (isinstance(value, np.ndarray) and value.dtype.kind in "iu")
 
 
 def _check_sigma(sigma) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 from . import esdu, oracle, region, uniform
 from .special import db_to_amplitude_ratio
 
-#: Default tolerance of each suite: the most a margin may fall below 0.
+#: Tolerance of each suite: the most a margin may fall below 0.
 SANDWICH_TOL = 1e-6
 DOMINANCE_TOL = 1e-9
 CONTAINMENT_TOL = 1e-6
@@ -48,9 +48,7 @@ def _esdu_cells(db_grid, delta0_grid) -> tuple[esdu.EsduInput, list[str]]:
     return esdu.EsduInput(np.array(peaks, dtype=float), np.array(levels, dtype=np.int64)), labels
 
 
-def sandwich_checks(
-    db_grid, inp, labels, lower, tolerance: float = SANDWICH_TOL, quad_tol: float = oracle.TOLERANCE
-) -> list[CheckResult]:
+def sandwich_checks(db_grid, inp, labels, lower, quad_tol: float = oracle.TOLERANCE) -> list[CheckResult]:
     """The continuous-uniform sandwich c_lower <= exact rate <= e_cap at each
     peak, then f_lower (given as lower) <= exact rate <= g_upper for that
     peak's ESDU cells: inp and labels as _esdu_cells gives them.  One
@@ -66,23 +64,21 @@ def sandwich_checks(
             ("uniform lower", rate_u - uniform.c_lower(ch)),
             ("uniform upper", uniform.e_cap(ch) - rate_u),
         ):
-            results.append(CheckResult("sandwich", f"{name} @ {db:g} dB", margin, tolerance))
+            results.append(CheckResult("sandwich", f"{name} @ {db:g} dB", margin, SANDWICH_TOL))
         for j in range(i * per_db, (i + 1) * per_db):
             for name, margin in (("esdu lower", low[j]), ("esdu upper", high[j])):
-                results.append(CheckResult("sandwich", f"{name} {labels[j]}", margin, tolerance))
+                results.append(CheckResult("sandwich", f"{name} {labels[j]}", margin, SANDWICH_TOL))
     return results
 
 
-def dominance_checks(inp, labels, lower, tolerance: float = DOMINANCE_TOL) -> list[CheckResult]:
+def dominance_checks(inp, labels, lower) -> list[CheckResult]:
     """f_lower (given as lower) >= owb wherever owb is defined, for the ESDU
     cells inp and labels as _esdu_cells gives them."""
     margins = (lower - esdu.owb(inp, 1.0)).tolist()
-    return [CheckResult("dominance", f"f_lower vs owb {where}", m, tolerance) for m, where in zip(margins, labels)]
+    return [CheckResult("dominance", f"f_lower vs owb {where}", m, DOMINANCE_TOL) for m, where in zip(margins, labels)]
 
 
-def containment_checks(
-    db_grid, sigma_ratios, delta0_grid, tolerance: float = CONTAINMENT_TOL, rho_steps: int = region.RHO_STEPS
-) -> list[CheckResult]:
+def containment_checks(db_grid, sigma_ratios, delta0_grid, rho_steps: int = region.RHO_STEPS) -> list[CheckResult]:
     """Every analytic inner-bound vertex lies inside the outer bound."""
     results = []
     for db in db_grid:
@@ -93,20 +89,12 @@ def containment_checks(
             outer = region.outer_region(ch, rho_steps)
             worst = min(region.region_margin(outer, v) for v in inner.vertices)
             label = f"inner in outer @ {db:g} dB, sigma2/sigma1={ratio:g}"
-            results.append(CheckResult("containment", label, worst, tolerance))
+            results.append(CheckResult("containment", label, worst, CONTAINMENT_TOL))
     return results
 
 
 def run_verification(
-    db_grid,
-    sigma_ratios,
-    delta0_grid,
-    *,
-    sandwich_tol: float = SANDWICH_TOL,
-    dominance_tol: float = DOMINANCE_TOL,
-    containment_tol: float = CONTAINMENT_TOL,
-    quad_tol: float = oracle.TOLERANCE,
-    rho_steps: int = region.RHO_STEPS,
+    db_grid, sigma_ratios, delta0_grid, *, quad_tol: float = oracle.TOLERANCE, rho_steps: int = region.RHO_STEPS
 ) -> dict:
     """Run all three suites and fold the results into a report dictionary;
     quad_tol is the oracle's tolerance, rho_steps the outer bound's."""
@@ -120,9 +108,9 @@ def run_verification(
     else:
         inp, labels = _esdu_cells(db_grid, delta0_grid)
         lower = esdu.f_lower(inp, 1.0)
-        checks.extend(sandwich_checks(db_grid, inp, labels, lower, sandwich_tol, quad_tol))
-        checks.extend(dominance_checks(inp, labels, lower, dominance_tol))
-        checks.extend(containment_checks(db_grid, sigma_ratios, delta0_grid, containment_tol, rho_steps))
+        checks.extend(sandwich_checks(db_grid, inp, labels, lower, quad_tol))
+        checks.extend(dominance_checks(inp, labels, lower))
+        checks.extend(containment_checks(db_grid, sigma_ratios, delta0_grid, rho_steps))
     failures = sum(1 for c in checks if not c.passed)
     report = {
         "checks": [asdict(c) for c in checks],

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from esdurate.esdu import (
@@ -44,6 +45,16 @@ class TestEsduInput:
     def test_rejects_invalid(self, span, levels):
         with pytest.raises(ValueError):
             EsduInput(span, levels)
+
+    @pytest.mark.parametrize("integer", [np.int32, np.int64])
+    def test_numpy_integer_levels_give_the_numbers_of_an_int(self, integer):
+        # iterating np.arange gives numpy integers
+        for span, levels in [(10.0, 21), (3.0, 2), (50.0, 7)]:
+            inp, same = EsduInput(span, levels), EsduInput(span, integer(levels))
+            for rate in (f_lower, g_upper, f3, owb, mi_discrete):
+                assert rate(same, 1.0) == rate(inp, 1.0)
+        with pytest.raises(ValueError, match="levels must be an integer >= 1"):
+            EsduInput(1.0, integer(0))
 
 
 class TestAlphabetSize:

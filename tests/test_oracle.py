@@ -945,10 +945,20 @@ class TestMiUniform:
     def test_zero_peak(self):
         assert mi_uniform(P2pChannel(0.0, 1.0)) == 0.0
 
-    def test_pdf_normalizes(self):
-        ch = P2pChannel(4.0, 1.5)
-        mass, _ = scipy_quad(lambda y: uniform_output_pdf(ch, y), -20.0, 24.0, epsabs=1e-12, limit=500)
+    @pytest.mark.parametrize("peak", [1e-12, 1e-4, 4.0])
+    def test_pdf_normalizes(self, peak):
+        ch = P2pChannel(peak, 1.5)
+        mass, _ = scipy_quad(lambda y: uniform_output_pdf(ch, y), -20.0, peak + 20.0, epsabs=1e-12, limit=500)
         assert mass == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("tolerance", [1e-10, 1e-13])
+    def test_narrow_input_matches_its_gaussian_limit(self, tolerance):
+        # Y's negentropy is O(a^8) in a = A/sigma, so 0.5*log2(1 + a^2/12), Y's
+        # Gaussian entropy less the noise's, is the rate to well below 1e-20
+        for exponent in range(-300, -1):
+            a = 10.0**exponent
+            rate = mi_uniform(P2pChannel(a, 1.0), tolerance)
+            assert abs(rate - 0.5 * math.log1p(a * a / 12.0) / math.log(2.0)) <= tolerance, a
 
     @pytest.mark.parametrize("db", [-10, 0, 10, 20, 30])
     def test_agrees_with_the_g7k15_reference(self, db):

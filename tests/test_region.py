@@ -83,6 +83,15 @@ class TestTypes:
             outer_region(CH15, steps)
         assert corners == [MAX_RHO_STEPS]  # rejected before any corner
 
+    @pytest.mark.parametrize("integer", [np.int32, np.int64])
+    def test_numpy_integer_splits_give_the_points_of_ints(self, integer):
+        for k1, k2 in [(3, 7), (1, 5), (4, 1)]:
+            split = SplitConfig(integer(k1), integer(k2))
+            assert analytic_inner_point(CH15, split) == analytic_inner_point(CH15, SplitConfig(k1, k2))
+            assert exact_inner_point(CH15, split) == exact_inner_point(CH15, SplitConfig(k1, k2))
+        with pytest.raises(ValueError, match="k2 must be an integer >= 1"):
+            SplitConfig(integer(2), integer(0))
+
     def test_rate_pair_nonnegative(self):
         with pytest.raises(ValueError):
             RatePair(-0.1, 0.0)
