@@ -71,6 +71,10 @@ _UNDERFLOW_EXPONENT = -746.0
 #: Terms further below a value's largest are raised to this before exp,
 #: which is an order of magnitude slower where its result underflows.
 _EXP_FLOOR = -700.0
+#: A call of equal masses whose every value lies within this many noise
+#: widths of every atom is not floored: each term is at least -0.5*37^2 =
+#: -684.5, and its value's largest at most 0, so none falls _EXP_FLOOR below.
+_FLOOR_FREE_SIGMAS = 37.0
 
 #: Share of a call's tolerance that the two tails left out of its output may
 #: hold (see support_padding).
@@ -207,7 +211,10 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     row per atom from each value's first, added in row order.  Every block is
     floored (see _log_sums), so a row past a value's window adds at most
     exp(_EXP_FLOOR) to a sum of at least 1, which float64 cannot resolve: a
-    value is the same whatever block or call it is in.
+    value is the same whatever block or call it is in.  A call of one
+    alphabet and one noise width whose every value sees every atom, as Monte
+    Carlo samples on a narrow alphabet do, runs the same blocks without
+    finding any window (see _dense_log_pdf).
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
@@ -215,6 +222,8 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     scale = np.asarray(sigma, dtype=float)
     if scale.ndim:
         scale = np.broadcast_to(scale, y_arr.shape).ravel()
+    elif np.ndim(inp._sizes) == 0 and flat.size and _sees_every_atom(flat, inp.atoms, _WINDOW_SIGMAS * scale):
+        return as_result(_dense_log_pdf(inp, scale, flat).reshape(y_arr.shape))
     all_sizes = np.broadcast_to(inp._sizes, flat.shape)
     out = np.empty(flat.size)
     start = 0
@@ -234,14 +243,47 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     return as_result(out.reshape(y_arr.shape))
 
 
+def _sees_every_atom(y: np.ndarray, atoms: np.ndarray, reach) -> bool:
+    """Whether every y lies within `reach` of every one of `atoms`."""
+    return bool(y.max() - reach <= atoms[0] and y.min() + reach >= atoms[-1])
+
+
 def _window(y: np.ndarray, inp, reach, sizes) -> tuple[np.ndarray, np.ndarray]:
     """The first atom and the number of atoms within `reach` of each y, of
     the first `sizes` atoms of `inp`: searchsorted's, whatever the input."""
     atoms = inp.atoms
-    if y.max() - reach.min() <= atoms[0] and y.min() + reach.min() >= atoms[sizes.max() - 1]:
+    if _sees_every_atom(y, atoms[: sizes.max()], reach.min()):
         return np.zeros_like(sizes), sizes  # every window holds every atom, as searchsorted would find
     first = np.minimum(np.searchsorted(atoms, y - reach, side="left"), sizes)
     return first, np.minimum(np.searchsorted(atoms, y + reach, side="right"), sizes) - first
+
+
+def _dense_log_pdf(inp: DiscreteInput, sigma: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """mixture_log_pdf's values, bit for bit, where sigma is one noise width
+    and every y lies within _WINDOW_SIGMAS noise widths of every atom: the
+    same blocks, rows and arithmetic, less what such a call cannot need.
+    Every window holds every atom, so none is found and none is redone; log
+    sigma is taken once, x / 1.0 is x, and the floor is left out where no
+    term can fall below it (see _FLOOR_FREE_SIGMAS)."""
+    atoms, relative = inp.atoms, inp._relative
+    spread = max(y.max() - atoms[0], atoms[-1] - y.min()) / sigma
+    floor = relative is not None or not spread <= _FLOOR_FREE_SIGMAS
+    log_sigma = np.log(sigma)
+    atoms, relative = atoms[:, None], None if relative is None else relative[:, None]
+    out = np.empty(y.size)
+    step = max(1, _BLOCK_ELEMENTS // inp._sizes)
+    for start in range(0, y.size, step):
+        block = slice(start, start + step)
+        z = y[block] - atoms
+        if sigma != 1.0:
+            z /= sigma
+        z *= z
+        z *= -0.5
+        if relative is not None:
+            z += relative
+        peak, total = _peak_sums(z, floor)
+        out[block] = peak + inp._log_mass + np.log(total) - log_sigma - _LOG_SQRT_2PI
+    return out
 
 
 def _log_sums(y, sigma, first: np.ndarray, width: np.ndarray, sizes, inp):
@@ -253,10 +295,17 @@ def _log_sums(y, sigma, first: np.ndarray, width: np.ndarray, sizes, inp):
     depth = int(width.max())
     if depth == 0:
         return np.full(y.size, -np.inf), np.zeros(y.size)
-    exponents = _exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative)
+    return _peak_sums(_exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative), True)
+
+
+def _peak_sums(exponents: np.ndarray, floor: bool):
+    """Each column's largest term and sum of exp(term - largest), in row
+    order, the terms floored at _EXP_FLOOR below the largest if `floor`;
+    exponents is overwritten."""
     peak = np.max(exponents, axis=0)
     exponents -= np.maximum(peak, np.finfo(float).min)  # a column of -inf stays -inf
-    np.maximum(exponents, _EXP_FLOOR, out=exponents)
+    if floor:
+        np.maximum(exponents, _EXP_FLOOR, out=exponents)
     np.exp(exponents, out=exponents)
     # numpy sums a lone column pairwise, so its order would depend on the block
     total = np.cumsum(exponents, axis=0)[-1] if exponents.shape[1] == 1 else exponents.sum(axis=0)
@@ -661,6 +710,27 @@ class McEstimate:
     generator: str = MC_GENERATOR
 
 
+def _atom_indices(u: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """The indices rng.choice(masses.size, u.size, p=masses) draws from the
+    doubles u = rng.random(u.size): cdf.searchsorted(u, side="right"), cdf =
+    cumsum(masses) / its last entry, as numpy computes them.  Index k holds
+    the u in [cdf[k-1], cdf[k]); each u's guess floor(u*K) is checked against
+    those bounds, and only the guesses it misses are searched.
+
+    The indices are intp and both bounds are gathered into one reused array:
+    an int32 index is widened to a temporary intp copy by every gather."""
+    cdf = np.cumsum(masses)
+    cdf /= cdf[-1]
+    guess = np.multiply(u, cdf.size)
+    k = guess.astype(np.intp)  # u < 1, so u*K rounds below K
+    np.take(np.concatenate(([0.0], cdf[:-1])), k, out=guess, mode="clip")  # "raise" would buffer out
+    miss = u < guess
+    np.take(cdf, k, out=guess, mode="clip")
+    miss |= u >= guess
+    k[miss] = cdf.searchsorted(u[miss], side="right")
+    return k
+
+
 def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) -> McEstimate:
     """Sample-average estimate of I(X; X+Z), deterministic for a fixed seed.
 
@@ -669,11 +739,12 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
     estimator.  Requires at least MIN_MC_SAMPLES samples.
 
     The seed fixes the stream: the atom indices are what
-    default_rng(seed).choice(K, samples, p=masses) gives, one double each,
-    and the noise is what the same generator draws next, from PCG64(seed)
-    advanced past those samples doubles.  Both are drawn, and the density
-    evaluated, one block of 100,000 samples at a time, so memory does not
-    grow with samples; each block's values are summed as one group.
+    default_rng(seed).choice(K, samples, p=masses) gives, one double each
+    (see _atom_indices), and the noise is what the same generator draws
+    next, from PCG64(seed) advanced past those samples doubles.  Both are
+    drawn, and the density evaluated, one block of 100,000 samples at a
+    time, so memory does not grow with samples; each block's values are
+    summed as one group.
     """
     if samples < MIN_MC_SAMPLES:
         raise ValueError(f"mi_monte_carlo needs at least {MIN_MC_SAMPLES} samples")
@@ -686,9 +757,10 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
     total_sq = 0.0
     for start in range(0, samples, chunk):
         block = min(chunk, samples - start)
-        ys = inp.atoms[indices.choice(inp.atoms.size, size=block, p=inp.masses)]
+        ys = inp.atoms[_atom_indices(indices.random(block), inp.masses)]
         ys += noise.normal(0.0, sigma, size=block)
-        vals = -mixture_log_pdf(inp, sigma, ys) * _LOG2_E
+        vals = mixture_log_pdf(inp, sigma, ys)
+        vals *= -_LOG2_E  # (-x)*c is x*(-c) in float64, and no copy
         total += vals.sum()
         total_sq += (vals * vals).sum()
     mean = total / samples

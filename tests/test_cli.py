@@ -187,6 +187,24 @@ class TestEsduRate:
         se = float(row["mi_mc_stderr"])
         assert abs(est - float(row["mi_exact"])) <= 4 * se
 
+    @pytest.mark.parametrize(
+        "span,levels,seed,mi_mc,stderr",
+        [
+            # the benchmark's p2p-large-k esdu-rate command at seeds 0, 1 and 7
+            ("10.979", "20", "643673373", "0x1.b4c4a8da0268cp+0", "0x1.40e0a6ff651f7p-11"),
+            ("13.002", "21", "1770595553", "0x1.e91bb67061646p+0", "0x1.29bbdfbdcab10p-11"),
+            ("9.865", "22", "1141701475", "0x1.927cea53f0340p+0", "0x1.5204c46e9afc6p-11"),
+        ],
+    )
+    def test_monte_carlo_values_are_pinned(self, capsys, span, levels, seed, mi_mc, stderr):
+        # recorded when each block's indices came from rng.choice
+        argv = ["esdu-rate", "--span", span, "--levels", levels, "--mc-samples", "1000000", "--seed", seed]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"] + TS)
+        assert code == EXIT_OK
+        data = json.loads(out)["data"]
+        row = dict(zip(data["columns"], data["rows"][0]))
+        assert (row["mi_mc"].hex(), row["mi_mc_stderr"].hex()) == (mi_mc, stderr)
+
     def test_monte_carlo_on_an_underflowing_span(self, capsys):
         # 5e-324/5 rounds to 0: the levels coincide, for the sampler as for the quadrature
         argv = ["esdu-rate", "--span", "5e-324", "--levels", "6", "--mc-samples", "10000"]
@@ -523,6 +541,9 @@ class TestUsageErrors:
             (["esdu-rate", "--span", "x", "--levels", "3"], "--span invalid float value: 'x'"),
             (["bc-outer", "--peak-db", "ten", "--sigma2-ratio", "2"], "--peak-db invalid float value: 'ten'"),
             (["bc-inner", "--peak-db", "10", "--sigma2", "1e"], "--sigma2 invalid float value: '1e'"),
+            (["p2p-bounds", "--peak-db", "1,x"], "--peak-db: bad grid '1,x'; expected numbers"),
+            (["p2p-bounds", "--peak-db", "0:10:0"],
+             "--peak-db: bad range '0:10:0'; expected start:stop[:step] with step > 0"),
         ],
     )
     def test_names_the_flag_before_any_work(self, capsys, monkeypatch, argv, message):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from esdurate import esdu
 from esdurate.esdu import (
     MAX_LEVELS,
     EsduInput,
@@ -173,6 +174,14 @@ class TestUpperBounds:
 
     def test_g_prime_zero_span(self):
         assert g_prime(EsduInput(0.0, 2), 1.0) == 0.0
+
+    def test_g_prime_raises_on_a_degenerate_argument_naming_the_element(self, monkeypatch):
+        # no true e_cap makes the log argument nonpositive: a stand-in that
+        # gives 2^(2*e_cap) = 0 above a widened peak of 2 breaks the invariant
+        monkeypatch.setattr(esdu, "e_cap", lambda ch: np.where(np.asarray(ch.peak) > 2.0, -np.inf, 1.0))
+        assert g_prime(EsduInput(1.0, 3), 1.0) > 0.0
+        with pytest.raises(ArithmeticError, match=r"log argument -0\.0.* for span=2\.0, levels=3, sigma=1\.0"):
+            g_prime(EsduInput(np.array([1.0, 2.0]), 3), 1.0)
 
     def test_g_upper_reference_points(self):
         assert g_upper(EsduInput(1.0, 3), 1.0) == pytest.approx(0.115016970696966, abs=1e-9)

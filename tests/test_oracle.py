@@ -199,6 +199,11 @@ class TestDiscreteInput:
         with pytest.raises(ValueError):
             DiscreteInput(np.array(atoms), np.array(masses))
 
+    @pytest.mark.parametrize("atoms", [[0.0, math.inf], [math.nan, 1.0], [-math.inf, 0.0]])
+    def test_rejects_nonfinite_atoms(self, atoms):
+        with pytest.raises(ValueError, match="atoms and masses must be finite"):
+            DiscreteInput(np.array(atoms), np.array([0.5, 0.5]))
+
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
 @pytest.mark.parametrize(
@@ -589,6 +594,40 @@ class TestMixtureLogPdf:
         finally:
             oracle._EXP_FLOOR = floor
         assert np.asarray(got).tobytes() == np.asarray(raw).tobytes()
+
+    @pytest.mark.parametrize(
+        "atoms,masses,y,floored",
+        [
+            # Monte Carlo samples about 21 equal masses, all within 37 sigma of every atom
+            (np.arange(21) * 0.5, np.full(21, 1 / 21), np.random.default_rng(1).normal(5.0, 4.0, 10_000), False),
+            # unequal masses, a zero among them: always floored
+            (np.arange(5.0), np.array([0.1, 0.0, 0.4, 0.2, 0.3]), np.random.default_rng(2).uniform(-35.0, 39.0, 7_000),
+             True),
+            # samples spread over more than 37 sigma: the floor binds on the far atom's terms
+            (np.array([0.0, 39.0]), np.array([0.5, 0.5]), np.linspace(-0.9, 39.9, 5_000), True),
+            # a one-value block, summed by cumsum
+            (np.arange(3.0), np.full(3, 1 / 3), np.array([0.7]), False),
+        ],
+        ids=["equal", "unequal", "floor-binds", "one-sample"],
+    )
+    @pytest.mark.parametrize("sigma", [1.0, 0.8])
+    def test_dense_call_changes_no_bit(self, monkeypatch, atoms, masses, y, floored, sigma):
+        # a scalar sigma with every value within 40 sigma of every atom skips
+        # the windows; an array of widths keeps the block loop, value for value
+        di = DiscreteInput(atoms * sigma, masses)
+        y = y * sigma
+        window, peak_sums = oracle._window, oracle._peak_sums
+        floors, windows = [], []
+        monkeypatch.setattr(oracle, "_peak_sums", lambda z, floor: floors.append(floor) or peak_sums(z, floor))
+        monkeypatch.setattr(oracle, "_window", lambda *args: windows.append(1) or window(*args))
+        dense = mixture_log_pdf(di, sigma, y)
+        assert not windows and set(floors) == {floored}
+        floors.clear()
+        looped = mixture_log_pdf(di, np.full(y.shape, sigma), y)
+        assert windows and set(floors) == {True}  # a window per block, each floored
+        assert dense.tobytes() == looped.tobytes()
+        if y.size == 1:
+            assert mixture_log_pdf(di, sigma, float(y[0])) == dense[0]
 
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
@@ -1268,6 +1307,36 @@ class TestMonteCarlo:
                                        lambda y: mixture_log_pdf(di, sigma, y))
         assert est.value == mean - noise_entropy(sigma)
         assert est.standard_error == stderr
+
+    @staticmethod
+    def masses(levels, kind):
+        weights = np.ones(levels) if kind == "equal" else np.random.default_rng(levels).uniform(0.1, 1.0, levels)
+        if kind == "zeros":
+            weights[1::3] = 0.0
+        return weights / weights.sum()
+
+    @pytest.mark.parametrize("block", [10_000, 123_457])
+    @pytest.mark.parametrize("kind", ["equal", "unequal", "zeros"])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 21, 2001])
+    def test_index_lookup_matches_rng_choice(self, levels, kind, block):
+        masses = self.masses(levels, kind)
+        seed = 1000 * levels + block
+        want = np.random.default_rng(seed).choice(levels, size=block, p=masses)
+        got = oracle._atom_indices(np.random.default_rng(seed).random(block), masses)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["equal", "unequal", "zeros"])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 21, 2001])
+    def test_index_lookup_at_every_bucket_edge(self, levels, kind):
+        # every cdf entry and guess edge k/K, each with its neighbours: numpy's
+        # choice gives each double u the index cdf.searchsorted(u, side="right")
+        masses = self.masses(levels, kind)
+        cdf = np.cumsum(masses)
+        cdf /= cdf[-1]
+        edges = np.concatenate([cdf, np.arange(levels) / levels, [np.nextafter(1.0, 0.0)]])
+        u = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.array_equal(oracle._atom_indices(u, masses), cdf.searchsorted(u, side="right"))
 
     def test_memory_does_not_grow_with_samples(self):
         di = DiscreteInput.from_esdu(EsduInput(10.0, 21))

@@ -68,6 +68,23 @@ class TestTypes:
             BcChannel(1.0, 2.0, 1.0)
         BcChannel(1.0, 1.0, 1.0)  # equality allowed
 
+    @pytest.mark.parametrize(
+        "sigmas,message",
+        [
+            ((math.nan, 2.0), "sigma1 must be finite and > 0, got nan"),
+            ((1.0, math.inf), "sigma2 must be finite and > 0, got inf"),
+            ((2.0, 1.0), "sigma1 must not exceed sigma2"),
+        ],
+    )
+    def test_channel_rejects_bad_sigmas(self, sigmas, message):
+        with pytest.raises(ValueError, match=message):
+            BcChannel(1.0, *sigmas)
+
+    @pytest.mark.parametrize("rho", [-0.1, 1.5, math.nan, np.array([0.5, 1.01])])
+    def test_outer_corner_rejects_rho_outside_the_unit_interval(self, rho):
+        with pytest.raises(ValueError, match=r"rho must lie in \[0, 1\]"):
+            outer_corner(CH15, rho)
+
     def test_split_needs_two_levels(self):
         with pytest.raises(ValueError):
             SplitConfig(1, 1)
