@@ -49,8 +49,10 @@ TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 #: the default --delta0-grid.
 MAX_GRID_POINTS = 10_000
 #: Most --mc-samples: 10 times the 1e6 of the documented cross-check.  The
-#: samples are drawn and evaluated 100,000 at a time, so this bounds run time
-#: (about 1.2 s as a process at 21 levels, 2-vCPU VM), not memory.
+#: samples are drawn and evaluated 100,000 at a time, so this bounds run time,
+#: not memory: about 1.2 s as a process at 21 levels, but each sample costs
+#: about 37 us at --levels 100000 --span 99999 (1.1 s for 3e4 samples
+#: in-process), so a run there at the cap takes about 6 min (2-vCPU Xeon VM).
 MAX_MC_SAMPLES = 10_000_000
 
 

@@ -36,10 +36,10 @@ nothing, and its rate is 0 with no integral.  An element stops once its
 error estimate is within the tolerance, or fails once that estimate is at
 the round-off level or its next level would pass _MAX_NODES.
 
-The mixture density works in blocks of at most 2^16 (atom, y) pairs, a row
-per atom, and adds each y's terms in row order.  Each y uses the atoms of
-its alphabet within 40 sigma of it, so its value depends on that y, its
-sigma and its alphabet alone, never on the other values of the call.
+The mixture density is one loop over blocks of at most 2^16 (atom, y)
+pairs, a row per atom, and adds each y's terms in row order.  Each y uses the
+atoms of its alphabet within 40 sigma of it, so its value depends on that y,
+its sigma and its alphabet alone, never on the other values of the call.
 
 A seeded Monte-Carlo estimator provides an independent cross-check of the
 quadrature path.
@@ -207,14 +207,17 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     searchsorted (see _window), where each term left out is below exp(-800 +
     max log mass), 746 below the value's largest, so exp(term - largest) is
     0.0, and else (far from every atom, zero masses near it) uses every atom.
-    Values run in blocks of _BLOCK_ELEMENTS // K, K their largest alphabet, a
-    row per atom from each value's first, added in row order.  Every block is
-    floored (see _log_sums), so a row past a value's window adds at most
+    One loop runs the values in blocks of _BLOCK_ELEMENTS // K, K their
+    largest alphabet, a row per atom from each value's first, added in row
+    order.  Terms are floored at _EXP_FLOOR below each value's largest (see
+    _peak_sums), so a row past a value's window adds at most
     exp(_EXP_FLOOR) to a sum of at least 1, which float64 cannot resolve: a
-    value is the same whatever block or call it is in.  A call of one
-    alphabet and one noise width whose every value sees every atom, as Monte
-    Carlo samples on a narrow alphabet do, runs the same blocks without
-    finding any window (see _dense_log_pdf).
+    value is the same whatever block or call it is in.
+
+    What the values allow is decided once per call: one alphabet within
+    reach of every value at one noise width, as Monte Carlo samples on a
+    narrow alphabet are, finds no window and redoes none, and with equal
+    masses floors nothing, as no term can reach the floor (_FLOOR_FREE_SIGMAS).
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
@@ -222,8 +225,9 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     scale = np.asarray(sigma, dtype=float)
     if scale.ndim:
         scale = np.broadcast_to(scale, y_arr.shape).ravel()
-    elif np.ndim(inp._sizes) == 0 and flat.size and _sees_every_atom(flat, inp.atoms, _WINDOW_SIGMAS * scale):
-        return as_result(_dense_log_pdf(inp, scale, flat).reshape(y_arr.shape))
+    whole = (np.ndim(inp._sizes) == 0 and scale.ndim == 0 and flat.size > 0
+             and _sees_every_atom(flat, inp.atoms, _WINDOW_SIGMAS * scale))
+    floor = not (whole and inp._relative is None and _sees_every_atom(flat, inp.atoms, _FLOOR_FREE_SIGMAS * scale))
     all_sizes = np.broadcast_to(inp._sizes, flat.shape)
     out = np.empty(flat.size)
     start = 0
@@ -232,12 +236,20 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
         block = slice(start, start + max(1, _BLOCK_ELEMENTS // int(ahead.max())))  # fits every atom of each alphabet
         start = block.stop
         y, sizes, sigma = flat[block], all_sizes[block], scale if scale.ndim == 0 else scale[block]
-        first, width = _window(y, inp, _WINDOW_SIGMAS * sigma, sizes)
-        peak, total = _log_sums(y, sigma, first, width, sizes, inp)
-        redo = (width < sizes) & ~(peak > -0.5 * _WINDOW_SIGMAS**2 - _UNDERFLOW_EXPONENT)
-        if redo.any():  # a window left out atoms whose terms might not underflow: those use every atom
-            first[redo], width[redo] = 0, sizes[redo]
-            peak, total = _log_sums(y, sigma, first, width, sizes, inp)
+        if whole:  # every value's rows are all K atoms
+            first, depth = None, inp._sizes
+        else:
+            first, width = _window(y, inp, _WINDOW_SIGMAS * sigma, sizes)
+            depth = int(width.max())
+            if depth == 0:  # no window holds an atom: every value uses every atom, as a redo would
+                first, width, depth = np.zeros_like(sizes), sizes, int(sizes.max())
+        peak, total = _peak_sums(_exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative), floor)
+        if not whole:
+            redo = (width < sizes) & ~(peak > -0.5 * _WINDOW_SIGMAS**2 - _UNDERFLOW_EXPONENT)
+            if redo.any():  # a window left out atoms whose terms might not underflow: those use every atom
+                first[redo], width[redo] = 0, sizes[redo]
+                exponents = _exponents(y, sigma, first, int(width.max()), sizes, inp.atoms, inp._relative)
+                peak, total = _peak_sums(exponents, True)
         log_mass = np.log(1.0 / sizes) if inp._log_mass is None else inp._log_mass
         out[block] = peak + log_mass + np.log(total) - np.log(sigma) - _LOG_SQRT_2PI
     return as_result(out.reshape(y_arr.shape))
@@ -258,46 +270,6 @@ def _window(y: np.ndarray, inp, reach, sizes) -> tuple[np.ndarray, np.ndarray]:
     return first, np.minimum(np.searchsorted(atoms, y + reach, side="right"), sizes) - first
 
 
-def _dense_log_pdf(inp: DiscreteInput, sigma: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """mixture_log_pdf's values, bit for bit, where sigma is one noise width
-    and every y lies within _WINDOW_SIGMAS noise widths of every atom: the
-    same blocks, rows and arithmetic, less what such a call cannot need.
-    Every window holds every atom, so none is found and none is redone; log
-    sigma is taken once, x / 1.0 is x, and the floor is left out where no
-    term can fall below it (see _FLOOR_FREE_SIGMAS)."""
-    atoms, relative = inp.atoms, inp._relative
-    spread = max(y.max() - atoms[0], atoms[-1] - y.min()) / sigma
-    floor = relative is not None or not spread <= _FLOOR_FREE_SIGMAS
-    log_sigma = np.log(sigma)
-    atoms, relative = atoms[:, None], None if relative is None else relative[:, None]
-    out = np.empty(y.size)
-    step = max(1, _BLOCK_ELEMENTS // inp._sizes)
-    for start in range(0, y.size, step):
-        block = slice(start, start + step)
-        z = y[block] - atoms
-        if sigma != 1.0:
-            z /= sigma
-        z *= z
-        z *= -0.5
-        if relative is not None:
-            z += relative
-        peak, total = _peak_sums(z, floor)
-        out[block] = peak + inp._log_mass + np.log(total) - log_sigma - _LOG_SQRT_2PI
-    return out
-
-
-def _log_sums(y, sigma, first: np.ndarray, width: np.ndarray, sizes, inp):
-    """Each value's largest term and sum of exp(term - largest), from atom
-    first on, over the widest window's rows; -inf and 0 if no window has any.
-    Every block floors its terms at _EXP_FLOOR below each value's largest: a
-    term of at most exp(_EXP_FLOOR) cannot move a float64 sum of at least 1
-    (Blanchard, Higham and Higham, IMA J. Numer. Anal. 2021)."""
-    depth = int(width.max())
-    if depth == 0:
-        return np.full(y.size, -np.inf), np.zeros(y.size)
-    return _peak_sums(_exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative), True)
-
-
 def _peak_sums(exponents: np.ndarray, floor: bool):
     """Each column's largest term and sum of exp(term - largest), in row
     order, the terms floored at _EXP_FLOOR below the largest if `floor`;
@@ -312,12 +284,13 @@ def _peak_sums(exponents: np.ndarray, floor: bool):
     return peak, total
 
 
-def _exponents(y, sigma, first: np.ndarray, depth: int, sizes, atoms: np.ndarray, relative) -> np.ndarray:
+def _exponents(y, sigma, first: np.ndarray | None, depth: int, sizes, atoms: np.ndarray, relative) -> np.ndarray:
     """The terms -0.5*((y - atom)/sigma)^2 + relative log mass of atoms first_j
-    on, depth rows of them, for each value j; -inf past its sizes_j atoms."""
-    shared = first.min() == first.max()
+    on, depth rows of them, for each value j; -inf past its sizes_j atoms.
+    first None starts every value at atom 0 of an alphabet of depth atoms."""
+    shared = first is None or first.min() == first.max()
     if shared:  # one window start: a slice, no gather
-        rows = slice(first[0], first[0] + depth)
+        rows = slice(0, depth) if first is None else slice(first[0], first[0] + depth)
         z = y - atoms[rows, None]
         log_masses = None if relative is None else relative[rows, None]
     else:  # no measured quadrature block comes here; scattered values (Monte
@@ -328,13 +301,14 @@ def _exponents(y, sigma, first: np.ndarray, depth: int, sizes, atoms: np.ndarray
         z = np.take(atoms, index, mode="clip")
         np.subtract(y, z, out=z)
         log_masses = None if relative is None else np.take(relative, index, mode="clip")
-    z /= sigma
+    if np.ndim(sigma) or sigma != 1.0:  # x / 1.0 is x
+        z /= sigma
     z *= z
     z *= -0.5
     if log_masses is not None:
         z += log_masses
-    limit = sizes - first  # the rows value j may use
-    if np.any(limit < depth):
+    limit = None if first is None else sizes - first  # the rows value j may use
+    if limit is not None and limit.min() < depth:
         if not shared:
             z[np.arange(depth)[:, None] >= limit] = -np.inf
         else:  # values in runs of one alphabet size: a slice per run
@@ -503,8 +477,14 @@ def _check_span_cap(first: float, last: float, sigma) -> None:
 
 
 def noise_entropy(sigma):
-    """Differential entropy of N(0, sigma^2) in bits, elementwise."""
-    return as_result(0.5 * np.log2(TWO_PI_E * np.square(sigma)))
+    """Differential entropy of N(0, sigma^2) in bits, elementwise; from
+    log2(sigma) where sigma^2 or 2*pi*e*sigma^2 is not a normal float64
+    (sigma outside about 1.5e-154 to 3.2e153) and would lose its digits."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        square = np.square(sigma)
+        power = TWO_PI_E * square
+        normal = (square >= np.finfo(float).tiny) & (power <= np.finfo(float).max)
+        return as_result(np.where(normal, 0.5 * np.log2(power), 0.5 * math.log2(TWO_PI_E) + np.log2(sigma)))
 
 
 def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERANCE):

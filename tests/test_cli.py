@@ -205,6 +205,16 @@ class TestEsduRate:
         row = dict(zip(data["columns"], data["rows"][0]))
         assert (row["mi_mc"].hex(), row["mi_mc_stderr"].hex()) == (mi_mc, stderr)
 
+    def test_monte_carlo_on_a_wide_alphabet_is_pinned(self, capsys):
+        # each sample's window holds about 160 of the 2001 atoms, so every
+        # density block searches and gathers a window per sample
+        argv = ["esdu-rate", "--span", "1000", "--levels", "2001", "--mc-samples", "100000", "--seed", "7"]
+        code, out, _ = run_cli(capsys, argv + ["--format", "json"] + TS)
+        assert code == EXIT_OK
+        data = json.loads(out)["data"]
+        row = dict(zip(data["columns"], data["rows"][0]))
+        assert (row["mi_mc"].hex(), row["mi_mc_stderr"].hex()) == ("0x1.fb02f2804e95cp+2", "0x1.c548d2a2ff65dp-13")
+
     def test_monte_carlo_on_an_underflowing_span(self, capsys):
         # 5e-324/5 rounds to 0: the levels coincide, for the sampler as for the quadrature
         argv = ["esdu-rate", "--span", "5e-324", "--levels", "6", "--mc-samples", "10000"]

@@ -612,8 +612,9 @@ class TestMixtureLogPdf:
     )
     @pytest.mark.parametrize("sigma", [1.0, 0.8])
     def test_dense_call_changes_no_bit(self, monkeypatch, atoms, masses, y, floored, sigma):
-        # a scalar sigma with every value within 40 sigma of every atom skips
-        # the windows; an array of widths keeps the block loop, value for value
+        # one loop: a scalar sigma with every value within 40 sigma of every
+        # atom finds no window, and floors only where a term might reach the
+        # floor; an array of widths finds a window per block and floors each
         di = DiscreteInput(atoms * sigma, masses)
         y = y * sigma
         window, peak_sums = oracle._window, oracle._peak_sums
@@ -628,6 +629,22 @@ class TestMixtureLogPdf:
         assert dense.tobytes() == looped.tobytes()
         if y.size == 1:
             assert mixture_log_pdf(di, sigma, float(y[0])) == dense[0]
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (), (1,), (400, 15)])
+    @pytest.mark.parametrize("span", [10.0, 1000.0], ids=["narrow", "wide"])
+    def test_every_shape_gives_the_bytes_of_its_values(self, shape, span):
+        # empty, 0-d, one-value and 2-D y, at one noise width and at a width
+        # per value: narrow values see every atom, wide ones search windows
+        di = DiscreteInput.from_esdu(EsduInput(span, 21))
+        y = np.random.default_rng(5).uniform(-5.0, span + 5.0, shape)
+        alone = [mixture_log_pdf(di, 0.5, value) for value in np.ravel(y).tolist()]
+        for sigma in (0.5, np.full(shape, 0.5)):
+            got = mixture_log_pdf(di, sigma, y)
+            if shape == ():
+                assert isinstance(got, float) and [got] == alone
+            else:
+                assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == np.float64
+                assert got.tobytes() == np.array(alone).tobytes()
 
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
@@ -1041,6 +1058,34 @@ class TestTolerance:
             mi_uniform(P2pChannel(0.0, 1.0), tolerance)
 
 
+class TestNoiseEntropy:
+    def test_closed_form_where_it_keeps_its_digits(self):
+        # 0.5*log2(2*pi*e*sigma^2) bit for bit where sigma^2 and 2*pi*e*sigma^2
+        # are normal float64, and log2(sigma) plus a constant beyond: both
+        # within a few ulps of each other, from subnormal sigma to near overflow
+        sigma = np.concatenate([np.logspace(-320, 307, 4001), [2.0**-511, 3.2e153, 3.3e153]])
+        got = noise_entropy(sigma)
+        want = np.array([0.5 * math.log2(2.0 * math.pi * math.e) + math.log2(s) for s in sigma.tolist()])
+        np.testing.assert_allclose(got, want, rtol=4e-16, atol=4e-15)
+        normal = (sigma >= 2.0**-511) & (sigma <= 3.2e153)
+        assert got[normal].tolist() == (0.5 * np.log2(2.0 * math.pi * math.e * sigma[normal] ** 2)).tolist()
+        assert isinstance(noise_entropy(1e170), float)
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1e-160, 1e160, 1e170, 1e300])
+    def test_rates_at_extreme_noise_widths_are_those_at_one(self, s):
+        # a binary input one noise width wide, and the uniform input: only the
+        # unit changes, so the rates are those at s = 1; 2*pi*e*s^2 is inf or
+        # not a normal float64, and no warning is raised
+        def rates(w):
+            binary = DiscreteInput(np.array([0.0, w]), np.array([0.5, 0.5]))
+            return mi_monte_carlo(binary, w, 20_000, 3).value, mi_discrete(binary, w), mi_uniform(P2pChannel(w, w))
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rates(s)
+        assert got == pytest.approx(rates(1.0), abs=TOLERANCE)
+
+
 class TestKronrodRule:
     """The tables of the reference G7/K15 integrator."""
 
@@ -1274,6 +1319,12 @@ class TestMonteCarlo:
         assert a == b
         c = mi_monte_carlo(di, 1.0, 20_000, 43)
         assert c.value != a.value
+
+    def test_unequal_masses_are_pinned(self):
+        # unequal masses, a zero among them: every block is floored
+        di = DiscreteInput(np.array([0.0, 1.0, 2.5, 7.0, 60.0]), np.array([0.1, 0.0, 0.4, 0.2, 0.3]))
+        est = mi_monte_carlo(di, 0.8, 200_000, 11)
+        assert (est.value.hex(), est.standard_error.hex()) == ("0x1.c0cbf3c559614p+0", "0x1.35108174e82a7p-9")
 
     def test_records_generator(self):
         di = DiscreteInput.from_esdu(EsduInput(2.0, 4))
