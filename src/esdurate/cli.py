@@ -403,7 +403,8 @@ def _add_common(parser: argparse.ArgumentParser, *, formats: bool = True, quad_t
                         help="pin the manifest timestamp, as YYYY-MM-DDTHH:MM:SSZ (UTC)")
     if quad_tol:
         parser.add_argument("--quad-tol", type=_tolerance, default=TOLERANCE,
-                            help="absolute tolerance of the exact-rate quadrature")
+                            help="absolute tolerance of the exact-rate quadrature, in bits; below about "
+                                 "2e-14 the integral reaches its round-off level and the command exits 2")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,11 +2,11 @@
 I(X; X+Z) of a finite-support or continuous-uniform input X through Gaussian
 noise Z.
 
-The computation uses the decomposition I = h(Y) - h(Z).  The output entropy
-h(Y) is an integral of -p(y)*log2 p(y), evaluated to the absolute tolerance,
-in bits, each call takes (TOLERANCE by default); h(Z) is
-0.5*log2(2*pi*e*sigma^2) in closed form.  Nothing in this module depends on
-the closed-form bounds it is used to validate.
+The computation uses I = h(Y/sigma) - h(Z/sigma), in noise widths: h(Y/sigma)
+integrates -q*log2 q, q = sigma*p(y) <= 1/sqrt(2*pi) < 1 the density of
+Y/sigma (so the integrand is nonnegative), to the absolute tolerance, in bits,
+each call takes (TOLERANCE by default); h(Z/sigma) is 0.5*log2(2*pi*e).
+Nothing in this module depends on the closed-form bounds it validates.
 
 One error budget sizes the work: every integral runs from
 support_padding(tolerance) noise widths beyond the extreme atoms or input
@@ -55,9 +55,9 @@ from .special import TWO_PI_E, _check_sigma, as_result, every, q_elementwise, q_
 
 _LOG2_E = math.log2(math.e)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_UNIT_NOISE_ENTROPY = 0.5 * math.log2(TWO_PI_E)  # h(Z/sigma) in bits
 
-#: QUADPACK's round-off level of a quadrature sum, in units of the same sum
-#: over |f| (here a trapezoid level's).
+#: QUADPACK's round-off level of a quadrature sum of f >= 0, in units of it.
 _ROUNDOFF = 50.0 * np.finfo(float).eps
 
 #: Entries of one (atoms x block) work array in mixture_log_pdf: 512 KiB per
@@ -85,7 +85,9 @@ _TAIL_SHARE = 1e-3
 #: a first round then holds at most about 907,000 nodes over a mirrored
 #: input's half output, and 1,813,000 over an asymmetric input's whole
 #: output: about 90 MB traced, at the 49 bytes per node of [0, 1, 99999] at
-#: sigma 1 (1.33 M nodes at a 0.15-sigma step, 66 MB).
+#: sigma 1 (1.33 M nodes at a 0.15-sigma step, 66 MB).  Near the cap a sparse
+#: input can miss a tolerance of 1e-12 without failing: [0, 5e4, 1e5] at
+#: sigma 1 reads 2.0e-12 above log2(3) = H(X) at 1e-12 and at 1e-13.
 MAX_SPAN_SIGMAS = 1e5
 #: Narrowest ESDU input, in noise widths, that mi_discrete scales to the
 #: integers: a narrower one, of rate under 0.5*log2(1 + 1e-16/4) < 2e-17
@@ -132,9 +134,9 @@ class ConvergenceError(RuntimeError):
     estimate is at the round-off level, or its next level would pass
     _MAX_NODES.
 
-    Carries the last two global estimates so callers can judge how far apart
-    the refinement loop still was, and, from a batch of integrals, the index
-    of the element that failed.
+    Carries the last two global estimates, bits of h(Y/sigma), so callers can
+    judge how far apart the refinement loop still was, and, from a batch of
+    integrals, the index of the element that failed.
     """
 
     def __init__(
@@ -365,12 +367,13 @@ def _trapezoid_integrals(
     converges exponentially (Trefethen and Weideman, SIAM Review 2014).
     Element j's first round evaluates 2n + 1 nodes, n = ceil((mid - lo) /
     step[j]), for T_n and T_2n; its estimate T_2n is accepted once
-    |T_2n - T_n|, floored at the round-off level of its sum of |f|, is
-    within tolerance once multiplied by weight[j], the factor its result is
-    used with.  Otherwise each later round adds the midpoints of its finest
-    level.  An element stops for one of two reasons only: its difference is
-    at the round-off level, or its next level would bring its nodes past
-    _MAX_NODES; either fails at once.
+    |T_2n - T_n|, floored at the round-off level of T_2n itself (f >= 0, so
+    its sum is its sum of |f|), is within tolerance once
+    multiplied by weight[j], the factor its result is used with.  Otherwise
+    each later round adds the midpoints of its finest level.  An element
+    stops for one of two reasons only: its difference is at the round-off
+    level, or its next level would bring its nodes past _MAX_NODES; either
+    fails at once.
 
     Each element keeps its own level and sums, adding each level's values in
     node order, so its result or error is what it would be alone, and reruns
@@ -383,7 +386,7 @@ def _trapezoid_integrals(
     width = mid - lo
     base = np.maximum(1, np.ceil(width / step)).astype(np.int64)
     intervals = np.zeros(lo.size, dtype=np.int64)  # of the finest level so far; 0 before the first round
-    estimate, magnitude = np.zeros(lo.size), np.zeros(lo.size)
+    estimate = np.zeros(lo.size)
     out = np.zeros(lo.size)
     open_ = order
     failure = None
@@ -400,21 +403,18 @@ def _trapezoid_integrals(
         k = np.arange(slot.size) - np.repeat(held[:take] - needed, needed)
         k = np.where(fresh[slot], k, 2 * k + 1)
         values = f(k * h[slot] + lo[now][slot], now[slot])
-        magnitudes = np.abs(values)
         # the new nodes have odd k; a first round's others give T_n, with half weight at both ends
         new = k % 2 == 1
         coarse = np.where(new, 0.0, np.where((k == 0) | (k == finest[slot]), 0.5, 1.0))
         del k
-        sums = [np.bincount(slot, w * v, take) for w in (coarse, new) for v in (values, magnitudes)]
-        del values, magnitudes, coarse, new  # before the next round's f builds its own
-        previous = np.where(fresh, 2.0 * h * sums[0], estimate[now])
-        rough = np.where(fresh, 2.0 * h * sums[1], magnitude[now])
-        estimate[now] = 0.5 * previous + h * sums[2]
-        magnitude[now] = 0.5 * rough + h * sums[3]
+        coarse_sum, new_sum = (np.bincount(slot, w * values, take) for w in (coarse, new))
+        del values, coarse, new  # before the next round's f builds its own
+        previous = np.where(fresh, 2.0 * h * coarse_sum, estimate[now])
+        estimate[now] = 0.5 * previous + h * new_sum
         intervals[now] = finest
         change = np.abs(estimate[now] - previous)
         # no estimate is better than the round-off level of its sum, as in QUADPACK
-        floor = _ROUNDOFF * magnitude[now]
+        floor = _ROUNDOFF * estimate[now]
         converged = weight[now] * np.maximum(change, floor) <= tolerance
         out[now[converged]] = estimate[now[converged]]
         stuck = change <= floor
@@ -446,14 +446,13 @@ def support_padding(tolerance: float) -> float:
     of it.
 
     Beyond an input's first atom or edge every mass lies to one side, so the
-    density is at most the Gaussian phi_sigma about that point, and -p*log p
-    rises with p below 1/e.  So the tail past x noise widths holds at most
-    the integral of -phi_sigma*log2(phi_sigma) there,
-    ((x*phi(x) + Q(x))/2 + Q(x)*ln(sigma*sqrt(2*pi))) / ln 2, by
-    int_x^inf t^2 phi(t) dt = x*phi(x) + Q(x).  The padding is sized by its
-    first term, both tails together; the second, which depends on the unit of
-    y, adds no more than the first while |ln(sigma*sqrt(2*pi))| <= x^2/2,
-    for sigma from 1e-14 to 1e13 at x = 8."""
+    density of Y/sigma is at most the standard Gaussian phi about that
+    point, and -q*log q rises with q below 1/e, as phi is past 1.4.  So the
+    tail past x >= 1.4 noise widths holds at most the integral of
+    -phi*log2(phi) there, ((x*phi(x) + Q(x))/2 + Q(x)*ln(sqrt(2*pi))) / ln 2,
+    by int_x^inf t^2 phi(t) dt = x*phi(x) + Q(x).  The padding is sized by
+    its first term, both tails together; the second adds no more, as
+    ln(sqrt(2*pi)) < 0.92 <= x^2/2, whatever sigma."""
     budget = _TAIL_SHARE * tolerance * math.log(2.0)
     low, high = 0, 16 * 40  # in sixteenths; past 40 noise widths the tails underflow
     while low < high:  # bisection: the tails fall as x rises
@@ -474,17 +473,6 @@ def _check_span_cap(first: float, last: float, sigma) -> None:
         raise ValueError(
             f"span/sigma = {float(np.max(widths)):.6g} is more than the {MAX_SPAN_SIGMAS:g} the oracle integrates"
         )
-
-
-def noise_entropy(sigma):
-    """Differential entropy of N(0, sigma^2) in bits, elementwise; from
-    log2(sigma) where sigma^2 or 2*pi*e*sigma^2 is not a normal float64
-    (sigma outside about 1.5e-154 to 3.2e153) and would lose its digits."""
-    with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        square = np.square(sigma)
-        power = TWO_PI_E * square
-        normal = (square >= np.finfo(float).tiny) & (power <= np.finfo(float).max)
-        return as_result(np.where(normal, 0.5 * np.log2(power), 0.5 * math.log2(TWO_PI_E) + np.log2(sigma)))
 
 
 def mi_discrete(inp: DiscreteInput | EsduInput, sigma, tolerance: float = TOLERANCE):
@@ -552,9 +540,8 @@ def _mi_esdu(inp: EsduInput, sigma, tolerance: float):
 def _mi_lockstep(sizes: np.ndarray, sigmas: np.ndarray, tolerance: float) -> np.ndarray:
     """The rate of the integers 0..sizes[j]-1 at sigmas[j] for every element
     j, every size at least 2, lattices of gap 1, the span cap the caller's
-    to check: each round is one density call
-    (see _Lattices), and takes the largest alphabets first, so that a
-    density block seldom mixes sizes.
+    to check: each round is one density call (see _Lattices), and takes the
+    largest alphabets first, so that a density block seldom mixes sizes.
 
     Each half-output is periodic from the first integer or half-integer at
     least support_padding noise widths above 0 (see _output_rates)."""
@@ -573,11 +560,13 @@ def _output_rates(
     below `first`; density(y, which) is the log density of input which[i] at
     y[i].
 
-    Each element is weighted by its multiplicity in h(Y), and accepted
-    within the tolerance of what it stands for there.  A "mirrored" input,
-    its own mirror image, is integrated up to its midpoint, weighted 2.  Any
-    other ("whole") is one element from lo to x noise widths above `last`,
-    weighted 1.
+    Each integral is h(Y/sigma) = h(Y) - log2(sigma), of -q*log2(q) dy/sigma
+    at q = sigma*p(y), and the rate is h(Y/sigma) - 0.5*log2(2*pi*e).  Each
+    element is weighted by 1/sigma times its multiplicity in h(Y/sigma), and
+    accepted within the tolerance of what it stands for there.  A "mirrored"
+    input, its own mirror image, is integrated up to its midpoint, weighted
+    2.  Any other ("whole") is one element from lo to x noise widths above
+    `last`, weighted 1.
 
     The integers 0..K-1 ("lattice") pay only for their edge.  From the first
     integer or half-integer m at least x noise widths above 0 to the
@@ -602,12 +591,13 @@ def _output_rates(
     # as is the order, so that a round's copy of either per node is half the bytes
     owner = np.repeat(np.arange(sigmas.size, dtype=np.int32), np.where(cut < mid, 2, 1))
     period = np.concatenate([[False], owner[1:] == owner[:-1]])
-    weight = np.where(period, 4.0 * (mid - cut)[owner], 1.0 if layout == "whole" else 2.0)
+    weight = np.where(period, 4.0 * (mid - cut)[owner], 1.0 if layout == "whole" else 2.0) / sigmas[owner]
+    log_sigmas = np.log(sigmas)[owner]
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     try:
         parts = _trapezoid_integrals(
-            lambda y, which: _entropy_terms(density(y, owner[which])),
+            lambda y, which: _entropy_terms(density(y, owner[which]), log_sigmas[which]),
             np.where(period, cut[owner], lo[owner]), np.where(period, cut[owner] + 0.5, cut[owner]),
             _start_steps(smallest, largest, sigmas, tolerance)[owner], tolerance,
             np.argsort(rank[owner], kind="stable").astype(np.int32), weight,
@@ -615,16 +605,17 @@ def _output_rates(
     except ConvergenceError as exc:
         exc.index = int(owner[exc.index])
         raise
-    return np.bincount(owner, weight * parts, sigmas.size) - noise_entropy(sigmas)
+    return np.bincount(owner, weight * parts, sigmas.size) - _UNIT_NOISE_ENTROPY
 
 
-def _entropy_terms(lp: np.ndarray) -> np.ndarray:
-    """-p * log2(p) from lp = log(p), in place, 0 where p underflows."""
-    p = np.exp(lp)
+def _entropy_terms(lp: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
+    """-q * log2(q) from lp = log(p), q = sigma*p, in place, 0 where q underflows."""
+    lp += log_sigma
+    q = np.exp(lp)
     with np.errstate(invalid="ignore"):
-        lp *= p
+        lp *= q
     lp *= -_LOG2_E
-    lp[~(p > 0.0)] = 0.0
+    lp[~(q > 0.0)] = 0.0
     return lp
 
 
@@ -714,9 +705,9 @@ def _atom_indices(u: np.ndarray, masses: np.ndarray) -> np.ndarray:
 def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) -> McEstimate:
     """Sample-average estimate of I(X; X+Z), deterministic for a fixed seed.
 
-    Averages -log2 p(X_i + Z_i) over seeded draws and subtracts the noise
-    entropy.  The per-sample values also yield the standard error of the
-    estimator.  Requires at least MIN_MC_SAMPLES samples.
+    Averages -log2 p(X_i + Z_i) over seeded draws, less the noise entropy
+    0.5*log2(2*pi*e) + log2(sigma); the per-sample values also give its
+    standard error.  Requires at least MIN_MC_SAMPLES samples.
 
     The seed fixes the stream: the atom indices are what
     default_rng(seed).choice(K, samples, p=masses) gives, one double each
@@ -746,7 +737,7 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
     mean = total / samples
     variance = max(0.0, (total_sq - samples * mean * mean) / (samples - 1))
     return McEstimate(
-        value=float(mean - noise_entropy(sigma)),
+        value=float(mean - (_UNIT_NOISE_ENTROPY + math.log2(sigma))),
         standard_error=float(math.sqrt(variance / samples)),
         samples=samples,
         seed=seed,

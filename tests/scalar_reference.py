@@ -7,8 +7,8 @@ walked only the down-set frontier, the one-shot Monte Carlo estimate
 (numpy's generator and the density passed in) oracle.mi_monte_carlo made
 before it drew block by block, and the adaptive G7/K15 quadrature the oracle
 used for asymmetric and continuous-uniform inputs before the trapezoid rule
-took every output entropy: the oracle's reference integrator.  Nothing here
-imports the package.
+took every output entropy: the oracle's reference integrator; and the noise
+entropy h(Z) the oracle's rates subtract.  Nothing here imports the package.
 """
 
 import math
@@ -50,6 +50,12 @@ ROUNDOFF = 50.0 * np.finfo(float).eps
 
 def q(x):
     return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def noise_entropy(sigma):
+    """h(Z) of Z ~ N(0, sigma^2) in bits, 0.5*log2(2*pi*e) + log2(sigma):
+    finite for every positive float sigma."""
+    return 0.5 * math.log2(TWO_PI_E) + math.log2(sigma)
 
 
 def binary_entropy(p):

@@ -770,14 +770,23 @@ class TestNumericalFailure:
         assert out == ""
         assert "round-off" in err
 
+    @pytest.mark.parametrize("span,levels", [("0.001", "2"), ("1e-7", "21")])
+    def test_narrow_input_settles_at_a_tight_tolerance(self, capsys, span, levels):
+        # in noise widths the integral's round-off level does not grow with sigma/span
+        code, out, err = run_cli(capsys, ["esdu-rate", "--span", span, "--levels", levels, "--quad-tol", "1e-13"] + TS)
+        assert (code, err) == (EXIT_OK, "")
+        assert float(out.splitlines()[-1].split(",")[0]) == float(span)
+
     def test_failure_prints_its_estimates_as_plain_floats(self, capsys):
         code, out, err = run_cli(
             capsys, ["esdu-rate", "--span", "10", "--levels", "21", "--quad-tol", "1e-16"] + TS
         )
         assert (code, out) == (EXIT_NUMERICAL, "")
+        # the estimates are bits of h(Y/sigma), the output in noise widths:
+        # its rate 1.5908218306329 plus h(Z/sigma) = 0.5*log2(2*pi*e) = 2.0471
         assert err == (
             "esdurate: numerical failure: entropy integral cannot reach absolute tolerance 1e-16: its error "
-            "estimate is at the round-off level (last estimates 4.637917415813596 -> 4.637917415813598)\n"
+            "estimate is at the round-off level (last estimates 3.637917415813595 -> 3.6379174158135976)\n"
         )
         assert "np.float64" not in err
 
