@@ -37,13 +37,10 @@ from .uniform import P2pChannel, c_lower, c_upper, e_cap
 # constant term of the OWB bound, 0.5*log2(2*pi*e/12)
 _OWB_GAP = 0.5 * math.log2(TWO_PI_E / 12.0)
 _SQRT_E_HALF = math.sqrt(0.5 * math.e)
-#: Differences d of the f3 sum evaluated per step: at most _F3_STEP for each
-#: element still summing, and at least one, within _F3_ENTRIES terms in all
-#: unless more elements than that are summing.  One input then takes a few
-#: steps of up to 128 terms; a batch's work arrays stay O(N), and at 128 KB
-#: per float64 array stay small enough that a sweep leaves peak RSS within
-#: about 1.5 MB of the one-split-at-a-time loop.
-_F3_STEP = 128
+#: Most terms of the f3 sum evaluated at once.  Elements whose reaches (see
+#: f3) fit in it are summed as one group, in one pass; an element that reaches
+#: farther is summed alone, this many differences at a time.  Each work array
+#: then holds at most about 128 KB of float64, whatever the batch or K.
 _F3_ENTRIES = 16384
 
 
@@ -164,29 +161,48 @@ def f3(inp: EsduInput, sigma: float) -> float:
     The defining double sum over level pairs (i, j) depends only on d = i - j,
     so it is evaluated as a single sum over differences with multiplicity
     (K - |d|), stopping once terms fall below 1e-18 of the running total.
-    A batch steps through d, a few differences at a time, on the elements
-    still summing; a cumulative sum adds each element's terms in the same
-    left-to-right order, and stops it at the same term, as it would alone.
+    With decay = (spacing/(2 sigma))^2, term d is 2(K - d) exp(-decay d^2):
+    below 1e-18 K, so below 1e-18 of the total (at least K), once
+    decay d^2 > ln(2e18) ~ 42.2, and 0 at d = K.  The sum therefore stops by
+    its reach d = min(K, ceil(sqrt(44/decay)) + 2).  A batch is sorted by
+    reach and summed in groups, differences down axis 0 and elements across
+    (see _F3_ENTRIES); one cumulative sum from the running total adds each
+    element's terms in the same order, and stops it at the same term, as it
+    would alone.
     """
     _require_multilevel(inp, "f3")
     _check_sigma(sigma)
     decay, k = np.broadcast_arrays(np.square(inp.spacing / (2.0 * sigma)), inp.levels)
     shape, decay, k = k.shape, decay.ravel(), k.ravel()
+    with np.errstate(divide="ignore", over="ignore"):  # a decay of 0 or near it reaches K
+        reach = np.minimum(k, np.ceil(np.sqrt(44.0 / decay)) + 2.0).astype(np.int64)
+    order = np.argsort(reach, kind="stable")
+    reach = reach[order]  # ascending, as the elements are taken
     total = k.astype(float)  # d = 0 contributes K terms of 1
-    summing = np.arange(k.size)
-    start = 1
-    while summing.size:
-        # the next terms of every element still summing; from d = K on a
-        # term is <= 0 and ends the sum
-        d = np.arange(start, start + min(_F3_STEP, max(1, _F3_ENTRIES // summing.size)))
-        start = d[-1] + 1
-        terms = 2.0 * (k[summing, None] - d) * np.exp(-decay[summing, None] * d * d)
-        # running[:, j] is the total before terms[:, j], added left to right
-        running = np.cumsum(np.column_stack([total[summing], terms]), axis=1)
-        small = terms < 1e-18 * running[:, :-1]
-        stops = small.any(axis=1)
-        total[summing] = np.where(stops, running[np.arange(summing.size), small.argmax(axis=1)], running[:, -1])
-        summing = summing[~stops]
+    first, start = 0, 1  # the next element in reach order, and its next difference
+    while first < k.size:
+        # differences each next element still needs: a group takes as many
+        # elements as fit in _F3_ENTRIES terms, an element resumed takes itself
+        need = reach[first:first + _F3_ENTRIES] - (start - 1)
+        fits = np.count_nonzero(np.arange(1, need.size + 1) * need <= _F3_ENTRIES)
+        size = 1 if start > 1 else max(1, fits)
+        group = order[first:first + size]
+        d = np.arange(start, start + min(need[size - 1], _F3_ENTRIES), dtype=float)[:, None]
+        # row 0 the total so far, then the terms 2(K - d) exp(-decay d^2)
+        block = np.empty((d.size + 1, size))
+        block[0] = total[group]
+        terms = np.multiply(-decay[group], d, out=block[1:])
+        terms *= d
+        np.exp(terms, out=terms)
+        terms *= 2.0 * (k[group] - d)
+        # running[j] is the total before terms[j], added top to bottom
+        running = np.cumsum(block, axis=0)
+        small = terms < 1e-18 * running[:-1]
+        # each element's first small term, where it has one
+        at, columns = small.argmax(axis=0), np.arange(size)
+        stops = small[at, columns]
+        total[group] = np.where(stops, running[at, columns], running[-1])
+        first, start = (first + size, 1) if stops.all() else (first, start + d.size)
     return as_result(-np.log2(_SQRT_E_HALF * total / (k * k)).reshape(shape))
 
 

@@ -191,24 +191,24 @@ def _pareto_candidates(r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
     return order[ranked >= np.maximum.accumulate(ranked)]
 
 
-def split_schedule(
-    peak: float, delta0_grid: Sequence[float], sigma1: float
-) -> list[tuple[float, int, int]]:
-    """Enumerate the sweep cells (delta0, k1, k2).
+def split_schedule(peak: float, delta0_grid: Sequence[float], sigma1: float) -> np.ndarray:
+    """The sweep cells (delta0, k1, k2): a structured array with those three
+    fields, one row per cell, delta0 a float and k1, k2 int64.
 
     For each spacing target delta0 (in sigma1 units), the composite alphabet
     size is capped at Kmax = alphabet_size(A, delta0*sigma1); k1 runs over
     1..Kmax and k2 is the smallest count that brings the composite spacing
     down to the target, i.e. the smallest k with k1*k - 1 >= A/delta0,
     floored so that k1*k2 >= 2 (sweep_alphabet_sizes checks the targets and
-    enforces the caps).  Each cell carries its delta0 as a float.
+    enforces the caps).  Rows run through the targets in grid order, k1
+    ascending within each.
     """
     kmaxes = sweep_alphabet_sizes(peak, delta0_grid, sigma1)
-    cells: list[tuple[float, int, int]] = []
-    for delta0, kmax in zip(map(float, delta0_grid), kmaxes):
-        k1 = np.arange(1, kmax + 1)
-        k2 = np.maximum(np.ceil((peak / (delta0 * sigma1) + 1.0) / k1), np.where(k1 == 1, 2, 1))  # k1*k2 >= 2
-        cells += zip([delta0] * kmax, k1.tolist(), k2.astype(np.int64).tolist())
+    cells = np.zeros(sum(kmaxes), dtype=[("delta0", float), ("k1", np.int64), ("k2", np.int64)])
+    delta0 = np.repeat(np.asarray(delta0_grid, dtype=float), kmaxes)
+    k1 = np.arange(1, cells.size + 1) - np.repeat(np.cumsum(kmaxes) - kmaxes, kmaxes)
+    k2 = np.maximum(np.ceil((peak / (delta0 * sigma1) + 1.0) / k1), np.where(k1 == 1, 2, 1))  # k1*k2 >= 2
+    cells["delta0"], cells["k1"], cells["k2"] = delta0, k1, k2
     return cells
 
 
@@ -247,45 +247,49 @@ def sweep_inner(
     spacing targets delta0_grid (multiples of sigma1), checked even at peak 0,
     as is the tolerance in exact mode.
 
-    The distinct (k1, k2) splits of the schedule, in the order they first
-    appear, go as one SplitConfig batch to analytic_inner_point or
-    exact_inner_point, so each split is computed once, by one call per sweep;
-    in exact mode so is each mutual information that several splits share.
-    frontier_hull takes the rate arrays of every split and walks only their
-    Pareto candidates.  The vertex provenance records the first cell that
-    produced each vertex.
+    The distinct (k1, k2) splits of the schedule, each split's first cell
+    found by one np.unique, go in schedule order as one SplitConfig batch to
+    analytic_inner_point or exact_inner_point, so each split is computed
+    once, by one call per sweep; in exact mode so is each mutual information
+    that several splits share.  frontier_hull walks the Pareto candidates of
+    their points.  The vertex provenance records the first cell, in schedule
+    order, whose split's point is the vertex.
     """
     if mode not in ("analytic", "exact"):
         raise ValueError(f"mode must be 'analytic' or 'exact', got {mode!r}")
     if mode == "exact":
         _check_tolerance(tolerance)
-    first_delta0: dict[tuple[int, int], float] = {}
-    for delta0, k1, k2 in split_schedule(ch.peak, delta0_grid, ch.sigma1):
-        first_delta0.setdefault((k1, k2), delta0)
-    if ch.peak == 0.0:
+    cells = split_schedule(ch.peak, delta0_grid, ch.sigma1)
+    if ch.peak == 0.0 or cells.size == 0:
         return frontier_hull([], [])
-    splits = np.array(list(first_delta0), dtype=np.int64).reshape(-1, 2)
-    batch = SplitConfig(splits[:, 0], splits[:, 1])
+    # each split's first cell, in schedule order
+    key = cells["k1"] * (int(cells["k2"].max()) + 1) + cells["k2"]
+    splits = cells[np.sort(np.unique(key, return_index=True)[1])]
+    batch = SplitConfig(splits["k1"], splits["k2"])
     if mode == "analytic":
         r1, r2 = analytic_inner_point(ch, batch)
     else:
         try:
             r1, r2 = exact_inner_point(ch, batch, tolerance)
         except ConvergenceError as exc:
-            k1, k2 = splits[exc.index].tolist()
+            delta0, k1, k2 = splits[exc.index].tolist()
             raise ConvergenceError(
-                f"split k1={k1}, k2={k2} (delta0={first_delta0[(k1, k2)]:g}): {exc}",
+                f"split k1={k1}, k2={k2} (delta0={delta0:g}): {exc}",
                 exc.previous_estimate,
                 exc.last_estimate,
             ) from exc
-    hull = frontier_hull(r1, r2)
-    origins = []
-    for v in hull.vertices:
-        # the first split, in schedule order, whose point is the vertex
-        first = np.flatnonzero((r1 == v.r1) & (r2 == v.r2))[:1]
-        split = tuple(splits[first[0]].tolist()) if first.size else None
-        origins.append(None if split is None else SplitOrigin(first_delta0[split], *split))
-    return RateRegion(hull.vertices, tuple(origins))
+    front = _pareto_candidates(r1, r2)
+    hull = frontier_hull(r1[front], r2[front])
+    # a vertex is a candidate's point, (0, 0) or (max r1, 0), and every split
+    # at a candidate's point is a candidate: the first split, in schedule
+    # order, at a vertex lies among the candidates and the splits at those two
+    corners = np.flatnonzero((r2 == 0.0) & ((r1 == 0.0) | (r1 == r1.max())))
+    pool = np.sort(np.concatenate([front, corners]))  # a split listed twice matches as once
+    v1, v2 = np.array([(v.r1, v.r2) for v in hull.vertices]).T[:, :, None]
+    match = (r1[pool] == v1) & (r2[pool] == v2)
+    first = splits[pool[match.argmax(axis=1)]].tolist()
+    origins = tuple(SplitOrigin(*o) if hit else None for o, hit in zip(first, match.any(axis=1).tolist()))
+    return RateRegion(hull.vertices, origins)
 
 
 @np.errstate(over="raise")
@@ -308,8 +312,7 @@ def outer_region(ch: BcChannel, rho_steps: int = RHO_STEPS) -> RateRegion:
     cut: every corner has r2 = C2 - c_upper(rho*A, sigma2) <= C2."""
     if not 2 <= rho_steps <= MAX_RHO_STEPS:
         raise ValueError(f"rho_steps must be between 2 and {MAX_RHO_STEPS}, got {rho_steps!r}")
-    hull = frontier_hull(*outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1)))
-    verts = [(v.r1, v.r2) for v in hull.vertices]
+    verts = _hull_walk(*outer_corner(ch, np.arange(rho_steps) / (rho_steps - 1)))
     cap1 = c_upper(P2pChannel(ch.peak, ch.sigma1))
     for a, b in ((1.0, 0.0), (1.0, 1.0)):
         verts = _clip_halfplane(verts, a, b, cap1)
@@ -331,17 +334,25 @@ def frontier_hull(r1, r2) -> RateRegion:
     or only the origin, give the one vertex (0, 0); points on one axis give
     the segment from (0, 0) to the farthest.
     """
+    return RateRegion(tuple(RatePair(x, y) for x, y in _hull_walk(r1, r2)))
+
+
+def _hull_walk(r1, r2) -> list[tuple[float, float]]:
+    """The vertices of frontier_hull(r1, r2) as (r1, r2) tuples."""
     r1, r2 = np.asarray(r1, dtype=float).ravel(), np.asarray(r2, dtype=float).ravel()
     front = _pareto_candidates(r1, r2)
     chain: list[tuple[float, float]] = []
     top1, top2 = float(np.max(r1, initial=0.0)), float(np.max(r2, initial=0.0))
-    for p in [(top1, 0.0), *zip(r1[front].tolist(), r2[front].tolist()), (0.0, top2)]:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0.0:
+    for x, y in [(top1, 0.0), *zip(r1[front].tolist(), r2[front].tolist()), (0.0, top2)]:
+        # pop while chain[-2], chain[-1], (x, y) do not turn left: _cross <= 0, inline
+        while len(chain) >= 2:
+            (ox, oy), (ax, ay) = chain[-2], chain[-1]
+            if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
+                break
             chain.pop()
-        chain.append(p)
+        chain.append((x, y))
     # the walk meets the origin only where the region is a segment or a point
-    hull = [(0.0, 0.0)] + [v for v in chain if v != (0.0, 0.0)]
-    return RateRegion(tuple(RatePair(x, y) for x, y in hull))
+    return [(0.0, 0.0)] + [v for v in chain if v != (0.0, 0.0)]
 
 
 def region_margin(region: RateRegion, p: RatePair) -> float:

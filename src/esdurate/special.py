@@ -29,8 +29,14 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / SQRT2)
 
 
-#: q_function elementwise: a float array of its argument's shape.
-q_elementwise = np.vectorize(q_function, otypes=[float])
+def q_elementwise(x) -> np.ndarray:
+    """q_function elementwise: a float array of x's shape whose every value is
+    q_function of its element, to the last bit.  The first element, in C
+    order, that is not finite raises q_function's ValueError."""
+    x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        q_function(x[~np.isfinite(x)][0].item())
+    return (0.5 * np.array(list(map(math.erfc, (x / SQRT2).ravel().tolist())))).reshape(x.shape)
 
 
 def as_result(value):

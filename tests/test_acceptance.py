@@ -117,7 +117,7 @@ def test_criterion_6_inner_sweep_anchors():
     ch = BcChannel(db_to_amplitude_ratio(15.0), 1.0, 2.0)
     points = [
         analytic_inner_point(ch, _split(k1, k2))
-        for _, k1, k2 in split_schedule(ch.peak, [3.0], ch.sigma1)
+        for k1, k2 in split_schedule(ch.peak, [3.0], ch.sigma1)[["k1", "k2"]].tolist()
     ]
     targets = [
         (0.614593593172419, 1.84936562997861),

@@ -4,6 +4,7 @@ carried properties hold on random inputs (the sandwich around the exact rate,
 dependence on span/sigma only)."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_reference as ref
-from esdurate.esdu import EsduInput, f1, f2, f3, f_lower, g_prime, g_upper, owb, xi
+from esdurate.esdu import MAX_LEVELS, EsduInput, _F3_ENTRIES, f1, f2, f3, f_lower, g_prime, g_upper, owb, xi
 from esdurate.oracle import mi_discrete
 from esdurate.uniform import P2pChannel, c_lower, c_upper, e_cap
 
@@ -76,6 +77,57 @@ def test_batch_shapes_broadcast():
     assert batch.shape == (2, 3)
     for (i, j), value in np.ndenumerate(batch):
         assert value == f_lower(EsduInput(20.0, int(levels[0, j])), float(sigmas[i, 0]))
+
+
+def f3_summed_to_its_stop(span, levels, sigma):
+    """f3 of one input from every term d = 1..K-1 at once, cut by the stop
+    rule alone: the sum ends before the first term under 1e-18 of the total
+    before it, with no bound on how far that is."""
+    decay = np.square(span / (levels - 1) / (2.0 * sigma))
+    d = np.arange(1.0, levels)
+    terms = 2.0 * (levels - d) * np.exp(-decay * d * d)
+    running = np.cumsum(np.concatenate([[float(levels)], terms]))
+    small = np.flatnonzero(terms < 1e-18 * running[:-1])
+    total = running[small[0]] if small.size else running[-1]
+    return float(-np.log2(math.sqrt(0.5 * math.e) * total / (levels * levels)))
+
+
+def test_f3_batch_at_the_regime_edges_equals_its_elements():
+    # f3 sums each element to its reach in groups; the reach is
+    # min(K, ceil(sqrt(44/decay)) + 2) with decay = (spacing/(2 sigma))^2
+    rng = np.random.default_rng(5)
+    levels = rng.integers(2, 3000, 400)
+    spacing = 10.0 ** rng.uniform(-3.0, 1.0, levels.size)  # reaches from 2 to thousands
+    edges = [
+        (1e-200, 3),  # the decay underflows to 0: summed to d = K
+        (1e-200, MAX_LEVELS),  # ... over more differences than _F3_ENTRIES
+        (2e-4 * (MAX_LEVELS - 1), MAX_LEVELS),  # a tiny decay: reach 66,334, stop short of it
+        (1e8, 1000),  # a huge decay: the first term stops the sum
+        (1e3, 2),
+    ]
+    spans = np.concatenate([spacing * (levels - 1), [span for span, _ in edges]])
+    levels = np.concatenate([levels, [k for _, k in edges]])
+    order = rng.permutation(levels.size)  # out of reach order
+    spans, levels = spans[order], levels[order]
+    decay = np.square(spans / (levels - 1) / 2.0)
+    with np.errstate(divide="ignore"):
+        reach = np.minimum(levels, np.ceil(np.sqrt(44.0 / decay)) + 2.0)
+    assert reach.min() == 2 and np.any((reach > 1000) & (reach < 3000))
+    assert np.any((_F3_ENTRIES < reach) & (reach < MAX_LEVELS)) and reach.max() == MAX_LEVELS
+    tracemalloc.start()
+    try:
+        batch = f3(EsduInput(spans, levels), 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # O(N) for the batch's own arrays plus work arrays of at most _F3_ENTRIES terms
+    assert peak < 1e6
+    alone = [f3(EsduInput(float(span), int(k)), 1.0) for span, k in zip(spans, levels)]
+    assert bits(batch) == bits(alone)
+    # the reach never cuts a sum short of where the stop rule ends it
+    cheap = levels < 3000
+    reference = [f3_summed_to_its_stop(float(span), int(k), 1.0) for span, k in zip(spans[cheap], levels[cheap])]
+    assert bits(batch[cheap]) == bits(reference)
 
 
 def test_batch_rejects_any_invalid_element():

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from esdurate import oracle
+from esdurate import oracle, region
 
-from esdurate.esdu import EsduInput, f_lower
+from esdurate.esdu import EsduInput, alphabet_size, f_lower
 from esdurate.oracle import ConvergenceError, DiscreteInput, mi_discrete
 from esdurate.region import (
     DEFAULT_DELTA0_GRID,
@@ -56,8 +57,8 @@ CH15 = BcChannel(PEAK15, 1.0, 2.0)
 
 
 def schedule_k2(peak, delta0, k1):
-    cells = {(c1, c2) for _, c1, c2 in split_schedule(peak, [delta0], 1.0)}
-    matches = [c2 for c1, c2 in cells if c1 == k1]
+    cells = split_schedule(peak, [delta0], 1.0)
+    matches = cells["k2"][cells["k1"] == k1].tolist()
     assert len(matches) == 1
     return matches[0]
 
@@ -134,7 +135,28 @@ class TestSchedule:
 
     def test_k1_range(self):
         cells = split_schedule(PEAK15, [3.0], 1.0)
-        assert [k1 for _, k1, _ in cells] == list(range(1, 13))
+        assert cells["k1"].tolist() == list(range(1, 13))
+
+    @pytest.mark.parametrize("peak,grid,sigma1", [
+        (PEAK15, DEFAULT_DELTA0_GRID, 1.0), (1000.0, DEFAULT_DELTA0_GRID, 1.0), (PEAK15, (3, 0.5, 7.25), 0.7),
+    ])
+    def test_matches_the_cells_built_one_by_one(self, peak, grid, sigma1):
+        expected = []
+        for delta0 in map(float, grid):
+            for k1 in range(1, alphabet_size(peak, delta0 * sigma1) + 1):
+                k2 = max(math.ceil((peak / (delta0 * sigma1) + 1.0) / k1), 2 if k1 == 1 else 1)
+                expected.append((delta0, k1, k2))
+        assert split_schedule(peak, grid, sigma1).tolist() == expected
+
+    def test_cells_are_rows_of_typed_fields(self):
+        # targets in grid order, k1 ascending within each; an integer target is a float delta0
+        cells = split_schedule(PEAK15, (3, 0.5), 1.0)
+        assert cells.dtype.names == ("delta0", "k1", "k2")
+        assert (cells["delta0"].dtype, cells["k1"].dtype, cells["k2"].dtype) == (np.float64, np.int64, np.int64)
+        assert [type(v) for v in cells[0].tolist()] == [float, int, int]
+        assert cells["delta0"].tolist() == [3.0] * 12 + [0.5] * 65
+        assert cells["k1"].tolist() == list(range(1, 13)) + list(range(1, 66))
+        assert len(split_schedule(PEAK15, (), 1.0)) == 0
 
     def test_alphabet_cap_is_a_value_error(self):
         with pytest.raises(ValueError, match="levels"):
@@ -142,13 +164,14 @@ class TestSchedule:
 
     def test_cell_cap_is_a_value_error(self):
         # the default grid at 30 dB, the largest sweep in use, stays within the cap
-        assert len(split_schedule(1000.0, DEFAULT_DELTA0_GRID, 1.0)) == 7221
+        assert split_schedule(1000.0, DEFAULT_DELTA0_GRID, 1.0).size == 7221
         with pytest.raises(ValueError, match="sweep cells"):
             split_schedule(1000.0, [0.02 * i for i in range(1, 101)], 1.0)
 
     def test_spacing_goal_met_minimally(self):
         for delta0 in (0.5, 2.0, 7.0):
-            for _, k1, k2 in split_schedule(PEAK15, [delta0], 1.0):
+            cells = split_schedule(PEAK15, [delta0], 1.0)
+            for k1, k2 in zip(cells["k1"].tolist(), cells["k2"].tolist()):
                 assert k1 * k2 >= 2
                 # the composite spacing reaches the target...
                 assert k1 * k2 - 1 >= PEAK15 / delta0 - 1e-9
@@ -479,10 +502,11 @@ class TestSweep:
         assert calls  # the sweep's rates pass the recorded seam
         assert len(calls) == len(set(calls))
         # a one-level user carries nothing: its rate is 0, never integrated
-        assert any(k1 == 1 or k2 == 1 for _, k1, k2 in split_schedule(CH15.peak, grid, 1.0))
+        cells = split_schedule(CH15.peak, grid, 1.0)
+        assert np.any((cells["k1"] == 1) | (cells["k2"] == 1))
         assert min(k for k, _ in calls) > 1
         # the same vertices as splits evaluated one by one, with nothing shared
-        splits = {(k1, k2) for _, k1, k2 in split_schedule(CH15.peak, grid, 1.0)}
+        splits = set(zip(cells["k1"].tolist(), cells["k2"].tolist()))
         assert len(calls) < 3 * len(splits)
         points = [exact_inner_point(CH15, SplitConfig(k1, k2)) for k1, k2 in sorted(splits)]
         assert region.vertices == frontier_hull([p.r1 for p in points], [p.r2 for p in points]).vertices
@@ -497,7 +521,7 @@ class TestSweep:
         ch = BcChannel(db_to_amplitude_ratio(db), 1.0, ratio)
         points, first_origin = [], {}
         point_of = {}
-        for delta0, k1, k2 in split_schedule(ch.peak, DEFAULT_DELTA0_GRID, 1.0):
+        for delta0, k1, k2 in split_schedule(ch.peak, DEFAULT_DELTA0_GRID, 1.0).tolist():
             if (k1, k2) not in point_of:
                 point_of[(k1, k2)] = analytic_inner_point(ch, SplitConfig(k1, k2))
             point = point_of[(k1, k2)]
@@ -507,6 +531,33 @@ class TestSweep:
         region = sweep_inner(ch)
         assert region.vertices == hull.vertices
         assert region.origins == tuple(first_origin.get((v.r1, v.r2)) for v in hull.vertices)
+
+    def test_splits_go_in_the_order_they_first_appear(self, monkeypatch):
+        batches = []
+        inner = region.analytic_inner_point
+        monkeypatch.setattr(region, "analytic_inner_point", lambda ch, batch: batches.append(batch) or inner(ch, batch))
+        ch = BcChannel(db_to_amplitude_ratio(30.0), 1.0, 10.0)
+        sweep_inner(ch)
+        cells = split_schedule(ch.peak, DEFAULT_DELTA0_GRID, 1.0)
+        first = list(dict.fromkeys(zip(cells["k1"].tolist(), cells["k2"].tolist())))
+        assert (cells.size, len(first), len(batches)) == (7221, 4842, 1)
+        assert list(zip(batches[0].k1.tolist(), batches[0].k2.tolist())) == first
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(POINT, min_size=12, max_size=12))
+    def test_each_vertex_names_the_first_split_at_its_point(self, points):
+        # the 12 splits of CH15 at delta0 = 3 given any points: duplicates,
+        # ties and zeros, and points on an axis that are no Pareto candidate
+        splits = split_schedule(CH15.peak, [3.0], 1.0)[["k1", "k2"]].tolist()
+        r1, r2 = (np.array([p[i] for p in points], dtype=float) for i in (0, 1))
+        with mock.patch.object(region, "analytic_inner_point", lambda ch, batch: (r1, r2)):
+            got = sweep_inner(CH15, (3.0,))
+        assert got.vertices == frontier_hull(r1, r2).vertices
+        want = []
+        for v in got.vertices:
+            first = next((i for i, p in enumerate(points) if p == (v.r1, v.r2)), None)
+            want.append(None if first is None else SplitOrigin(3.0, *splits[first]))
+        assert got.origins == tuple(want)
 
     def test_batch_of_splits_gives_each_split_point_in_order(self):
         k1, k2 = np.array([3, 1, 12, 2, 3]), np.array([4, 12, 1, 6, 4])
@@ -564,10 +615,12 @@ class TestSweep:
             assert got == want["origin"]
 
     def test_analytic_sweep_memory(self):
-        # 7,221 cells and 4,842 splits at 30 dB; an N x d matrix of the f3
-        # terms alone would be 4,842 x 487 float64 values, 19 MB
+        # 7,221 cells and 4,842 splits at 30 dB; f3 sums their user-1 and
+        # 2,527 composite alphabets to reaches of up to 533 differences, about
+        # 0.75 M terms, 6 MB as float64, in groups of at most 16,384 terms;
+        # traced peak 1.6 MB
         ch = BcChannel(db_to_amplitude_ratio(30.0), 1.0, 10.0)
-        assert len(split_schedule(ch.peak, DEFAULT_DELTA0_GRID, 1.0)) == 7221
+        assert split_schedule(ch.peak, DEFAULT_DELTA0_GRID, 1.0).size == 7221
         sweep_inner(ch)
         tracemalloc.start()
         try:
@@ -575,7 +628,7 @@ class TestSweep:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6e6
+        assert peak < 3e6
 
 
 class TestOuterRegion:

@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from esdurate.special import binary_entropy, db_to_amplitude_ratio, q_function
+from esdurate.special import binary_entropy, db_to_amplitude_ratio, q_elementwise, q_function
 
 
 def q_by_quadrature(x: float) -> float:
@@ -48,6 +49,31 @@ class TestQFunction:
     def test_rejects_non_finite(self, bad):
         with pytest.raises(ValueError):
             q_function(bad)
+
+
+class TestQElementwise:
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (3, 4, 5), (0, 2)])
+    def test_equals_q_function_bit_for_bit(self, shape):
+        x = np.random.default_rng(3).normal(0.0, 12.0, shape)  # into the subnormal tail and past it
+        out = q_elementwise(x)
+        assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == x.shape
+        expected = [q_function(v) for v in x.ravel().tolist()]
+        assert out.ravel().view(np.int64).tolist() == np.array(expected, dtype=float).view(np.int64).tolist()
+
+    def test_takes_python_scalars_and_lists(self):
+        assert q_elementwise(1.5).shape == () and float(q_elementwise(1.5)) == q_function(1.5)
+        assert q_elementwise([0, 40.0]).tolist() == [0.5, q_function(40.0)]
+
+    @pytest.mark.parametrize("x", [
+        math.nan, math.inf, [1.0, -math.inf, math.nan], [[2.0, 3.0], [math.nan, math.inf]],
+    ])
+    def test_names_the_first_non_finite_element_as_q_function_does(self, x):
+        first = next(v for v in np.ravel(x).tolist() if not math.isfinite(v))
+        with pytest.raises(ValueError) as want:
+            q_function(first)
+        with pytest.raises(ValueError) as got:
+            q_elementwise(np.array(x))
+        assert str(got.value) == str(want.value)
 
 
 class TestBinaryEntropy:
