@@ -610,6 +610,9 @@ def _output_rates(
 
 def _entropy_terms(lp: np.ndarray, log_sigma: np.ndarray) -> np.ndarray:
     """-q * log2(q) from lp = log(p), q = sigma*p, in place, 0 where q underflows."""
+    # mixture_log_pdf subtracted this log sigma and keeps doing so: it is public, returns
+    # log p, and is where the traced benchmark counts density calls; a second entry
+    # point or argument would save about 0.4 ms of a 47 ms bc-exact pass
     lp += log_sigma
     q = np.exp(lp)
     with np.errstate(invalid="ignore"):

@@ -94,15 +94,15 @@ def f3_summed_to_its_stop(span, levels, sigma):
 
 def test_f3_batch_at_the_regime_edges_equals_its_elements():
     # f3 sums each element to its reach in groups; the reach is
-    # min(K, ceil(sqrt(44/decay)) + 2) with decay = (spacing/(2 sigma))^2
+    # min(K, ceil(sqrt(40/decay)) + 1) with decay = (spacing/(2 sigma))^2
     rng = np.random.default_rng(5)
     levels = rng.integers(2, 3000, 400)
     spacing = 10.0 ** rng.uniform(-3.0, 1.0, levels.size)  # reaches from 2 to thousands
     edges = [
         (1e-200, 3),  # the decay underflows to 0: summed to d = K
         (1e-200, MAX_LEVELS),  # ... over more differences than _F3_ENTRIES
-        (2e-4 * (MAX_LEVELS - 1), MAX_LEVELS),  # a tiny decay: reach 66,334, stop short of it
-        (1e8, 1000),  # a huge decay: the first term stops the sum
+        (2e-4 * (MAX_LEVELS - 1), MAX_LEVELS),  # a tiny decay: reach 63,247, summed in blocks short of K
+        (1e8, 1000),  # a huge decay: reach 2
         (1e3, 2),
     ]
     spans = np.concatenate([spacing * (levels - 1), [span for span, _ in edges]])
@@ -111,7 +111,7 @@ def test_f3_batch_at_the_regime_edges_equals_its_elements():
     spans, levels = spans[order], levels[order]
     decay = np.square(spans / (levels - 1) / 2.0)
     with np.errstate(divide="ignore"):
-        reach = np.minimum(levels, np.ceil(np.sqrt(44.0 / decay)) + 2.0)
+        reach = np.minimum(levels, np.ceil(np.sqrt(40.0 / decay)) + 1.0)
     assert reach.min() == 2 and np.any((reach > 1000) & (reach < 3000))
     assert np.any((_F3_ENTRIES < reach) & (reach < MAX_LEVELS)) and reach.max() == MAX_LEVELS
     tracemalloc.start()
@@ -128,6 +128,31 @@ def test_f3_batch_at_the_regime_edges_equals_its_elements():
     cheap = levels < 3000
     reference = [f3_summed_to_its_stop(float(span), int(k), 1.0) for span, k in zip(spans[cheap], levels[cheap])]
     assert bits(batch[cheap]) == bits(reference)
+
+
+def test_f3_is_the_plain_sequential_sum():
+    # the reference adds every term d = 1..K-1 in order, with no reach and no
+    # stop: f3's reach drops only terms under half an ulp of the total
+    spacings = {
+        "underflow": 1e-200,  # the decay underflows to 0: reach K
+        "long": 2.0 * math.sqrt(1.2e-7),  # reach 18,259: past _F3_ENTRIES, short of K = 20,001
+        "moderate": 0.2,  # reach 65
+        "huge": 2e3,  # reach 2
+    }
+    levels = np.array([2, 3, 1000, 20_001, MAX_LEVELS])
+    spans = np.array([[spacing * (k - 1) for k in levels] for spacing in spacings.values()])
+    reference = np.empty(spans.shape)
+    for (i, j), span in np.ndenumerate(spans):
+        k = int(levels[j])
+        decay = np.square(span / (k - 1) / 2.0)
+        d = np.arange(1.0, k)
+        total = np.cumsum(np.concatenate([[float(k)], 2.0 * (k - d) * np.exp(-decay * d * d)]))[-1]
+        reference[i, j] = -np.log2(math.sqrt(0.5 * math.e) * total / (k * k))
+    assert np.square(spacings["underflow"] / 2.0) == 0.0
+    batch = f3(EsduInput(spans, levels), 1.0)
+    assert bits(batch) == bits(reference)
+    alone = [[f3(EsduInput(float(span), int(k)), 1.0) for span, k in zip(row, levels)] for row in spans]
+    assert bits(alone) == bits(reference)
 
 
 def test_batch_rejects_any_invalid_element():
