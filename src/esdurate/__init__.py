@@ -20,11 +20,11 @@ from .region import (
     RateRegion,
     SplitConfig,
     SplitOrigin,
+    containment_margin,
     exact_inner_point,
     frontier_hull,
     outer_corner,
     outer_region,
-    region_contains,
     split_schedule,
     sweep_inner,
     analytic_inner_point,
@@ -48,6 +48,7 @@ __all__ = [
     "binary_entropy",
     "c_lower",
     "c_upper",
+    "containment_margin",
     "db_to_amplitude_ratio",
     "e_cap",
     "exact_inner_point",
@@ -66,7 +67,6 @@ __all__ = [
     "outer_region",
     "owb",
     "q_function",
-    "region_contains",
     "run_verification",
     "split_schedule",
     "sweep_inner",

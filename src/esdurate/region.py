@@ -344,7 +344,7 @@ def _hull_walk(r1, r2) -> list[tuple[float, float]]:
     chain: list[tuple[float, float]] = []
     top1, top2 = float(np.max(r1, initial=0.0)), float(np.max(r2, initial=0.0))
     for x, y in [(top1, 0.0), *zip(r1[front].tolist(), r2[front].tolist()), (0.0, top2)]:
-        # pop while chain[-2], chain[-1], (x, y) do not turn left: _cross <= 0, inline
+        # pop while chain[-2], chain[-1], (x, y) do not turn left: their cross product is <= 0
         while len(chain) >= 2:
             (ox, oy), (ax, ay) = chain[-2], chain[-1]
             if (ax - ox) * (y - oy) - (ay - oy) * (x - ox) > 0.0:
@@ -355,41 +355,21 @@ def _hull_walk(r1, r2) -> list[tuple[float, float]]:
     return [(0.0, 0.0)] + [v for v in chain if v != (0.0, 0.0)]
 
 
-def region_margin(region: RateRegion, p: RatePair) -> float:
-    """Signed distance of p to the region, >= 0 inside: inside a polygon, the
-    distance to the nearest edge line; elsewhere, minus the Euclidean
-    distance to the nearest edge."""
-    verts = [(v.r1, v.r2) for v in region.vertices]
-    q = (p.r1, p.r2)
-    edges = list(zip(verts, verts[1:] + verts[:1]))
-    # signed distances to the edge lines, < 0 right of a CCW edge (none without an inside)
-    lines = [_cross(a, b, q) / math.dist(a, b) for a, b in edges if a != b] if len(verts) >= 3 else []
-    inside = min(lines, default=-math.inf)
-    if inside >= 0.0:
-        return inside
-    return -min(_segment_distance(q, a, b) for a, b in edges)
-
-
-def region_contains(region: RateRegion, p: RatePair, tol: float = 1e-6) -> bool:
-    """Whether p lies in the region, or within distance tol of it."""
-    return region_margin(region, p) >= -tol
-
-
-def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _segment_distance(
-    p: tuple[float, float], a: tuple[float, float], b: tuple[float, float]
-) -> float:
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    length_sq = dx * dx + dy * dy
-    if length_sq == 0.0:
-        return math.hypot(p[0] - ax, p[1] - ay)
-    t = max(0.0, min(1.0, ((p[0] - ax) * dx + (p[1] - ay) * dy) / length_sq))
-    return math.hypot(p[0] - (ax + t * dx), p[1] - (ay + t * dy))
+def containment_margin(inner: RateRegion, outer: RateRegion) -> float:
+    """How far inner lies inside outer: min over directions n of
+    h_outer(n) - h_inner(n), h being the support function max_v n.v over a
+    region's vertices, at the unit outward normals of outer's edges of
+    nonzero length and at the axes (1, 0) and (0, 1).  For down-sets holding
+    the origin it is at most 0, and 0 exactly when inner lies in outer."""
+    a, b = (np.array([(v.r1, v.r2) for v in r.vertices]) for r in (inner, outer))
+    edges = np.roll(b, -1, axis=0) - b
+    keep = edges.any(axis=1)
+    normals = np.vstack([edges[keep, ::-1] * (1.0, -1.0) / np.hypot(edges[keep, 0], edges[keep, 1])[:, None], np.eye(2)])
+    # outer is convex: its support at an edge's normal is met at the edge's start
+    # and at an axis at its farthest vertex, so only inner's vertices meet every normal
+    h_outer = np.append(np.sum(normals[:-2] * b[keep], axis=1), b.max(axis=0))
+    h_inner = (normals[:, :1] * a[:, 0] + normals[:, 1:] * a[:, 1]).max(axis=1)
+    return float(np.min(h_outer - h_inner))
 
 
 def _clip_halfplane(

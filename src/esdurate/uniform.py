@@ -41,7 +41,7 @@ class P2pChannel:
 @np.errstate(over="raise")
 def c_lower(ch: P2pChannel) -> float:
     """Uniform-input rate lower bound 0.5*log2(1 + A^2/(2*pi*e*sigma^2))."""
-    ratio = ch.peak / ch.sigma
+    ratio = np.divide(ch.peak, ch.sigma)
     return as_result(0.5 * np.log2(1.0 + ratio * ratio / TWO_PI_E))
 
 
@@ -52,7 +52,7 @@ def c_upper(ch: P2pChannel) -> float:
     Minimum of 0.5*log2(1 + A^2/(4*sigma^2)) and log2(1 + A/(sqrt(2*pi*e)*sigma)),
     whichever is tighter at the given peak-to-noise ratio.
     """
-    ratio = ch.peak / ch.sigma
+    ratio = np.divide(ch.peak, ch.sigma)
     quarter_power = 0.5 * np.log2(1.0 + 0.25 * ratio * ratio)
     amplitude_form = np.log2(1.0 + ratio / SQRT_TWO_PI_E)
     return as_result(np.minimum(quarter_power, amplitude_form))
@@ -66,6 +66,6 @@ def e_cap(ch: P2pChannel) -> float:
     the latter coming from the Gaussian maximum-entropy argument applied to an
     input of variance A^2/12.
     """
-    ratio = ch.peak / ch.sigma
+    ratio = np.divide(ch.peak, ch.sigma)
     variance_bound = 0.5 * np.log2(1.0 + ratio * ratio / 12.0)
     return as_result(np.minimum(c_upper(ch), variance_bound))

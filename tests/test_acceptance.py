@@ -14,8 +14,8 @@ from esdurate.esdu import EsduInput, f_lower, g_upper, owb
 from esdurate.oracle import DiscreteInput, mi_discrete, mi_monte_carlo
 from esdurate.region import (
     BcChannel,
+    containment_margin,
     outer_region,
-    region_contains,
     split_schedule,
     sweep_inner,
     analytic_inner_point,
@@ -144,26 +144,25 @@ def _split(k1: int, k2: int):
 def test_criterion_7_region_ordering():
     start = time.monotonic()
     grid = (2.0, 3.0, 6.0)
-    worst_pair = None
-    ok = True
+    margins = {}
     for db in (10.0, 15.0, 20.0):
         for ratio in (2.0, 10.0):
             ch = BcChannel(db_to_amplitude_ratio(db), 1.0, ratio)
             analytic = sweep_inner(ch, grid, "analytic")
             exact = sweep_inner(ch, grid, "exact", QUAD_TOL)
             outer = outer_region(ch, 201)
-            for v in analytic.vertices:
-                if not region_contains(exact, v, 1e-6):
-                    ok, worst_pair = False, (db, ratio, "analytic outside exact", v)
-            for reg_name, reg in (("analytic", analytic), ("exact", exact)):
-                for v in reg.vertices:
-                    if not region_contains(outer, v, 1e-6):
-                        ok, worst_pair = False, (db, ratio, f"{reg_name} outside outer", v)
+            for name, inner, reg in (
+                ("analytic in exact", analytic, exact),
+                ("analytic in outer", analytic, outer),
+                ("exact in outer", exact, outer),
+            ):
+                margins[db, ratio, name] = containment_margin(inner, reg)
     elapsed = time.monotonic() - start
+    worst = min(margins, key=margins.get)
     report(
         "criterion 7: analytic within exact within outer at 6 channel configs, tol 1e-6",
-        ok and elapsed < 300.0,
-        f"{elapsed:.1f} s" if ok else f"violation: {worst_pair}",
+        margins[worst] >= -1e-6 and elapsed < 300.0,
+        f"worst margin {margins[worst]:.2e} at {worst}, {elapsed:.1f} s",
     )
 
 

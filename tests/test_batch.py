@@ -182,6 +182,23 @@ def test_float64_overflow_raises():
     assert owb(EsduInput(1e-250, 2), 1.0) == -math.inf
 
 
+@pytest.mark.parametrize(
+    "bound,peak",
+    [
+        (lambda peak: c_lower(P2pChannel(peak, 1.0)), 1e200),
+        (lambda peak: c_upper(P2pChannel(peak, 1.0)), 1e200),
+        (lambda peak: e_cap(P2pChannel(peak, 1.0)), 1e200),
+        (lambda peak: f_lower(EsduInput(peak, 3), 1.0), 4 * math.sqrt(1e307)),
+    ],
+    ids=["c_lower", "c_upper", "e_cap", "f_lower"],
+)
+def test_scalar_overflow_raises_as_its_one_element_batch(bound, peak):
+    # a scalar takes the batch's numpy arithmetic, so np.errstate holds for it too
+    for value in (peak, np.array([peak])):
+        with pytest.raises(FloatingPointError):
+            bound(value)
+
+
 def test_scalar_messages_are_unchanged():
     with pytest.raises(ValueError, match=r"sigma must be finite and > 0, got -1\.0$"):
         f_lower(EsduInput(1.0, 3), -1.0)

@@ -24,12 +24,11 @@ from esdurate.region import (
     SplitOrigin,
     SweepLimitError,
     _pareto_candidates,
+    containment_margin,
     exact_inner_point,
     frontier_hull,
     outer_corner,
     outer_region,
-    region_contains,
-    region_margin,
     split_schedule,
     sweep_inner,
     analytic_inner_point,
@@ -342,11 +341,14 @@ class TestFrontierHull:
         # each input (x, y) and the point (a*x, b*y) below it lie in the hull
         region = frontier_hull([x for x, _, _, _ in rows], [y for _, y, _, _ in rows])
         for x, y, a, b in rows:
-            assert region_margin(region, RatePair(x, y)) >= -1e-12
-            assert region_margin(region, RatePair(a * x, b * y)) >= -1e-12
+            assert containment_margin(frontier_hull([x], [y]), region) >= -1e-12
+            assert containment_margin(frontier_hull([a * x], [b * y]), region) >= -1e-12
 
 
 class TestRegionContains:
+    """containment_margin of the region of one point p, frontier_hull of p,
+    in each region."""
+
     POINT = RateRegion((RatePair(0.0, 0.0),))
     SEGMENT = frontier_hull([2], [0])
     TRIANGLE = frontier_hull([1, 0], [0, 1])
@@ -354,72 +356,73 @@ class TestRegionContains:
     # a 5.7 degree vertex at (1, 0)
     ACUTE = frontier_hull([1, 0], [0, 0.1])
 
+    @staticmethod
+    def point_margin(region, x, y):
+        return containment_margin(frontier_hull([x], [y]), region)
+
     @pytest.mark.parametrize(
         "region,p,margin",
         [
             (POINT, RatePair(0.0, 0.0), 0.0),
-            (POINT, RatePair(0.3, 0.4), -0.5),
+            # the axis directions bound a region of one vertex: 0.4 above it
+            (POINT, RatePair(0.3, 0.4), -0.4),
             (SEGMENT, RatePair(1.0, 0.0), 0.0),
             (SEGMENT, RatePair(1.0, 0.1), -0.1),
             (SEGMENT, RatePair(3.0, 0.0), -1.0),
-            (TRIANGLE, RatePair(0.25, 0.25), 0.25),
+            # inside, however deep, reads 0
+            (TRIANGLE, RatePair(0.25, 0.25), 0.0),
             (TRIANGLE, RatePair(0.6, 0.6), -0.2 / math.sqrt(2.0)),
-            # outside near a vertex: 0.5 from (1, 1), though only 0.4 past
-            # the farthest edge line
-            (SQUARE, RatePair(1.3, 1.4), -0.5),
-            # 1 past an acute vertex, though only 0.0995 past the farthest edge line
+            # outside near a vertex: 0.4 past the farthest edge line, though
+            # 0.5 from (1, 1)
+            (SQUARE, RatePair(1.3, 1.4), -0.4),
+            # 1 past an acute vertex along the r1 axis, though only 0.0995
+            # past the farthest edge line
             (ACUTE, RatePair(2.0, 0.0), -1.0),
-            (ACUTE, RatePair(0.5, 0.02), 0.02),
+            (ACUTE, RatePair(0.5, 0.02), 0.0),
         ],
     )
     def test_margin(self, region, p, margin):
-        assert region_margin(region, p) == pytest.approx(margin, abs=1e-15)
-        for tol in (0.05, 0.45):
-            assert region_contains(region, p, tol) == (margin >= -tol)
+        assert self.point_margin(region, p.r1, p.r2) == pytest.approx(margin, abs=1e-15)
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
         st.lists(st.tuples(RATE, RATE), min_size=1, max_size=12),
-        st.floats(0.0, 12.0),
-        st.floats(0.0, 12.0),
+        st.lists(st.tuples(RATE, RATE), min_size=1, max_size=12),
     )
-    def test_outside_margin_is_minus_the_distance(self, rows, x, y):
+    def test_margin_is_the_worst_hull_facet_violation(self, rows, points):
+        # reference: minus the worst violation, if any, of scipy's hull facets
+        # and of r1 <= max r1, r2 <= max r2 by the points' region
         region = frontier_hull([a for a, _ in rows], [b for _, b in rows])
+        inner = frontier_hull([x for x, _ in points], [y for _, y in points])
         verts = np.array([(v.r1, v.r2) for v in region.vertices])
-        p = np.array([x, y])
-        if len(verts) >= 3:
-            hull = ConvexHull(verts)
-            assume(np.max(hull.equations[:, :2] @ p + hull.equations[:, 2]) > 1e-9)
-        # brute force: the nearest of the vertices and of the feet of the
-        # perpendiculars that land inside their edges
-        candidates = list(verts)
-        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-            d = b - a
-            if d @ d > 0.0:
-                t = (p - a) @ d / (d @ d)
-                if 0.0 <= t <= 1.0:
-                    candidates.append(a + t * d)
-        distance = min(math.hypot(*(p - c)) for c in candidates)
-        assert region_margin(region, RatePair(x, y)) == pytest.approx(-distance, rel=1e-12, abs=1e-12)
+        assume(len(verts) >= 3)
+        p = np.array([(v.r1, v.r2) for v in inner.vertices])
+        facets = ConvexHull(verts).equations
+        worst = max(
+            0.0,
+            np.max(p @ facets[:, :2].T + facets[:, 2]),
+            *(p.max(axis=0) - verts.max(axis=0)).tolist(),
+        )
+        assert containment_margin(inner, region) == pytest.approx(-worst, rel=1e-12, abs=1e-12)
 
     def test_origin_and_outside(self):
         region = frontier_hull([1, 0], [0, 1])
-        assert region_contains(region, RatePair(0, 0))
-        assert not region_contains(region, RatePair(2.0, 0.0))
-        assert region_contains(region, RatePair(0.5, 0.5), tol=1e-6)
-        assert not region_contains(region, RatePair(0.501, 0.501), tol=1e-6)
+        assert self.point_margin(region, 0.0, 0.0) == 0.0
+        assert self.point_margin(region, 2.0, 0.0) < -1e-6
+        assert self.point_margin(region, 0.5, 0.5) >= -1e-6
+        assert self.point_margin(region, 0.501, 0.501) < -1e-6
 
     def test_tolerance_band(self):
         region = frontier_hull([1, 0], [0, 1])
-        assert region_contains(region, RatePair(0.5 + 4e-7, 0.5 + 4e-7), tol=1e-6)
+        assert -1e-6 <= self.point_margin(region, 0.5 + 4e-7, 0.5 + 4e-7) < 0.0
 
     def test_degenerate_regions(self):
         point = RateRegion((RatePair(0.0, 0.0),))
-        assert region_contains(point, RatePair(0.0, 0.0))
-        assert not region_contains(point, RatePair(0.1, 0.0))
+        assert self.point_margin(point, 0.0, 0.0) == 0.0
+        assert self.point_margin(point, 0.1, 0.0) == pytest.approx(-0.1, abs=1e-15)
         segment = frontier_hull([2], [0])
-        assert region_contains(segment, RatePair(1.0, 0.0))
-        assert not region_contains(segment, RatePair(1.0, 0.1))
+        assert self.point_margin(segment, 1.0, 0.0) == 0.0
+        assert self.point_margin(segment, 1.0, 0.1) == pytest.approx(-0.1, abs=1e-15)
 
 
 class TestSweep:
@@ -658,7 +661,7 @@ class TestOuterRegion:
         outer = outer_region(CH15)
         for mode in ("analytic",):
             inner = sweep_inner(CH15, (1.0, 3.0), mode)
-            assert all(region_contains(outer, v, 1e-6) for v in inner.vertices)
+            assert containment_margin(inner, outer) >= -1e-6
 
     def test_symmetric_channel_consistency(self):
         a = BcChannel(10.0, 1.0, 1.0)

@@ -83,3 +83,13 @@ def test_margins_are_reported():
 @pytest.mark.parametrize("margin,passed", [(1e-6, True), (0.0, True), (-1e-6, True), (-1.000001e-6, False)])
 def test_verdict_follows_the_margin(margin, passed):
     assert CheckResult("suite", "label", margin, 1e-6).passed is passed
+
+
+def test_the_30_db_outer_bound_defect_fails_one_containment_check():
+    # the outer bound is not yet certified at 30 dB: the analytic region pokes
+    # out of it at sigma2/sigma1 = 2.  A certified outer bound makes this
+    # channel pass (ROADMAP item 1), and this test then flips.
+    report = run_verification([30.0], [2.0], [0.5, 1, 3, 6], quad_tol=FAST_QUAD_TOL)
+    failing = [c for c in report["checks"] if not c["passed"]]
+    assert [c["label"] for c in failing] == ["inner in outer @ 30 dB, sigma2/sigma1=2"]
+    assert failing[0]["margin"] == pytest.approx(-0.0076357841326136, abs=1e-12)
