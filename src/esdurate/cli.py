@@ -326,7 +326,10 @@ def cmd_esdu_rate(args) -> int:
               for bound in (xi, f1, f2, f3, f_lower, owb, g_upper)]
     row = [inp.span, inp.levels, sigma, *bounds, mi]
     if args.mc_samples is not None:
-        est = mi_monte_carlo(DiscreteInput.from_esdu(inp), sigma, args.mc_samples, args.seed)
+        try:
+            est = mi_monte_carlo(DiscreteInput.from_esdu(inp), sigma, args.mc_samples, args.seed)
+        except ValueError as exc:  # a noise width so wide that a sample overflows
+            raise UsageError(f"--sigma {sigma:g}: {exc}") from None
         columns += ["mi_mc", "mi_mc_stderr"]
         row += [est.value, est.standard_error]
     parameters = {"span": inp.span, "levels": inp.levels, "sigma": sigma, "quad_tol": args.quad_tol,

@@ -37,7 +37,8 @@ error estimate is within the tolerance, or fails once that estimate is at
 the round-off level or its next level would pass _MAX_NODES.
 
 The mixture density is one loop over blocks of at most 2^16 (atom, y)
-pairs, a row per atom, and adds each y's terms in row order.  Each y uses the
+pairs, each one run of atoms, a row per atom, and adds each y's terms in row
+order; scattered values of one alphabet are sorted first.  Each y uses the
 atoms of its alphabet within 40 sigma of it, so its value depends on that y,
 its sigma and its alphabet alone, never on the other values of the call.
 
@@ -197,6 +198,7 @@ class _Lattices:
         self._sizes, self._log_mass, self._relative = sizes, None, None  # log mass log(1/size)
 
 
+@np.errstate(over="ignore", divide="ignore")  # a distance past float64 is inf: its term is 0, whose log is -inf
 def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     """Natural log of the output density sum_i mass_i * phi(y - atom_i; sigma).
 
@@ -210,16 +212,21 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     max log mass), 746 below the value's largest, so exp(term - largest) is
     0.0, and else (far from every atom, zero masses near it) uses every atom.
     One loop runs the values in blocks of _BLOCK_ELEMENTS // K, K their
-    largest alphabet, a row per atom from each value's first, added in row
-    order.  Terms are floored at _EXP_FLOOR below each value's largest (see
-    _peak_sums), so a row past a value's window adds at most
+    largest alphabet.  A block reads one run of atoms, from its values'
+    smallest window start to their largest window end, a row per atom cut at
+    each value's alphabet end, and adds each value's terms in row order.
+    Terms are floored at _EXP_FLOOR below each value's largest (see
+    _peak_sums), so a row of the run outside a value's window adds at most
     exp(_EXP_FLOOR) to a sum of at least 1, which float64 cannot resolve: a
-    value is the same whatever block or call it is in.
+    value is the same whatever block or call it is in.  Values of one
+    alphabet that arrive out of order (Monte Carlo samples, a width per
+    value) are sorted once, so that each run spans little more than a window.
 
     What the values allow is decided once per call: one alphabet within
     reach of every value at one noise width, as Monte Carlo samples on a
     narrow alphabet are, finds no window and redoes none, and with equal
     masses floors nothing, as no term can reach the floor (_FLOOR_FREE_SIGMAS).
+    A reach or a distance past float64 is inf, with no warning.
     """
     _check_sigma(sigma)
     y_arr = np.asarray(y, dtype=float)
@@ -227,9 +234,13 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
     scale = np.asarray(sigma, dtype=float)
     if scale.ndim:
         scale = np.broadcast_to(scale, y_arr.shape).ravel()
-    whole = (np.ndim(inp._sizes) == 0 and scale.ndim == 0 and flat.size > 0
+    one_alphabet = np.ndim(inp._sizes) == 0
+    whole = (one_alphabet and scale.ndim == 0 and flat.size > 0
              and _sees_every_atom(flat, inp.atoms, _WINDOW_SIGMAS * scale))
     floor = not (whole and inp._relative is None and _sees_every_atom(flat, inp.atoms, _FLOOR_FREE_SIGMAS * scale))
+    order = np.argsort(flat) if one_alphabet and not whole and (flat[1:] < flat[:-1]).any() else None
+    if order is not None:  # scattered values: sorted, so that a block's run spans little more than a window
+        flat, scale = flat[order], scale[order] if scale.ndim else scale
     all_sizes = np.broadcast_to(inp._sizes, flat.shape)
     out = np.empty(flat.size)
     start = 0
@@ -239,21 +250,22 @@ def mixture_log_pdf(inp: "DiscreteInput | _Lattices", sigma, y):
         start = block.stop
         y, sizes, sigma = flat[block], all_sizes[block], scale if scale.ndim == 0 else scale[block]
         if whole:  # every value's rows are all K atoms
-            first, depth = None, inp._sizes
+            rows = slice(0, inp._sizes)
         else:
             first, width = _window(y, inp, _WINDOW_SIGMAS * sigma, sizes)
-            depth = int(width.max())
-            if depth == 0:  # no window holds an atom: every value uses every atom, as a redo would
-                first, width, depth = np.zeros_like(sizes), sizes, int(sizes.max())
-        peak, total = _peak_sums(_exponents(y, sigma, first, depth, sizes, inp.atoms, inp._relative), floor)
+            if not width.any():  # no window holds an atom: every value uses every atom, as a redo would
+                first, width = np.zeros_like(sizes), sizes
+            rows = slice(first.min(), (first + width).max())
+        peak, total = _peak_sums(_exponents(y, sigma, rows, sizes, inp.atoms, inp._relative), floor)
         if not whole:
             redo = (width < sizes) & ~(peak > -0.5 * _WINDOW_SIGMAS**2 - _UNDERFLOW_EXPONENT)
             if redo.any():  # a window left out atoms whose terms might not underflow: those use every atom
-                first[redo], width[redo] = 0, sizes[redo]
-                exponents = _exponents(y, sigma, first, int(width.max()), sizes, inp.atoms, inp._relative)
-                peak, total = _peak_sums(exponents, True)
+                rows = slice(0, max(rows.stop, sizes[redo].max()))
+                peak, total = _peak_sums(_exponents(y, sigma, rows, sizes, inp.atoms, inp._relative), True)
         log_mass = np.log(1.0 / sizes) if inp._log_mass is None else inp._log_mass
         out[block] = peak + log_mass + np.log(total) - np.log(sigma) - _LOG_SQRT_2PI
+    if order is not None:
+        out[order] = out.copy()
     return as_result(out.reshape(y_arr.shape))
 
 
@@ -286,37 +298,20 @@ def _peak_sums(exponents: np.ndarray, floor: bool):
     return peak, total
 
 
-def _exponents(y, sigma, first: np.ndarray | None, depth: int, sizes, atoms: np.ndarray, relative) -> np.ndarray:
-    """The terms -0.5*((y - atom)/sigma)^2 + relative log mass of atoms first_j
-    on, depth rows of them, for each value j; -inf past its sizes_j atoms.
-    first None starts every value at atom 0 of an alphabet of depth atoms."""
-    shared = first is None or first.min() == first.max()
-    if shared:  # one window start: a slice, no gather
-        rows = slice(0, depth) if first is None else slice(first[0], first[0] + depth)
-        z = y - atoms[rows, None]
-        log_masses = None if relative is None else relative[rows, None]
-    else:  # no measured quadrature block comes here; scattered values (Monte
-        # Carlo samples on an alphabet wider than one window) do, and slicing
-        # them from the block's first window took esdu-rate --span 1000 --levels
-        # 2001 --mc-samples 300000 from 1.4 s to 5.6 s (a 2-vCPU Xeon VM)
-        index = first + np.arange(depth)[:, None]
-        z = np.take(atoms, index, mode="clip")
-        np.subtract(y, z, out=z)
-        log_masses = None if relative is None else np.take(relative, index, mode="clip")
+def _exponents(y, sigma, rows: slice, sizes, atoms: np.ndarray, relative) -> np.ndarray:
+    """The terms -0.5*((y - atom)/sigma)^2 + relative log mass of atoms[rows],
+    a row per atom, for each value j; -inf past its sizes_j atoms."""
+    z = y - atoms[rows, None]
     if np.ndim(sigma) or sigma != 1.0:  # x / 1.0 is x
         z /= sigma
     z *= z
     z *= -0.5
-    if log_masses is not None:
-        z += log_masses
-    limit = None if first is None else sizes - first  # the rows value j may use
-    if limit is not None and limit.min() < depth:
-        if not shared:
-            z[np.arange(depth)[:, None] >= limit] = -np.inf
-        else:  # values in runs of one alphabet size: a slice per run
-            starts = [0, *(np.flatnonzero(limit[1:] != limit[:-1]) + 1).tolist()]
-            for a, b in zip(starts, [*starts[1:], limit.size]):
-                z[limit[a] :, a:b] = -np.inf
+    if relative is not None:
+        z += relative[rows, None]
+    if sizes.min() < rows.stop:  # values in runs of one alphabet size: a slice per run
+        starts = [0, *(np.flatnonzero(sizes[1:] != sizes[:-1]) + 1).tolist()]
+        for a, b in zip(starts, [*starts[1:], sizes.size]):
+            z[sizes[a] - rows.start :, a:b] = -np.inf
     return z
 
 
@@ -710,7 +705,8 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
 
     Averages -log2 p(X_i + Z_i) over seeded draws, less the noise entropy
     0.5*log2(2*pi*e) + log2(sigma); the per-sample values also give its
-    standard error.  Requires at least MIN_MC_SAMPLES samples.
+    standard error.  Requires an integer of at least MIN_MC_SAMPLES samples;
+    a sample X + Z past float64 (sigma near 1e307) raises ValueError.
 
     The seed fixes the stream: the atom indices are what
     default_rng(seed).choice(K, samples, p=masses) gives, one double each
@@ -720,8 +716,9 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
     time, so memory does not grow with samples; each block's values are
     summed as one group.
     """
-    if samples < MIN_MC_SAMPLES:
-        raise ValueError(f"mi_monte_carlo needs at least {MIN_MC_SAMPLES} samples")
+    if not (isinstance(samples, (int, np.integer)) and samples >= MIN_MC_SAMPLES):
+        raise ValueError(f"mi_monte_carlo needs an integer of at least {MIN_MC_SAMPLES} samples, got {samples!r}")
+    samples = int(samples)  # PCG64.advance takes a Python int
     _check_sigma(sigma)
     indices = np.random.default_rng(seed)
     noise = np.random.Generator(np.random.PCG64(seed).advance(samples))
@@ -733,6 +730,8 @@ def mi_monte_carlo(inp: DiscreteInput, sigma: float, samples: int, seed: int) ->
         block = min(chunk, samples - start)
         ys = inp.atoms[_atom_indices(indices.random(block), inp.masses)]
         ys += noise.normal(0.0, sigma, size=block)
+        if not np.isfinite(ys).all():
+            raise ValueError(f"a sample X + Z overflows float64 at sigma = {sigma!r}")
         vals = mixture_log_pdf(inp, sigma, ys)
         vals *= -_LOG2_E  # (-x)*c is x*(-c) in float64, and no copy
         total += vals.sum()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -553,7 +554,7 @@ class TestMixtureLogPdf:
         # blocks are (atoms, values)
         assert all(k * r <= oracle._BLOCK_ELEMENTS for k, r in shapes)
         assert {r for _, r in shapes} == {rows, y.size - (blocks - 1) * rows}
-        if case == "sorted":
+        if case != "far":  # scattered values are sorted first: a block's run spans no more than its windows
             assert all(k < 2001 for k, _ in shapes)
         if case == "far":
             assert all(k == 2001 for k, _ in shapes)
@@ -654,6 +655,21 @@ class TestMixtureLogPdf:
             else:
                 assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == np.float64
                 assert got.tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("sigma,y,want", [
+        # a reach of 40 sigma past float64 is inf: every atom lies within it
+        (5e306, [-1e307, 0.3, 1e307], np.array([-2.0, 0.0, -2.0]) - math.log(5e306) - oracle._LOG_SQRT_2PI),
+        (np.array([1.7e308, 1.0, 1e308]), [1e307, 0.3, -1e308], None),
+        # a distance past float64 in noise widths: its term exp(-inf) is 0
+        (1e-300, [1e10, 0.5, -3.0], -np.inf),
+        (1e-5, [1e300], -np.inf),
+    ])
+    def test_no_warning_at_any_finite_sigma(self, sigma, y, want):
+        di = DiscreteInput(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        got = mixture_log_pdf(di, sigma, np.array(y))
+        if want is None:  # each value that of its own noise width
+            want = [mixture_log_pdf(di, s, v) for s, v in zip(sigma.tolist(), y)]
+        np.testing.assert_allclose(got, np.broadcast_to(want, got.shape), rtol=1e-15)
 
     def test_working_set_is_bounded(self):
         # the K = 2001 row of a 30 dB p2p-bounds table over its 510 first-round
@@ -1331,6 +1347,31 @@ class TestMonteCarlo:
         di = DiscreteInput.from_esdu(EsduInput(2.0, 4))
         with pytest.raises(ValueError):
             mi_monte_carlo(di, 1.0, 9_999, 0)
+
+    def test_takes_any_integer_sample_count(self):
+        # numpy integers give the estimate of the Python int; anything else names samples
+        di = DiscreteInput.from_esdu(EsduInput(2.0, 4))
+        want = mi_monte_carlo(di, 1.0, 10_000, 0)
+        for samples in (np.int64(10_000), np.int32(10_000), np.uint16(10_000), np.uint64(10_000)):
+            got = mi_monte_carlo(di, 1.0, samples, 0)
+            assert got == want and type(got.samples) is int
+        for samples in (10_000.5, 10_000.0, np.float64(10_000.0), "10000", None):
+            with pytest.raises(ValueError, match="samples"):
+                mi_monte_carlo(di, 1.0, samples, 0)
+
+    def test_noise_widths_near_the_top_of_float64(self):
+        di = DiscreteInput(np.array([0.0, 1.0]), np.array([0.5, 0.5]))
+        # the bits of the last width whose 40-sigma reach float64 holds
+        est = mi_monte_carlo(di, 4e306, 10_000, 0)
+        assert (est.value.hex(), est.standard_error.hex()) == ("-0x1.5ecb586220000p-7", "0x1.4cec31d33904cp-7")
+        # a reach past float64 is inf; the samples still fit: a finite estimate, with no warning
+        for sigma in (5e306, 4e307):
+            est = mi_monte_carlo(di, sigma, 10_000, 0)
+            assert abs(est.value) <= 5.0 * est.standard_error < 0.1
+        # sigma*z overflows for a few of 10,000 draws at 5e307, for most at 1e308
+        for sigma in (5e307, 1e308):
+            with pytest.raises(ValueError, match=re.escape(f"a sample X + Z overflows float64 at sigma = {sigma!r}")):
+                mi_monte_carlo(di, sigma, 10_000, 0)
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
